@@ -63,7 +63,9 @@ def _fail(code: int, module: str, message: str, context: dict | None = None):
 def _tower(cfg: dict, args) -> tuple[Tower, list | None, object]:
     spec, ledger, psi = parse_construction(cfg.get("construction", {}))
     max_depth = len(spec.stages) + 1
-    depth = args.depth or max_depth
+    depth = max_depth if args.depth is None else args.depth
+    if depth < 1:
+        raise ConfigError(f"--depth must be >= 1, got {depth}", "depth")
     if depth > max_depth:
         raise ConfigError(
             f"--depth {depth} exceeds the spec's {max_depth} stages", "depth"
@@ -160,11 +162,11 @@ def cmd_check_sidon(cfg, digest, args):
 
 def cmd_corr(cfg, digest, args):
     tower, _, _ = _tower(cfg, args)
-    A = parse_level_set(cfg["A"], "A") if "A" in cfg else None
-    B = parse_level_set(cfg["B"], "B") if "B" in cfg else None
+    A = parse_level_set(cfg["A"], "A", tower) if "A" in cfg else None
+    B = parse_level_set(cfg["B"], "B", tower) if "B" in cfg else None
     if A is None or B is None:
         raise ConfigError("corr config needs sets 'A' and 'B'", "A")
-    C = parse_level_set(cfg["C"], "C") if "C" in cfg else None
+    C = parse_level_set(cfg["C"], "C", tower) if "C" in cfg else None
     eps = parse_epsilon(cfg, args)
     ms = cfg.get("m_grid", [cfg["m"]] if "m" in cfg else None)
     if ms is None:
@@ -205,7 +207,7 @@ def cmd_decay(cfg, digest, args):
         raise ConfigError("decay config needs 'psi' (none in construction)", "psi")
     if gen_psi is None and "psi" in cfg:
         warning = "construction has no generator psi; decay bound is unverified"
-    A = parse_level_set(cfg.get("A", {"stage": 2, "ranges": [[0, 1]]}), "A")
+    A = parse_level_set(cfg.get("A", {"stage": 2, "ranges": [[0, 1]]}), "A", tower)
     ms = cfg.get("m_grid")
     if not ms:
         raise ConfigError("decay config needs a nonempty 'm_grid'", "m_grid")
@@ -238,7 +240,7 @@ def cmd_poisson(cfg, digest, args):
     eps = parse_epsilon(cfg, args)
     mc = cfg.get("mc_samples", 0)
     seed = _require_seed(args, "poisson with mc_samples") if mc else 0
-    events = [parse_event(e, f"events[{i}]") for i, e in enumerate(cfg.get("events", []))]
+    events = [parse_event(e, f"events[{i}]", tower) for i, e in enumerate(cfg.get("events", []))]
     if mode == "mixing":
         if len(events) != 2:
             raise ConfigError("mixing mode needs exactly 2 events", "events")

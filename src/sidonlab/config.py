@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .construction import ConstructionSpec, LevelSet, SpecValidationError
+from .construction import ConstructionSpec, LevelSet, SpecValidationError, Tower
 from .poisson import CountEvent
 from .sidon import PsiSpec, build_from_psi
 
@@ -85,27 +85,53 @@ def parse_construction(d: dict, depth_hint: int | None = None):
     return spec, None, None
 
 
-def parse_level_set(d: dict, where: str = "set") -> LevelSet:
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def parse_level_set(d: dict, where: str, tower: Tower) -> LevelSet:
+    """A level set {"stage": j, "ranges": [[a, b], ...]} of the tower, with
+    1 <= j <= depth and integer endpoints 0 <= a < b <= h_j."""
     _require_keys(d, {"stage", "ranges"}, set(), where)
-    try:
-        return LevelSet.from_ranges(d["stage"], [tuple(r) for r in d["ranges"]])
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{where}: {e}", where) from e
+    stage, ranges = d["stage"], d["ranges"]
+    if not (_is_int(stage) and 1 <= stage <= tower.depth):
+        raise ConfigError(
+            f"{where}: stage must be an integer in 1..{tower.depth}, got {stage!r}", where
+        )
+    h = tower.stage(stage).h
+    if not isinstance(ranges, list):
+        raise ConfigError(f"{where}: ranges must be a list of [a, b] pairs", where)
+    for r in ranges:
+        if not (isinstance(r, list) and len(r) == 2 and all(map(_is_int, r))
+                and 0 <= r[0] < r[1]):
+            raise ConfigError(
+                f"{where}: range {r!r} is not [a, b] with integers 0 <= a < b", where
+            )
+        if r[1] > h:
+            raise ConfigError(
+                f"{where}: range {r!r} exceeds the stage-{stage} height {h}", where
+            )
+    return LevelSet.from_ranges(stage, [tuple(r) for r in ranges])
 
 
-def parse_event(d: dict, where: str = "event") -> CountEvent:
+def parse_event(d: dict, where: str, tower: Tower) -> CountEvent:
     _require_keys(d, {"set", "count"}, {"shift"}, where)
     return CountEvent(
-        parse_level_set(d["set"], where + ".set"), d["count"], d.get("shift", 0)
+        parse_level_set(d["set"], where + ".set", tower), d["count"], d.get("shift", 0)
     )
 
 
 def parse_epsilon(cfg: dict, args=None) -> Fraction | None:
-    if args is not None and getattr(args, "epsilon_num", None) is not None:
-        return Fraction(args.epsilon_num, args.epsilon_den or 1)
+    den = getattr(args, "epsilon_den", None)
+    if den is not None and den < 1:
+        raise ConfigError(f"--epsilon-den must be >= 1, got {den}", "epsilon")
+    if getattr(args, "epsilon_num", None) is not None:
+        return Fraction(args.epsilon_num, den or 1)
     if "epsilon" in cfg:
         e = cfg["epsilon"]
         _require_keys(e, {"num", "den"}, set(), "epsilon")
+        if not (_is_int(e["num"]) and _is_int(e["den"]) and e["den"] >= 1):
+            raise ConfigError("epsilon: num and den must be integers, den >= 1", "epsilon")
         return Fraction(e["num"], e["den"])
     return None
 

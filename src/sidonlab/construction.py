@@ -396,20 +396,3 @@ class Tower:
         offset = rng.randrange(cells) * resolution
         return PointState(A.stage, level, offset)
 
-
-# Thin functional wrappers matching the operation names used elsewhere.
-
-def lift_level_set(A: LevelSet, J: int, tower: Tower) -> LevelSet:
-    return tower.lift(A, J)
-
-
-def step(p: PointState, tower: Tower, direction: int = 1) -> PointState:
-    return tower.step(p, direction)
-
-
-def iterate(p: PointState, n: int, tower: Tower) -> PointState:
-    return tower.iterate(p, n)
-
-
-def sample_uniform(A: LevelSet, tower: Tower, rng) -> PointState:
-    return tower.sample_uniform(A, rng)

@@ -11,6 +11,8 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from .construction import LevelSet, NeedsMoreStages, Tower
 from .enclosure import MeasureEnclosure
 
@@ -21,16 +23,6 @@ def default_epsilon(tower: Tower, A: LevelSet) -> Fraction:
     return mu / 1000 if mu > 0 else Fraction(1, 1000)
 
 
-def _lift(tower: Tower, X: LevelSet, J: int, cache: dict | None):
-    if cache is None:
-        return tower.lift(X, J)
-    key = (X, J)
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = tower.lift(X, J)
-    return got
-
-
 def _resolving_stage(tower: Tower, jmin: int, shift: int) -> int:
     for J in range(jmin, tower.depth + 1):
         if tower.stage(J).h > shift:
@@ -39,6 +31,99 @@ def _resolving_stage(tower: Tower, jmin: int, shift: int) -> int:
         f"no built stage has height > {shift} (depth {tower.depth})",
         required_depth=tower.depth + 1,
     )
+
+
+# -- array-backed escape engine -------------------------------------------
+#
+# A level set at stage J is a pair of arrays (starts, ends) of half-open
+# ranges.  Lifting one stage is one outer sum with the column offsets: the
+# column copies are disjoint and ordered, so sorted disjoint input stays
+# sorted and disjoint, and nothing needs merging because only counts are
+# read.  Ranges are int64 while every value stays below 2 * h_depth < 2^63,
+# and exact Python ints (dtype=object, same code) beyond.
+
+
+def _dtype(tower: Tower):
+    return np.int64 if 2 * tower.stage(tower.depth).h < 2**63 else object
+
+
+def _lifted(tower: Tower, X: LevelSet, J: int, cache: dict, dtype):
+    """(starts, ends) of X lifted to stage J >= X.stage, cached per stage."""
+    key = ("ranges", X, J, dtype)
+    got = cache.get(key)
+    if got is None:
+        if J == X.stage:
+            r = np.array(X.ranges, dtype=dtype).reshape(-1, 2)
+            got = (r[:, 0].copy(), r[:, 1].copy())
+        else:
+            s, e = _lifted(tower, X, J - 1, cache, dtype)
+            offs = np.array(tower.stage(J - 1).offsets, dtype=dtype)
+            got = (np.add.outer(offs, s).ravel(), np.add.outer(offs, e).ravel())
+        cache[key] = got
+    return got
+
+
+def _prefix(tower: Tower, X: LevelSet, J: int, cache: dict, dtype):
+    """Prefix-count tables of X at stage J: its starts, and its ends and
+    cumulative lengths each with a leading 0."""
+    key = ("prefix", X, J, dtype)
+    got = cache.get(key)
+    if got is None:
+        s, e = _lifted(tower, X, J, cache, dtype)
+        zero = np.zeros(1, dtype=dtype)
+        got = cache[key] = (s, np.concatenate((zero, e)),
+                            np.concatenate((zero, np.cumsum(e - s))))
+    return got
+
+
+def _count_below(prefix, x):
+    """|X intersect [0, x)| for each x >= 0."""
+    starts, ends, cum = prefix
+    k = np.searchsorted(starts, x, side="right")
+    return cum[k] - np.maximum(ends[k] - x, 0)
+
+
+def _count_in(prefix, lo, hi) -> int:
+    """Sum over k of |X intersect [lo_k, hi_k)|, for 0 <= lo <= hi."""
+    return int(_count_below(prefix, hi).sum() - _count_below(prefix, lo).sum())
+
+
+def _intersection(s1, e1, s2, e2):
+    """Ranges of the intersection of two unions of disjoint ranges, by an
+    endpoint sweep: covered twice means inside both.  Events tied at one
+    point may come in any order; they only add empty ranges."""
+    pos = np.concatenate((s1, e1, s2, e2))
+    ones1, ones2 = np.ones(len(s1), np.int8), np.ones(len(s2), np.int8)
+    step = np.concatenate((ones1, -ones1, ones2, -ones2))
+    order = np.argsort(pos)
+    pos = pos[order]
+    both = np.cumsum(step[order])[:-1] == 2
+    return pos[:-1][both], pos[1:][both]
+
+
+def _escape_enclosure(tower, J, t, esc, hits, epsilon) -> MeasureEnclosure:
+    """Resolve the source ranges ``esc`` (at stage J) below h_J - t, count
+    their hits, lift the escaped top to J + 1 and repeat until the escaped
+    mass is zero, at most ``epsilon`` or the tower's top is reached.
+    ``hits(J, s, e)`` counts the hits of the resolved ranges [s, e)."""
+    s, e = esc
+    lo = Fraction(0)
+    while True:
+        st = tower.stage(J)
+        cut = st.h - t
+        rs, re = np.minimum(s, cut), np.minimum(e, cut)
+        keep = re > rs
+        if keep.any():
+            lo += hits(J, rs[keep], re[keep]) * st.base_measure
+        s = np.maximum(s, cut)
+        keep = e > s
+        s, e = s[keep], e[keep]
+        esc_mass = int((e - s).sum()) * st.base_measure
+        if esc_mass == 0 or esc_mass <= epsilon or J == tower.depth:
+            return MeasureEnclosure(lo, lo + esc_mass)
+        offs = np.array(st.offsets, dtype=s.dtype)
+        s, e = np.add.outer(offs, s).ravel(), np.add.outer(offs, e).ravel()
+        J += 1
 
 
 def pair_enclosure(
@@ -54,21 +139,15 @@ def pair_enclosure(
         raise ValueError("shift m must be >= 0")
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
+    cache = {} if cache is None else cache
+    dtype = _dtype(tower)
     J = _resolving_stage(tower, max(A.stage, B.stage), m)
-    esc = _lift(tower, B, J, cache)
-    lo = Fraction(0)
-    while True:
-        st = tower.stage(J)
-        resolved = esc.clip(0, st.h - m)
-        if not resolved.is_empty():
-            hits = resolved.shift(m).intersect(_lift(tower, A, J, cache))
-            lo += hits.count() * st.base_measure
-        escaped = esc.clip(st.h - m, st.h)
-        esc_mass = escaped.count() * st.base_measure
-        if esc_mass == 0 or esc_mass <= epsilon or J == tower.depth:
-            return MeasureEnclosure(lo, lo + esc_mass)
-        esc = tower.lift(escaped, J + 1)
-        J += 1
+
+    def hits(J, s, e):
+        return _count_in(_prefix(tower, A, J, cache, dtype), s + m, e + m)
+
+    return _escape_enclosure(tower, J, m, _lifted(tower, B, J, cache, dtype),
+                             hits, epsilon)
 
 
 def triple_enclosure(
@@ -86,23 +165,18 @@ def triple_enclosure(
         raise ValueError("shifts must be >= 0")
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
+    cache = {} if cache is None else cache
+    dtype = _dtype(tower)
     t = m + n
     J = _resolving_stage(tower, max(A.stage, B.stage, C.stage), t)
-    esc = _lift(tower, C, J, cache)
-    lo = Fraction(0)
-    while True:
-        st = tower.stage(J)
-        resolved = esc.clip(0, st.h - t)
-        if not resolved.is_empty():
-            s1 = resolved.shift(n).intersect(_lift(tower, B, J, cache))
-            s2 = s1.shift(m).intersect(_lift(tower, A, J, cache))
-            lo += s2.count() * st.base_measure
-        escaped = esc.clip(st.h - t, st.h)
-        esc_mass = escaped.count() * st.base_measure
-        if esc_mass == 0 or esc_mass <= epsilon or J == tower.depth:
-            return MeasureEnclosure(lo, lo + esc_mass)
-        esc = tower.lift(escaped, J + 1)
-        J += 1
+
+    def hits(J, s, e):
+        bs, be = _lifted(tower, B, J, cache, dtype)
+        s1, e1 = _intersection(s + n, e + n, bs, be)
+        return _count_in(_prefix(tower, A, J, cache, dtype), s1 + m, e1 + m)
+
+    return _escape_enclosure(tower, J, t, _lifted(tower, C, J, cache, dtype),
+                             hits, epsilon)
 
 
 def mc_correlation(

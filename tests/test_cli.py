@@ -112,6 +112,57 @@ class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["build", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("bad", [[0, 99], [0, 10**30]])
+    @pytest.mark.parametrize("cmd", ["corr", "decay", "poisson"])
+    def test_level_set_past_stage_height(self, tmp_path, capsys, cmd, bad):
+        # stage 2 of the running tower has height 3
+        bad_set = {"stage": 2, "ranges": [bad]}
+        good_set = {"stage": 2, "ranges": [[0, 3]]}
+        cfg = {"construction": RUNNING_SPEC.to_dict()}
+        if cmd == "corr":
+            cfg.update({"A": good_set, "B": bad_set, "m": 3})
+        elif cmd == "decay":
+            cfg.update({"psi": {"kind": "power", "alpha": [1, 4]}, "A": bad_set,
+                        "m_grid": [1]})
+        else:
+            cfg.update({"events": [{"set": good_set, "count": 0},
+                                   {"set": bad_set, "count": 0}], "n_grid": [0]})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli([cmd, "--config", str(path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and "height 3" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--epsilon-num", "1", "--epsilon-den", "0"],
+                                      ["--depth", "0"]])
+    def test_bad_flag(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "corr.json"
+        cfg.write_text(json.dumps({
+            "construction": RUNNING_SPEC.to_dict(),
+            "A": {"stage": 2, "ranges": [[0, 3]]},
+            "B": {"stage": 2, "ranges": [[0, 3]]},
+            "m": 3,
+        }))
+        assert run_cli(["corr", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                        *flag]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and flag[-2] in err["message"]
+
+    def test_config_epsilon_den_zero(self, tmp_path, capsys):
+        cfg = tmp_path / "corr.json"
+        cfg.write_text(json.dumps({
+            "construction": RUNNING_SPEC.to_dict(),
+            "A": {"stage": 2, "ranges": [[0, 3]]},
+            "B": {"stage": 2, "ranges": [[0, 3]]},
+            "m": 3,
+            "epsilon": {"num": 1, "den": 0},
+        }))
+        assert run_cli(["corr", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["field"] == "epsilon"
+
 
 class TestCorr:
     def test_exact_pair_row(self, tmp_path):

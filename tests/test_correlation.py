@@ -15,8 +15,54 @@ from sidonlab import (
     support_decay_report,
     triple_enclosure,
 )
-from sidonlab.correlation import decay_report
+from sidonlab.correlation import _dtype, _resolving_stage, decay_report, default_epsilon
+from sidonlab.enclosure import MeasureEnclosure
 from sidonlab.sidon import PsiSpec, build_from_psi
+
+
+def reference_pair(A, B, m, tower, epsilon=None):
+    """The LevelSet escape loop that pair_enclosure replaced: materialise
+    every clipped, shifted and intersected set, read its count."""
+    if epsilon is None:
+        epsilon = default_epsilon(tower, A)
+    J = _resolving_stage(tower, max(A.stage, B.stage), m)
+    esc = tower.lift(B, J)
+    lo = Fraction(0)
+    while True:
+        st = tower.stage(J)
+        resolved = esc.clip(0, st.h - m)
+        if not resolved.is_empty():
+            hits = resolved.shift(m).intersect(tower.lift(A, J))
+            lo += hits.count() * st.base_measure
+        escaped = esc.clip(st.h - m, st.h)
+        esc_mass = escaped.count() * st.base_measure
+        if esc_mass == 0 or esc_mass <= epsilon or J == tower.depth:
+            return MeasureEnclosure(lo, lo + esc_mass)
+        esc = tower.lift(escaped, J + 1)
+        J += 1
+
+
+def reference_triple(A, B, C, m, n, tower, epsilon=None):
+    """The LevelSet escape loop that triple_enclosure replaced."""
+    if epsilon is None:
+        epsilon = default_epsilon(tower, A)
+    t = m + n
+    J = _resolving_stage(tower, max(A.stage, B.stage, C.stage), t)
+    esc = tower.lift(C, J)
+    lo = Fraction(0)
+    while True:
+        st = tower.stage(J)
+        resolved = esc.clip(0, st.h - t)
+        if not resolved.is_empty():
+            s1 = resolved.shift(n).intersect(tower.lift(B, J))
+            s2 = s1.shift(m).intersect(tower.lift(A, J))
+            lo += s2.count() * st.base_measure
+        escaped = esc.clip(st.h - t, st.h)
+        esc_mass = escaped.count() * st.base_measure
+        if esc_mass == 0 or esc_mass <= epsilon or J == tower.depth:
+            return MeasureEnclosure(lo, lo + esc_mass)
+        esc = tower.lift(escaped, J + 1)
+        J += 1
 
 
 def brute_force_pair(tower, A, B, m):
@@ -43,6 +89,31 @@ def random_level_set(rng, tower, stage):
     h = tower.stage(stage).h
     n = rng.randint(1, max(1, h // 2))
     return LevelSet.from_levels(stage, rng.sample(range(h), min(n, h)))
+
+
+def random_ranges(rng, tower, stage, k):
+    """Up to k random disjoint ranges of one stage, for heights too large
+    to sample levels from."""
+    h = tower.stage(stage).h
+    cuts = sorted(rng.randrange(h + 1) for _ in range(2 * k))
+    return LevelSet.from_ranges(stage, zip(cuts[::2], cuts[1::2]))
+
+
+def huge_spec(rng):
+    """Spacer counts up to 2^64; the last one is at least 2^63, so the
+    deepest height exceeds 2^63."""
+    stages = []
+    for _ in range(2):
+        r = rng.randint(2, 3)
+        stages.append(StageParams(r, tuple(rng.choice((0, rng.randint(1, 9), rng.randrange(2**64)))
+                                           for _ in range(r))))
+    last = stages[-1]
+    stages[-1] = StageParams(last.r, last.s[:-1] + (2**63 + rng.randrange(2**63),))
+    return ConstructionSpec(rng.randint(1, 3), tuple(stages))
+
+
+def assert_same(got, want):
+    assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
 class TestEnclosureSoundness:
@@ -96,6 +167,73 @@ class TestEnclosureSoundness:
         a = LevelSet.from_ranges(2, [(0, 1)])
         with pytest.raises(ValueError):
             pair_enclosure(a, a, -1, demo_tower)
+
+
+class TestAgainstReferenceLoop:
+    """The array engine must give the old LevelSet loop's lo and hi exactly."""
+
+    def test_random_specs(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            spec = random_spec(rng)
+            tower = Tower(spec, depth=rng.randint(2, len(spec.stages) + 1))
+            A = random_level_set(rng, tower, rng.randint(1, 2))
+            B = random_level_set(rng, tower, rng.randint(1, 2))
+            m = rng.randint(0, tower.stage(tower.depth).h - 1)
+            eps = rng.choice((None, Fraction(0), Fraction(1, rng.randint(1, 50))))
+            assert_same(pair_enclosure(A, B, m, tower, epsilon=eps),
+                        reference_pair(A, B, m, tower, epsilon=eps))
+
+    def test_demo_stage4_interval(self, demo_tower):
+        one = LevelSet.from_ranges(2, [(0, 1)])
+        rng = random.Random(4)
+        A = random_level_set(rng, demo_tower, 3)
+        B = random_level_set(rng, demo_tower, 3)
+        cache: dict = {}
+        for m in range(1463, 59983 + 1, 613):
+            assert_same(pair_enclosure(one, one, m, demo_tower, cache=cache),
+                        reference_pair(one, one, m, demo_tower))
+            assert_same(pair_enclosure(A, B, m, demo_tower, cache=cache),
+                        reference_pair(A, B, m, demo_tower))
+
+    def test_stage5_escape_slack(self, demo_tower):
+        rng = random.Random(5)
+        A = LevelSet.from_levels(3, [rng.randrange(77) for _ in range(20)])
+        B = LevelSet.from_levels(3, [rng.randrange(77) for _ in range(20)])
+        cache: dict = {}
+        slack = 0
+        for m in range(59983, 3059133, 97_001):
+            got = pair_enclosure(A, B, m, demo_tower, cache=cache)
+            assert_same(got, reference_pair(A, B, m, demo_tower))
+            slack += not got.is_exact()
+        assert slack > 0
+
+    def test_triple(self, demo_tower):
+        rng = random.Random(6)
+        cache: dict = {}
+        for i in range(60):
+            stage = rng.randint(2, 3)
+            A, B, C = (random_level_set(rng, demo_tower, stage) for _ in range(3))
+            m = rng.randint(0, 1463 if i % 2 else 59982)
+            n = rng.randint(0, 77 if i % 3 else 1463)
+            eps = rng.choice((None, Fraction(0)))
+            assert_same(triple_enclosure(A, B, C, m, n, demo_tower, epsilon=eps,
+                                         cache=cache),
+                        reference_triple(A, B, C, m, n, demo_tower, epsilon=eps))
+
+    def test_heights_beyond_int64(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            tower = Tower(huge_spec(rng), depth=3)
+            assert _dtype(tower) is object
+            A, B, C = (random_ranges(rng, tower, rng.randint(1, 2), 3) for _ in range(3))
+            h = tower.stage(3).h
+            m, n = rng.randrange(h // 2), rng.randrange(h // 2)
+            eps = rng.choice((None, Fraction(0)))
+            assert_same(pair_enclosure(A, B, m, tower, epsilon=eps),
+                        reference_pair(A, B, m, tower, epsilon=eps))
+            assert_same(triple_enclosure(A, B, C, m, n, tower, epsilon=eps),
+                        reference_triple(A, B, C, m, n, tower, epsilon=eps))
 
 
 class TestMonteCarlo:
