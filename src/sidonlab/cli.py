@@ -22,6 +22,8 @@ from .config import (
     parse_construction,
     parse_epsilon,
     parse_event,
+    parse_int,
+    parse_int_grid,
     parse_level_set,
     parse_psi,
     write_csv,
@@ -45,7 +47,7 @@ from .homoclinic import (
     wandering_check,
 )
 from .poisson import mixing_report, triple_mixing_report
-from .sidon import sidon_property_check
+from .sidon import GeneratorBudgetError, sidon_property_check
 
 
 def _fail(code: int, module: str, message: str, context: dict | None = None):
@@ -134,7 +136,9 @@ def cmd_check_sidon(cfg, digest, args):
     if not isinstance(j, int):
         raise ConfigError("check-sidon config needs an integer 'stage'", "stage")
     report = sidon_property_check(
-        tower, j, depth=cfg.get("escape_depth", 1), m_stride=cfg.get("m_stride", 1)
+        tower, j,
+        depth=parse_int(cfg.get("escape_depth", 1), "escape_depth", 0),
+        m_stride=parse_int(cfg.get("m_stride", 1), "m_stride", 1),
     )
     rows = []
     for r in report.rows:
@@ -168,10 +172,14 @@ def cmd_corr(cfg, digest, args):
         raise ConfigError("corr config needs sets 'A' and 'B'", "A")
     C = parse_level_set(cfg["C"], "C", tower) if "C" in cfg else None
     eps = parse_epsilon(cfg, args)
-    ms = cfg.get("m_grid", [cfg["m"]] if "m" in cfg else None)
-    if ms is None:
+    if "m_grid" in cfg:
+        ms = parse_int_grid(cfg["m_grid"], "m_grid")
+    elif "m" in cfg:
+        ms = [parse_int(cfg["m"], "m")]
+    else:
         raise ConfigError("corr config needs 'm' or 'm_grid'", "m")
-    mc = cfg.get("mc_samples", 0)
+    n = parse_int(cfg.get("n", 0), "n")
+    mc = parse_int(cfg.get("mc_samples", 0), "mc_samples", 0)
     if mc:
         _require_seed(args, "corr with mc_samples")
     cache: dict = {}
@@ -180,7 +188,7 @@ def cmd_corr(cfg, digest, args):
         if C is None:
             enc = pair_enclosure(A, B, m, tower, epsilon=eps, cache=cache)
         else:
-            enc = triple_enclosure(A, B, C, m, cfg.get("n", 0), tower,
+            enc = triple_enclosure(A, B, C, m, n, tower,
                                    epsilon=eps, cache=cache)
         row = [m, *frac_vals(enc.lo), *frac_vals(enc.hi), *frac_vals(enc.slack)]
         if mc:
@@ -211,6 +219,7 @@ def cmd_decay(cfg, digest, args):
     ms = cfg.get("m_grid")
     if not ms:
         raise ConfigError("decay config needs a nonempty 'm_grid'", "m_grid")
+    parse_int_grid(ms, "m_grid")
     eps = parse_epsilon(cfg, args)
     rows, c_max, ledger = decay_report(tower, psi, A, ms, epsilon=eps)
     write_csv(
@@ -238,13 +247,14 @@ def cmd_poisson(cfg, digest, args):
     tower, _, _ = _tower(cfg, args)
     mode = cfg.get("mode", "mixing")
     eps = parse_epsilon(cfg, args)
-    mc = cfg.get("mc_samples", 0)
+    mc = parse_int(cfg.get("mc_samples", 0), "mc_samples", 0)
     seed = _require_seed(args, "poisson with mc_samples") if mc else 0
     events = [parse_event(e, f"events[{i}]", tower) for i, e in enumerate(cfg.get("events", []))]
     if mode == "mixing":
         if len(events) != 2:
             raise ConfigError("mixing mode needs exactly 2 events", "events")
-        rows = mixing_report(events[0], events[1], cfg.get("n_grid", []), tower,
+        grid = parse_int_grid(cfg.get("n_grid", []), "n_grid")
+        rows = mixing_report(events[0], events[1], grid, tower,
                              epsilon=eps, mc_samples=mc, seed=seed)
         header = ["n", "joint_lo", "joint_hi", "product", "dev_lo", "dev_hi"]
         body = [[r["n"], r["joint_lo"], r["joint_hi"], r["product"],
@@ -252,7 +262,7 @@ def cmd_poisson(cfg, digest, args):
     elif mode == "triple":
         if len(events) != 3:
             raise ConfigError("triple mode needs exactly 3 events", "events")
-        grid = [tuple(p) for p in cfg.get("mn_grid", [])]
+        grid = [tuple(p) for p in parse_int_grid(cfg.get("mn_grid", []), "mn_grid", 2)]
         rows = triple_mixing_report(events[0], events[1], events[2], grid, tower,
                                     epsilon=eps, mc_samples=mc, seed=seed)
         header = ["m", "n", "joint_lo", "joint_hi", "product", "dev_lo",
@@ -276,7 +286,8 @@ def cmd_homoclinic(cfg, digest, args):
         jr = cfg.get("j_range")
         if not (isinstance(jr, list) and len(jr) == 2):
             raise ConfigError("sweep needs 'j_range': [j_lo, j_hi]", "j_range")
-        samples = cfg.get("samples_per_stage", 100)
+        parse_int_grid(jr, "j_range")
+        samples = parse_int(cfg.get("samples_per_stage", 100), "samples_per_stage", 0)
         seed = _require_seed(args, "homoclinic sweep") if samples > 2 else (args.seed or 0)
         rows, stage_max = homoclinic_sweep(
             tower, range(jr[0], jr[1] + 1), samples, seed=seed,
@@ -335,9 +346,9 @@ def cmd_flow(cfg, digest, args):
         float(cfg.get("t", 1.0)),
         tuple(cfg.get("rect", [0.0, 1.0, 0.0, 1.0])),
     )
-    samples = cfg.get("samples", 10_000)
+    samples = parse_int(cfg.get("samples", 10_000), "samples", 1)
     rows = []
-    for i, n in enumerate(cfg.get("n_grid", [0])):
+    for i, n in enumerate(parse_int_grid(cfg.get("n_grid", [0]), "n_grid")):
         est, err = flow_defect(tower, params, n, samples, seed + i)
         rows.append([n, params.t, est, err, samples, seed + i])
     write_csv(
@@ -374,8 +385,6 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default="out")
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="max parallelism hint (outputs are identical at any value)")
         sp.add_argument("--depth", type=int)
         sp.add_argument("--epsilon-num", type=int)
         sp.add_argument("--epsilon-den", type=int)
@@ -392,6 +401,8 @@ def main(argv: list[str] | None = None) -> int:
         COMMANDS[args.command](cfg, digest, args)
     except (ConfigError, SpecValidationError) as e:
         _fail(2, "cli", str(e), {"field": getattr(e, "field", "")})
+    except GeneratorBudgetError as e:
+        _fail(2, "sidon", str(e), {"q": e.q, "stage": e.stage})
     except NeedsMoreStages as e:
         _fail(3, "core-construction", str(e), {"required_depth": e.required_depth})
     except NeedsMoreBlocks as e:

@@ -50,11 +50,11 @@ def load_config(path: str) -> tuple[dict, str]:
 
 
 def parse_psi(d: dict) -> PsiSpec:
-    _require_keys(d, {"kind"}, {"alpha", "base", "table"}, "psi")
+    _require_keys(d, {"kind"}, {"alpha", "table"}, "psi")
     return PsiSpec.from_dict(d)
 
 
-def parse_construction(d: dict, depth_hint: int | None = None):
+def parse_construction(d: dict):
     """Explicit stages or a generator reference.  Returns
     (ConstructionSpec, generator ledger rows or None, PsiSpec or None)."""
     if "generator" in d:
@@ -89,6 +89,27 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def parse_int(x, where: str, minimum: int | None = None) -> int:
+    """A config integer (not a bool), at least `minimum` if given."""
+    if not _is_int(x) or (minimum is not None and x < minimum):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{where} must be an integer{at_least}, got {x!r}", where)
+    return x
+
+
+def parse_int_grid(xs, where: str, width: int = 1) -> list:
+    """A list of integers, or for width > 1 of `width`-long integer lists."""
+    if not isinstance(xs, list):
+        raise ConfigError(f"{where} must be a list, got {xs!r}", where)
+    for i, x in enumerate(xs):
+        row = x if width > 1 else [x]
+        if not (isinstance(row, list) and len(row) == width):
+            raise ConfigError(f"{where}[{i}] must be a list of {width} integers", where)
+        for v in row:
+            parse_int(v, f"{where}[{i}]")
+    return xs
+
+
 def parse_level_set(d: dict, where: str, tower: Tower) -> LevelSet:
     """A level set {"stage": j, "ranges": [[a, b], ...]} of the tower, with
     1 <= j <= depth and integer endpoints 0 <= a < b <= h_j."""
@@ -117,7 +138,9 @@ def parse_level_set(d: dict, where: str, tower: Tower) -> LevelSet:
 def parse_event(d: dict, where: str, tower: Tower) -> CountEvent:
     _require_keys(d, {"set", "count"}, {"shift"}, where)
     return CountEvent(
-        parse_level_set(d["set"], where + ".set", tower), d["count"], d.get("shift", 0)
+        parse_level_set(d["set"], where + ".set", tower),
+        parse_int(d["count"], where + ".count", 0),
+        parse_int(d.get("shift", 0), where + ".shift"),
     )
 
 

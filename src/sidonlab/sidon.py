@@ -5,7 +5,9 @@ and Singer perfect difference sets (density ~ sqrt(N)) as the default for
 optimal constructions.  The Singer sets come from the classical projective
 plane construction over GF(q^3); powers of a primitive element are walked
 with a vectorized companion-matrix loop so prime powers up to a few
-hundred stay cheap.
+hundred stay cheap.  The primitive-polynomial search skips every constant
+term f_0 whose norm (-1)^d f_0 does not generate F_p^*: the norm of a
+primitive x does (Lidl-Niederreiter, Finite Fields, Thm 3.18).
 """
 
 from __future__ import annotations
@@ -62,20 +64,34 @@ def is_sidon(elements) -> tuple[bool, tuple | None]:
     return True, None
 
 
+# Candidates tested at once by mian_chowla.  The window is capped so its
+# temporaries (_MC_WINDOW x n differences) stay small.
+_MC_WINDOW = 512
+
+
 def mian_chowla(n: int) -> SidonSet:
     """First n terms of the greedy B2 sequence starting at 1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    elems: list[int] = []
-    diffs: set[int] = set()
-    c = 1
-    while len(elems) < n:
-        new = [c - a for a in elems]
-        if len(set(new)) == len(new) and not any(d in diffs for d in new):
-            elems.append(c)
-            diffs.update(new)
-        c += 1
-    return SidonSet(tuple(elems), elems[-1])
+    elems = np.zeros(n, dtype=np.int64)
+    elems[0] = 1
+    used = np.zeros(1024, dtype=bool)  # used[d]: d is a difference of two elements
+    for k in range(1, n):
+        # the differences c - a of one candidate c are distinct, so c is
+        # admissible iff none of them is used; take the first admissible c
+        c = int(elems[k - 1]) + 1
+        while True:
+            if c + _MC_WINDOW > used.size:
+                used = np.concatenate([used, np.zeros(used.size + c + _MC_WINDOW, bool)])
+            cand = np.arange(c, c + _MC_WINDOW)
+            ok = np.flatnonzero(~used[cand[:, None] - elems[None, :k]].any(axis=1))
+            if ok.size:
+                c += int(ok[0])
+                break
+            c += _MC_WINDOW
+        used[c - elems[:k]] = True
+        elems[k] = c
+    return SidonSet(tuple(int(e) for e in elems), int(elems[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +179,19 @@ def _x_is_primitive(f, p):
 
 
 def _find_primitive_poly(p: int, d: int):
-    """Monic irreducible f of degree d over F_p whose root x is primitive."""
-    # deterministic sweep over low-coefficient polynomials
+    """Monic irreducible f of degree d over F_p whose root x is primitive:
+    the first in a lexicographic sweep over (f_0, ..., f_{d-1})."""
     from itertools import product
 
-    for tail in product(range(p), repeat=d):
-        f = list(tail) + [1]
-        if f[0] == 0:
+    # x primitive => its norm (-1)^d f_0 generates F_p^*; skip other f_0
+    sign = -1 if d % 2 else 1
+    for f0 in range(1, p):
+        if sympy.n_order(sign * f0 % p, p) != p - 1:
             continue
-        if _is_irreducible(f, p) and _x_is_primitive(f, p):
-            return f
+        for rest in product(range(p), repeat=d - 1):
+            f = [f0, *rest, 1]
+            if _is_irreducible(f, p) and _x_is_primitive(f, p):
+                return f
     raise RuntimeError(f"no primitive polynomial of degree {d} found over F_{p}")
 
 
@@ -424,6 +443,22 @@ def optimal_stage_params(h: int, S: SidonSet) -> StageParams:
     return params
 
 
+# Longest walk of powers of x in GF(q^3) that build_from_psi starts.  It
+# admits q <= 215 (q = 101 walks ~10^6 powers; singer_set(211) takes ~0.3 s).
+SINGER_WALK_BUDGET = 10**7
+
+
+class GeneratorBudgetError(ValueError):
+    """A Singer set whose walk of q^3 - 1 powers exceeds SINGER_WALK_BUDGET."""
+
+    def __init__(self, q: int, stage: int):
+        self.q, self.stage = q, stage
+        super().__init__(
+            f"stage {stage} needs a Singer set for q={q}: {q**3 - 1} powers of x in "
+            f"GF(q^3), over the budget of {SINGER_WALK_BUDGET}"
+        )
+
+
 def build_from_psi(
     psi: PsiSpec,
     h1: int,
@@ -433,7 +468,9 @@ def build_from_psi(
     """Derive an optimal Sidon construction whose correlation decay is
     governed by psi(m)/sqrt(m).  num_stages counts tower stages, so
     num_stages - 1 parameter sets are produced.  Returns the spec and a
-    per-stage ledger for the decay harness."""
+    per-stage ledger for the decay harness.  Raises GeneratorBudgetError
+    before any Singer walk longer than SINGER_WALK_BUDGET powers; q grows
+    with the stage, so the walks before a refusal are all within it."""
     if generator not in ("singer", "greedy"):
         raise ValueError(f"unknown generator {generator!r}")
     if num_stages < 2:
@@ -447,6 +484,8 @@ def build_from_psi(
         q = None
         if generator == "singer":
             q = next_prime_power(r)
+            if q**3 - 1 > SINGER_WALK_BUDGET:
+                raise GeneratorBudgetError(q, j)
             r = q
             S = singer_set(q)
         else:
@@ -580,12 +619,18 @@ def sidon_property_check(
                 stJ = tower.stage(J)
                 resolved = cur.clip(0, stJ.h - m)
                 hits = resolved.shift(m).intersect(xj_at(J))
-                for lvl in hits.levels():
-                    l1 = _descend_level(tower, J, lvl, j + 1)
-                    assert l1 is not None
-                    tgt = _bisect.bisect_right(offs, l1) - 1
-                    resolved_extra.append((src, tgt, stJ.base_measure))
-                    total += stJ.base_measure
+                bm = stJ.base_measure
+                for a, b in hits.ranges:
+                    # consecutive hit levels descend to consecutive stage-(j+1)
+                    # levels until the column of X_j they land in ends
+                    while a < b:
+                        l1 = _descend_level(tower, J, a, j + 1)
+                        assert l1 is not None
+                        tgt = _bisect.bisect_right(offs, l1) - 1
+                        run = min(b - a, offs[tgt] + h_j - l1)
+                        resolved_extra.extend([(src, tgt, bm)] * run)
+                        a += run
+                total += hits.count() * bm
                 cur = cur.clip(stJ.h - m, stJ.h)
                 if cur.is_empty():
                     break

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -162,6 +163,66 @@ class TestErrors:
         assert run_cli(["corr", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["context"]["field"] == "epsilon"
+
+    def test_singer_walk_over_budget_refused_fast(self, tmp_path, capsys):
+        # numStages=5 at alpha=1/4 asks for q = 9941: ~10^12 powers in GF(q^3)
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"construction": {"generator": {
+            "type": "optimal-sidon", "psi": {"kind": "power", "alpha": [1, 4]},
+            "numStages": 5}}}))
+        out = tmp_path / "o"
+        t0 = time.perf_counter()
+        assert run_cli(["build", "--config", str(cfg), "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 10
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and err["context"]["q"] == 9941
+        assert "q=9941" in err["message"]
+        assert not out.exists()
+
+    def test_psi_base_is_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"construction": {"generator": {
+            "type": "optimal-sidon",
+            "psi": {"kind": "power", "alpha": [1, 4], "base": 2},
+            "numStages": 3}}}))
+        assert run_cli(["build", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert "unknown keys ['base']" in err["message"]
+
+    @pytest.mark.parametrize("cmd, extra, field", [
+        ("corr", {"m": "3"}, "m"),
+        ("corr", {"m_grid": [1.5]}, "m_grid[0]"),
+        ("corr", {"m": 3, "mc_samples": -5}, "mc_samples"),
+        ("corr", {"m": 3, "n": True, "C": {"stage": 2, "ranges": [[0, 3]]}}, "n"),
+        ("decay", {"m_grid": [1, "2"]}, "m_grid[1]"),
+        ("poisson", {"n_grid": [0.5]}, "n_grid[0]"),
+        ("poisson", {"n_grid": [0], "mc_samples": -5}, "mc_samples"),
+        ("poisson", {"mode": "triple", "mn_grid": [[1, 2.5]]}, "mn_grid[0]"),
+        ("poisson", {"mode": "triple", "mn_grid": [[1]]}, "mn_grid"),
+        ("flow", {"samples": 0}, "samples"),
+        ("flow", {"n_grid": [1.5]}, "n_grid[0]"),
+        ("check-sidon", {"stage": 1, "m_stride": 1.5}, "m_stride"),
+        ("homoclinic", {"mode": "sweep", "j_range": [2, 2],
+                        "samples_per_stage": "3"}, "samples_per_stage"),
+    ])
+    def test_bad_grid_or_sample_type(self, tmp_path, capsys, cmd, extra, field):
+        x2 = {"stage": 2, "ranges": [[0, 3]]}
+        cfg = {"construction": RUNNING_SPEC.to_dict(), **extra}
+        if cmd == "corr":
+            cfg.update({"A": x2, "B": x2})
+        elif cmd == "decay":
+            cfg["psi"] = {"kind": "power", "alpha": [1, 4]}
+        elif cmd == "poisson":
+            n_events = 3 if cfg.get("mode") == "triple" else 2
+            cfg["events"] = [{"set": x2, "count": 0}] * n_events
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        assert run_cli([cmd, "--config", str(path), "--out", str(out),
+                        "--seed", "1"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and err["context"]["field"] == field
+        assert not out.exists()
 
 
 class TestCorr:

@@ -1,4 +1,6 @@
+import bisect
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,7 +17,17 @@ from sidonlab import (
     sidon_property_check,
     singer_set,
 )
-from sidonlab.sidon import next_prime_power, prime_power_decompose
+from sidonlab.construction import LevelSet
+from sidonlab.sidon import (
+    SidonCheckReport,
+    SidonCheckRow,
+    _descend_level,
+    _find_primitive_poly,
+    _is_irreducible,
+    _x_is_primitive,
+    next_prime_power,
+    prime_power_decompose,
+)
 
 
 def greedy_oracle(n):
@@ -29,6 +41,106 @@ def greedy_oracle(n):
         if len(set(diffs)) == len(diffs):
             elems = cand
     return tuple(elems)
+
+
+def reference_mian_chowla(n):
+    """The set-based greedy loop that mian_chowla replaced."""
+    elems: list[int] = []
+    diffs: set[int] = set()
+    c = 1
+    while len(elems) < n:
+        new = [c - a for a in elems]
+        if len(set(new)) == len(new) and not any(d in diffs for d in new):
+            elems.append(c)
+            diffs.update(new)
+        c += 1
+    return tuple(elems)
+
+
+def reference_find_primitive_poly(p, d):
+    """Unfiltered lexicographic sweep over every nonzero constant term."""
+    for tail in product(range(p), repeat=d):
+        f = list(tail) + [1]
+        if f[0] == 0:
+            continue
+        if _is_irreducible(f, p) and _x_is_primitive(f, p):
+            return f
+    raise RuntimeError("none found")
+
+
+def reference_property_check(tower, j, depth=1, m_stride=1):
+    """sidon_property_check with one descent and one Fraction add per hit
+    level, as it was before the per-range attribution."""
+    st_j, st_j1 = tower.stage(j), tower.stage(j + 1)
+    tower.stage(min(tower.depth, j + 1 + depth))
+    h_j, h_j1 = st_j.h, st_j1.h
+    offs = st_j.offsets
+    r = len(offs)
+    base1 = st_j1.base_measure
+    bound = h_j * base1
+    xj_lifts = {}
+
+    def xj_at(J):
+        if J not in xj_lifts:
+            xj_lifts[J] = tower.lift(tower.full_tower(j), J)
+        return xj_lifts[J]
+
+    report = SidonCheckReport(j=j, depth=depth, m_stride=m_stride, bound=bound)
+    for m in range(h_j + 1, h_j1 + 1, m_stride):
+        pairs = []
+        total = Fraction(0)
+        esc_by_src = []
+        for i in range(r):
+            lo_lvl, hi_lvl = offs[i], offs[i] + h_j
+            cut = h_j1 - m
+            res_hi = min(hi_lvl, cut)
+            if res_hi > lo_lvl:
+                a, b = lo_lvl + m, res_hi + m
+                i2 = bisect.bisect_right(offs, b - 1) - 1
+                for t in range(max(0, i2 - 1), min(r, i2 + 2)):
+                    ov = min(b, offs[t] + h_j) - max(a, offs[t])
+                    if ov > 0:
+                        pairs.append((i, t, ov * base1))
+                        total += ov * base1
+            if hi_lvl > max(lo_lvl, cut):
+                esc_by_src.append(
+                    (i, LevelSet.from_ranges(j + 1, [(max(lo_lvl, cut), hi_lvl)]))
+                )
+        resolved_extra = []
+        slack = Fraction(0)
+        for src, esc in esc_by_src:
+            J = j + 1
+            cur = esc
+            for _ in range(depth):
+                if J + 1 > tower.depth:
+                    break
+                cur = tower.lift(cur, J + 1)
+                J += 1
+                stJ = tower.stage(J)
+                hits = cur.clip(0, stJ.h - m).shift(m).intersect(xj_at(J))
+                for lvl in hits.levels():
+                    l1 = _descend_level(tower, J, lvl, j + 1)
+                    tgt = bisect.bisect_right(offs, l1) - 1
+                    resolved_extra.append((src, tgt, stJ.base_measure))
+                    total += stJ.base_measure
+                cur = cur.clip(stJ.h - m, stJ.h)
+                if cur.is_empty():
+                    break
+            if not cur.is_empty():
+                slack += cur.count() * tower.stage(cur.stage).base_measure
+        nonempty = {(a, b) for a, b, _ in pairs} | {(a, b) for a, b, _ in resolved_extra}
+        report.rows.append(
+            SidonCheckRow(
+                m=m,
+                pairs=pairs,
+                resolved_extra=resolved_extra,
+                slack=slack,
+                total_mass=total,
+                strict_ok=len(nonempty) <= 1,
+                relaxed_ok=total + slack <= bound,
+            )
+        )
+    return report
 
 
 class TestB2:
@@ -53,9 +165,15 @@ class TestB2:
     def test_mian_chowla_vs_oracle(self, n):
         assert mian_chowla(n).elements == greedy_oracle(n)
 
+    @pytest.mark.parametrize("n", [1, 4, 10, 50, 102])
+    def test_mian_chowla_vs_reference_loop(self, n):
+        s = mian_chowla(n)
+        assert s.elements == reference_mian_chowla(n)
+        assert s.span == s.elements[-1]
+
 
 class TestSinger:
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 27])
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 49, 101])
     def test_difference_coverage(self, q):
         s = singer_set(q)
         n = q * q + q + 1
@@ -69,6 +187,15 @@ class TestSinger:
         # perfect difference set: every nonzero residue exactly once
         assert diffs == set(range(1, n))
         assert is_sidon(s.elements)[0]
+
+    @pytest.mark.parametrize("q", [q for q in range(2, 33) if prime_power_decompose(q)])
+    def test_primitive_poly_vs_unfiltered_sweep(self, q):
+        p, k = prime_power_decompose(q)
+        assert _find_primitive_poly(p, 3 * k) == reference_find_primitive_poly(p, 3 * k)
+
+    def test_primitive_poly_q49(self):
+        # the unfiltered sweep takes about 10 s here; its first hit, pinned
+        assert _find_primitive_poly(7, 6) == [3, 0, 0, 0, 1, 1, 1]
 
     def test_minimal_span_translate(self):
         # rotation puts the largest cyclic gap at the wrap-around
@@ -166,3 +293,11 @@ class TestPropertyCheck:
     def test_stride(self, demo_tower):
         rep = sidon_property_check(demo_tower, 2, m_stride=7)
         assert len(rep.rows) == 10
+
+    @pytest.mark.parametrize("j, depth, stride", [(3, 2, 7), (4, 1, 97), (2, 3, 1)])
+    def test_vs_reference_loop(self, demo_tower, j, depth, stride):
+        new = sidon_property_check(demo_tower, j, depth=depth, m_stride=stride)
+        ref = reference_property_check(demo_tower, j, depth=depth, m_stride=stride)
+        assert new == ref
+        # the cases attribute escape returns to columns
+        assert any(row.resolved_extra for row in new.rows)
