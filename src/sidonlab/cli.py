@@ -26,6 +26,7 @@ from .config import (
     parse_int_grid,
     parse_level_set,
     parse_psi,
+    parse_real,
     write_csv,
 )
 from .construction import (
@@ -37,6 +38,7 @@ from .construction import (
 )
 from .correlation import decay_report, pair_enclosure, triple_enclosure, mc_correlation
 from .homoclinic import (
+    PHI_CATALOG,
     DissipativeMap,
     FlowParams,
     NeedsMoreBlocks,
@@ -132,9 +134,7 @@ def cmd_build(cfg, digest, args):
 
 def cmd_check_sidon(cfg, digest, args):
     tower, _, _ = _tower(cfg, args)
-    j = cfg.get("stage")
-    if not isinstance(j, int):
-        raise ConfigError("check-sidon config needs an integer 'stage'", "stage")
+    j = parse_int(cfg.get("stage"), "stage", 1)
     report = sidon_property_check(
         tower, j,
         depth=parse_int(cfg.get("escape_depth", 1), "escape_depth", 0),
@@ -308,7 +308,7 @@ def cmd_homoclinic(cfg, digest, args):
               + ", ".join(f"j={j}: {float(v):.4f}" for j, v in sorted(stage_max.items())))
     elif mode == "wandering":
         dm = DissipativeMap(tower)
-        res = wandering_check(dm, cfg.get("zmax", 50))
+        res = wandering_check(dm, parse_int(cfg.get("zmax", 50), "zmax", 0))
         write_csv(
             _out(args, "homoclinic.csv"),
             ["zmax", "passed", "pieces", *frac_cols("covered_fraction")],
@@ -341,11 +341,16 @@ def cmd_homoclinic(cfg, digest, args):
 def cmd_flow(cfg, digest, args):
     tower, _, _ = _tower(cfg, args)
     seed = _require_seed(args, "flow")
-    params = FlowParams(
-        cfg.get("phi", "reciprocal"),
-        float(cfg.get("t", 1.0)),
-        tuple(cfg.get("rect", [0.0, 1.0, 0.0, 1.0])),
-    )
+    phi = cfg.get("phi", "reciprocal")
+    if phi not in PHI_CATALOG:
+        raise ConfigError(f"unknown phi {phi!r}; catalog: {sorted(PHI_CATALOG)}", "phi")
+    rect = cfg.get("rect", [0.0, 1.0, 0.0, 1.0])
+    if not (isinstance(rect, list) and len(rect) == 4):
+        raise ConfigError(f"rect must be a list [a, b, c, d], got {rect!r}", "rect")
+    a, b, c, d = (parse_real(v, "rect") for v in rect)
+    if not (a < b and c < d):
+        raise ConfigError(f"rect {rect!r} needs a < b and c < d", "rect")
+    params = FlowParams(phi, float(parse_real(cfg.get("t", 1.0), "t")), (a, b, c, d))
     samples = parse_int(cfg.get("samples", 10_000), "samples", 1)
     rows = []
     for i, n in enumerate(parse_int_grid(cfg.get("n_grid", [0]), "n_grid")):
@@ -402,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, SpecValidationError) as e:
         _fail(2, "cli", str(e), {"field": getattr(e, "field", "")})
     except GeneratorBudgetError as e:
-        _fail(2, "sidon", str(e), {"q": e.q, "stage": e.stage})
+        _fail(2, "sidon", str(e), e.context)
     except NeedsMoreStages as e:
         _fail(3, "core-construction", str(e), {"required_depth": e.required_depth})
     except NeedsMoreBlocks as e:

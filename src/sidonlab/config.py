@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -94,6 +95,13 @@ def parse_int(x, where: str, minimum: int | None = None) -> int:
     if not _is_int(x) or (minimum is not None and x < minimum):
         at_least = "" if minimum is None else f" >= {minimum}"
         raise ConfigError(f"{where} must be an integer{at_least}, got {x!r}", where)
+    return x
+
+
+def parse_real(x, where: str):
+    """A finite config number: an int (not a bool) or a finite float."""
+    if not (_is_int(x) or isinstance(x, float) and math.isfinite(x)):
+        raise ConfigError(f"{where} must be a finite number, got {x!r}", where)
     return x
 
 

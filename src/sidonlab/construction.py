@@ -12,6 +12,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -168,8 +170,13 @@ class LevelSet:
     def from_levels(cls, stage: int, levels: Iterable[int]) -> "LevelSet":
         return cls.from_ranges(stage, ((l, l + 1) for l in levels))
 
+    @cached_property
+    def _prefix_lengths(self) -> list[int]:
+        """Level counts of the ranges before each range, and in total last."""
+        return list(accumulate((b - a for a, b in self.ranges), initial=0))
+
     def count(self) -> int:
-        return sum(b - a for a, b in self.ranges)
+        return self._prefix_lengths[-1]
 
     def is_empty(self) -> bool:
         return not self.ranges
@@ -253,6 +260,9 @@ class Tower:
         self.spec = spec
         self.stages = build_stages(spec, depth)
         self.depth = depth
+        # sample_uniform's default offset grid per stage: (cells, resolution)
+        fine = self.stages[-1].base_measure / 1024
+        self._offset_grid = [(int(st.base_measure / fine), fine) for st in self.stages]
 
     def stage(self, j: int) -> TowerStage:
         if not 1 <= j <= self.depth:
@@ -364,10 +374,18 @@ class Tower:
             required_depth=self.depth + 1,
         )
 
-    def membership(self, p: PointState, A: LevelSet) -> bool:
-        if p.stage >= A.stage:
+    def membership(self, p: PointState, A: LevelSet, cache: dict | None = None) -> bool:
+        """Whether p lies in A.  A caller testing many points against the
+        same sets passes its own ``cache`` dict, which keeps the lifts of A."""
+        if p.stage < A.stage:
+            return A.contains(self.point_to_stage(p, A.stage).level)
+        if cache is None:
             return self.lift(A, p.stage).contains(p.level)
-        return A.contains(self.point_to_stage(p, A.stage).level)
+        key = ("lift", A, p.stage)
+        lifted = cache.get(key)
+        if lifted is None:
+            lifted = cache[key] = self.lift(A, p.stage)
+        return lifted.contains(p.level)
 
     # -- sampling ---------------------------------------------------------
 
@@ -378,21 +396,17 @@ class Tower:
         are unbiased."""
         if A.is_empty():
             raise ValueError("cannot sample from an empty level set")
-        total = A.count()
-        pick = rng.randrange(total)
-        level = None
-        for a, b in A.ranges:
-            if pick < b - a:
-                level = a + pick
-                break
-            pick -= b - a
-        assert level is not None
+        prefix = A._prefix_lengths
+        pick = rng.randrange(prefix[-1])
+        i = bisect.bisect_right(prefix, pick) - 1
+        level = A.ranges[i][0] + pick - prefix[i]
         base = self.stage(A.stage).base_measure
         if resolution is None:
-            resolution = self.stage(self.depth).base_measure / 1024
-        cells = int(base / resolution)
-        if cells < 1:
-            cells, resolution = 1, base
+            cells, resolution = self._offset_grid[A.stage - 1]
+        else:
+            cells = int(base / resolution)
+            if cells < 1:
+                cells, resolution = 1, base
         offset = rng.randrange(cells) * resolution
         return PointState(A.stage, level, offset)
 

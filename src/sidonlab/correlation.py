@@ -186,11 +186,12 @@ def mc_correlation(
     iterate m steps forward, test membership in A.  Deterministic per seed."""
     rng = random.Random(seed)
     mu_b = tower.set_measure(B)
+    lifts: dict = {}
     hits = 0
     for _ in range(samples):
         p = tower.sample_uniform(B, rng)
         q = tower.iterate(p, m)
-        if tower.membership(q, A):
+        if tower.membership(q, A, lifts):
             hits += 1
     f = hits / samples
     est = float(mu_b) * f

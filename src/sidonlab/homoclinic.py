@@ -506,6 +506,7 @@ def mc_defect(
     enc, info = lemma61_defect(tower, j, k, n, parts=dmap.parts)
     E = LevelSet.from_ranges(j, [(0, 1)])
     rng = random.Random(seed)
+    lifts: dict = {}
     left = 0
     skipped = 0
     for _ in range(samples):
@@ -516,7 +517,7 @@ def mc_defect(
         except NeedsMoreBlocks:
             skipped += 1
             continue
-        if not any(tower.membership(q2, ls) for _, ls in info["pieces"]):
+        if not any(tower.membership(q2, ls, lifts) for _, ls in info["pieces"]):
             left += 1
     done = samples - skipped
     f = left / done if done else 0.0
@@ -593,11 +594,6 @@ class FlowParams:
         return fn
 
 
-def _coordinate(tower: Tower, p: PointState, J: int) -> float:
-    q = tower.point_to_stage(p, J)
-    return float(q.level * tower.stage(J).base_measure + q.offset)
-
-
 def flow_defect(
     tower: Tower,
     params: FlowParams,
@@ -623,16 +619,26 @@ def flow_defect(
             required_depth=J + 1,
         )
     base = tower.stage(J).base_measure
-    rng = random.Random(seed)
+    h = tower.stage(J).h
     grid = 1 << 40
+    # At stage J, T^n is the translation y -> y + n*mu(E_J) while the level
+    # stays below h_J.  Over one common denominator D, a sample is
+    # y = (Y0 + W*i)/D and its image (Y + n*B)/D; int/int division rounds
+    # correctly, as float(Fraction) does.
+    w = (d - c) / grid
+    D = math.lcm(c.denominator, w.denominator, base.denominator)
+    Y0 = c.numerator * (D // c.denominator)
+    W = w.numerator * (D // w.denominator)
+    B = base.numerator * (D // base.denominator)
+    rng = random.Random(seed)
     out = 0
     fa, fb = float(a), float(b)
     for _ in range(samples):
-        y = c + (d - c) * Fraction(rng.randrange(grid), grid)
-        lvl, off = divmod(y, base)
-        p = PointState(J, int(lvl), off)
-        q = tower.iterate(p, n) if n else p
-        y2 = _coordinate(tower, q, J)
+        Y = Y0 + W * rng.randrange(grid)
+        if n and not 0 <= Y // B + n < h:
+            lvl, off = divmod(Fraction(Y, D), base)
+            tower.iterate(PointState(J, lvl, off), n)  # raises NeedsMoreStages
+        y2 = (Y + n * B) / D
         x2 = fa + (fb - fa) * rng.random() + phi(y2) * params.t
         if not fa <= x2 <= fb:
             out += 1

@@ -266,12 +266,16 @@ def sample_poisson_count(mean: float, rng: random.Random) -> int:
     return k
 
 
-def sample_configuration(region: LevelSet, tower: Tower, rng: random.Random):
+def sample_configuration(
+    region: LevelSet, tower: Tower, rng: random.Random, mu: float | None = None
+):
     """A Poisson configuration restricted to a finite-measure region:
-    Poisson count, then i.i.d. uniform points."""
+    Poisson count, then i.i.d. uniform points.  ``mu`` is the region's
+    measure, for callers that sample the same region many times."""
     if region.is_empty():
         return []
-    mu = float(tower.set_measure(region))
+    if mu is None:
+        mu = float(tower.set_measure(region))
     n = sample_poisson_count(mu, rng)
     return [tower.sample_uniform(region, rng) for _ in range(n)]
 
@@ -303,10 +307,11 @@ def mc_joint(events: list[CountEvent], samples: int, seed: int, tower: Tower):
     region = shifted[0]
     for s in shifted[1:]:
         region = region.union(s)
+    mu = float(tower.set_measure(region))
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):
-        pts = sample_configuration(region, tower, rng)
+        pts = sample_configuration(region, tower, rng, mu)
         counts = [0] * len(events)
         for p in pts:
             for i, s in enumerate(shifted):

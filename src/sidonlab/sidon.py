@@ -447,16 +447,19 @@ def optimal_stage_params(h: int, S: SidonSet) -> StageParams:
 # admits q <= 215 (q = 101 walks ~10^6 powers; singer_set(211) takes ~0.3 s).
 SINGER_WALK_BUDGET = 10**7
 
+# Most greedy terms that build_from_psi asks of mian_chowla, whose time
+# grows about as n^3.7: mian_chowla(300) takes ~0.6 s, mian_chowla(800) ~20 s.
+MIAN_CHOWLA_BUDGET = 300
+
 
 class GeneratorBudgetError(ValueError):
-    """A Singer set whose walk of q^3 - 1 powers exceeds SINGER_WALK_BUDGET."""
+    """A Sidon set over its generator's budget: a Singer walk of more than
+    SINGER_WALK_BUDGET powers, or more than MIAN_CHOWLA_BUDGET greedy terms.
+    ``context`` names the stage and the size asked for (q or n)."""
 
-    def __init__(self, q: int, stage: int):
-        self.q, self.stage = q, stage
-        super().__init__(
-            f"stage {stage} needs a Singer set for q={q}: {q**3 - 1} powers of x in "
-            f"GF(q^3), over the budget of {SINGER_WALK_BUDGET}"
-        )
+    def __init__(self, message: str, **context):
+        super().__init__(message)
+        self.context = context
 
 
 def build_from_psi(
@@ -469,8 +472,9 @@ def build_from_psi(
     governed by psi(m)/sqrt(m).  num_stages counts tower stages, so
     num_stages - 1 parameter sets are produced.  Returns the spec and a
     per-stage ledger for the decay harness.  Raises GeneratorBudgetError
-    before any Singer walk longer than SINGER_WALK_BUDGET powers; q grows
-    with the stage, so the walks before a refusal are all within it."""
+    before any Singer walk longer than SINGER_WALK_BUDGET powers or any
+    greedy set of more than MIAN_CHOWLA_BUDGET terms; q and n grow with the
+    stage, so the sets built before a refusal are all within budget."""
     if generator not in ("singer", "greedy"):
         raise ValueError(f"unknown generator {generator!r}")
     if num_stages < 2:
@@ -485,10 +489,16 @@ def build_from_psi(
         if generator == "singer":
             q = next_prime_power(r)
             if q**3 - 1 > SINGER_WALK_BUDGET:
-                raise GeneratorBudgetError(q, j)
+                raise GeneratorBudgetError(
+                    f"stage {j} needs a Singer set for q={q}: {q**3 - 1} powers of x "
+                    f"in GF(q^3), over the budget of {SINGER_WALK_BUDGET}", q=q, stage=j)
             r = q
             S = singer_set(q)
         else:
+            if r + 1 > MIAN_CHOWLA_BUDGET:
+                raise GeneratorBudgetError(
+                    f"stage {j} needs a greedy Sidon set of n={r + 1} terms, over "
+                    f"the budget of {MIAN_CHOWLA_BUDGET}", n=r + 1, stage=j)
             S = mian_chowla(r + 1)
         p = optimal_stage_params(h, S)
         h_next = h * p.r + p.total_spacers()

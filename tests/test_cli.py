@@ -179,6 +179,21 @@ class TestErrors:
         assert "q=9941" in err["message"]
         assert not out.exists()
 
+    def test_greedy_over_budget_refused_fast(self, tmp_path, capsys):
+        # the same request with greedy sets asks for mian_chowla(12433) at stage 4
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"construction": {"generator": {
+            "type": "optimal-sidon", "psi": {"kind": "power", "alpha": [1, 4]},
+            "numStages": 5, "sets": "greedy"}}}))
+        out = tmp_path / "o"
+        t0 = time.perf_counter()
+        assert run_cli(["build", "--config", str(cfg), "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 10
+        err = json.loads(capsys.readouterr().err)
+        assert err["code"] == 2 and err["context"] == {"n": 12433, "stage": 4}
+        assert "n=12433" in err["message"]
+        assert not out.exists()
+
     def test_psi_base_is_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"construction": {"generator": {
@@ -204,6 +219,12 @@ class TestErrors:
         ("check-sidon", {"stage": 1, "m_stride": 1.5}, "m_stride"),
         ("homoclinic", {"mode": "sweep", "j_range": [2, 2],
                         "samples_per_stage": "3"}, "samples_per_stage"),
+        ("check-sidon", {"stage": True}, "stage"),
+        ("homoclinic", {"mode": "wandering", "zmax": "5"}, "zmax"),
+        ("flow", {"t": "x"}, "t"),
+        ("flow", {"rect": [0.0, 1.0]}, "rect"),
+        ("flow", {"rect": [0.0, 1.0, 0.5, 0.5]}, "rect"),
+        ("flow", {"phi": "nope"}, "phi"),
     ])
     def test_bad_grid_or_sample_type(self, tmp_path, capsys, cmd, extra, field):
         x2 = {"stage": 2, "ranges": [[0, 3]]}

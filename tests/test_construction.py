@@ -17,6 +17,29 @@ from sidonlab import (
 from conftest import RUNNING_SPEC
 
 
+def reference_sample_uniform(tower, A, rng, resolution=None):
+    """The linear range walk that sample_uniform replaced: recount A, then
+    walk its ranges one by one; the offset grid recomputed per call."""
+    if A.is_empty():
+        raise ValueError("cannot sample from an empty level set")
+    total = sum(b - a for a, b in A.ranges)
+    pick = rng.randrange(total)
+    level = None
+    for a, b in A.ranges:
+        if pick < b - a:
+            level = a + pick
+            break
+        pick -= b - a
+    base = tower.stage(A.stage).base_measure
+    if resolution is None:
+        resolution = tower.stage(tower.depth).base_measure / 1024
+    cells = int(base / resolution)
+    if cells < 1:
+        cells, resolution = 1, base
+    offset = rng.randrange(cells) * resolution
+    return PointState(A.stage, level, offset)
+
+
 class TestStageTable:
     def test_heights_and_measures(self, running_tower):
         hs = [running_tower.stage(j).h for j in (1, 2, 3)]
@@ -174,3 +197,46 @@ class TestSampling:
     def test_empty_raises(self, running_tower):
         with pytest.raises(ValueError):
             running_tower.sample_uniform(LevelSet.from_ranges(2, []), random.Random(0))
+
+
+class TestSamplingAgainstReference:
+    """sample_uniform and cached membership must match the old loops draw
+    for draw."""
+
+    def _sets(self, tower):
+        rng = random.Random(12)
+        sparse = LevelSet.from_levels(3, rng.sample(range(77), 20))
+        return [
+            LevelSet.from_ranges(4, [(0, 1463)]),  # one range
+            tower.lift(sparse, 5),  # 20 * 5 * 7 ranges
+            tower.lift(LevelSet.from_ranges(2, [(0, 2), (5, 7)]), 6),
+            tower.lift(sparse, 4).union(LevelSet.from_levels(4, range(3, 1463, 11))),
+        ]
+
+    @pytest.mark.parametrize("resolution", [None, Fraction(1, 7), Fraction(5)])
+    def test_same_points_per_seed(self, demo_tower, resolution):
+        for i, A in enumerate(self._sets(demo_tower)):
+            assert A.count() == sum(b - a for a, b in A.ranges)
+            got, want = random.Random(i), random.Random(i)
+            for _ in range(300):
+                p = demo_tower.sample_uniform(A, got, resolution)
+                assert p == reference_sample_uniform(demo_tower, A, want, resolution)
+                assert A.contains(p.level)
+            assert got.getstate() == want.getstate()
+
+    def test_membership_cache_agrees(self, demo_tower):
+        rng = random.Random(3)
+        sets = self._sets(demo_tower) + [
+            LevelSet.from_levels(j, rng.sample(range(demo_tower.stage(j).h), 5))
+            for j in (2, 3, 5, 6)
+        ]
+        sources = [demo_tower.full_tower(j) for j in (1, 3, 4, 6)]
+        cache: dict = {}
+        hits = 0
+        for _ in range(150):
+            p = demo_tower.sample_uniform(rng.choice(sources), rng)
+            for A in sets:
+                cached = demo_tower.membership(p, A, cache)
+                assert cached == demo_tower.membership(p, A)
+                hits += cached
+        assert 0 < hits < 150 * len(sets)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from sidonlab import (
     FlowParams,
     LevelSet,
     NeedsMoreBlocks,
+    NeedsMoreStages,
+    PointState,
     Tower,
     enumerate_new_blocks,
     flow_defect,
@@ -17,7 +20,37 @@ from sidonlab import (
     s_schedule,
     wandering_check,
 )
-from sidonlab.homoclinic import mc_defect, stage_new_ranges
+from sidonlab.homoclinic import PHI_CATALOG, mc_defect, stage_new_ranges
+
+
+def reference_flow_defect(tower, params, n, samples, seed):
+    """The Fraction loop that flow_defect replaced: sample y at the deepest
+    stage, iterate the point n steps, read its coordinate back there."""
+    a, b, c, d = (Fraction(str(v)) for v in params.rect)
+    if params.t == 0:
+        return 0.0, 0.0
+    phi = params.phi_fn()
+    J = tower.depth
+    base = tower.stage(J).base_measure
+    rng = random.Random(seed)
+    grid = 1 << 40
+    out = 0
+    fa, fb = float(a), float(b)
+    for _ in range(samples):
+        y = c + (d - c) * Fraction(rng.randrange(grid), grid)
+        lvl, off = divmod(y, base)
+        p = PointState(J, int(lvl), off)
+        q = tower.point_to_stage(tower.iterate(p, n) if n else p, J)
+        y2 = float(q.level * base + q.offset)
+        x2 = fa + (fb - fa) * rng.random() + phi(y2) * params.t
+        if not fa <= x2 <= fb:
+            out += 1
+    p_hat = out / samples
+    area = float((b - a) * (d - c))
+    defect = math.sqrt(2.0 * area * p_hat)
+    sigma_p = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
+    stderr = area * sigma_p / defect if defect > 0 else math.sqrt(2.0 * area * sigma_p)
+    return defect, stderr
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +252,53 @@ class TestFlow:
         h4 = demo_tower.stage(4).h
         d1, e1 = flow_defect(demo_tower, params, h4, 8000, 11)
         assert d1 <= d0 + 2 * (e0 + e1)
+
+
+class TestFlowAgainstReference:
+    """The integer translation must give the old Fraction loop's numbers."""
+
+    @pytest.mark.parametrize("rect", [(0.0, 1.0, 0.0, 1.0), (-0.5, 2.25, 0.1, 7.3)])
+    @pytest.mark.parametrize("phi", ["reciprocal", "exp"])
+    def test_same_estimate(self, demo_tower, phi, rect):
+        params = FlowParams(phi, 0.75, rect)
+        for i, n in enumerate([0] + [demo_tower.stage(j).h for j in (2, 3, 4)]):
+            got = flow_defect(demo_tower, params, n, 500, 40 + i)
+            assert got == reference_flow_defect(demo_tower, params, n, 500, 40 + i)
+
+    def test_same_coordinates(self, demo_tower, monkeypatch):
+        # phi sees the image coordinate y2 of every sample: record them all
+        seen = []
+        monkeypatch.setitem(PHI_CATALOG, "record", lambda y: seen.append(y) or 1.0)
+        params = FlowParams("record", 1.0, (0.0, 1.0, 0.3, 23.9))
+        for n in (0, 1, 59983, -1234):
+            seen.clear()
+            flow_defect(demo_tower, params, n, 300, n)
+            got = list(seen)
+            seen.clear()
+            reference_flow_defect(demo_tower, params, n, 300, n)
+            assert got == seen and len(got) == 7 + 300  # 7 from phi_fn's check
+
+    @pytest.mark.parametrize("n", [3059133 - 3361, -3360])
+    def test_band_edges(self, demo_tower, n):
+        # the y-band [1, 1.0001) lies in level 3360 of stage 6 (mu(E_6) = 1/3360),
+        # so T^n lands in the top level (h_6 - 1) and in level 0
+        params = FlowParams("exp", 1.0, (0.0, 1.0, 1.0, 1.0001))
+        got = flow_defect(demo_tower, params, n, 200, 8)
+        assert got == reference_flow_defect(demo_tower, params, n, 200, 8)
+
+    @pytest.mark.parametrize("n, band", [
+        (3059133 - 3000, (0.0, 6000 / 3360)),  # levels [0, 6000) of stage 6
+        (3059133, (0.0, 6000 / 3360)),
+        (-3000, (0.0, 6000 / 3360)),
+        (-3059133, (0.0, 6000 / 3360)),
+        (3059133 - 3360, (1.0, 1.0001)),  # level 3360 onto h_6
+        (-3361, (1.0, 1.0001)),  # level 3360 onto -1
+    ])
+    def test_leaving_the_tower_raises(self, demo_tower, n, band):
+        params = FlowParams("reciprocal", 1.0, (0.0, 1.0, *band))
+        with pytest.raises(NeedsMoreStages) as got:
+            flow_defect(demo_tower, params, n, 500, 5)
+        with pytest.raises(NeedsMoreStages) as want:
+            reference_flow_defect(demo_tower, params, n, 500, 5)
+        assert str(got.value) == str(want.value)
+        assert got.value.required_depth == want.value.required_depth
