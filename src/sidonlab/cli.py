@@ -16,6 +16,7 @@ from pathlib import Path
 from . import __version__
 from .config import (
     ConfigError,
+    check_keys,
     frac_cols,
     frac_vals,
     load_config,
@@ -92,6 +93,7 @@ def _out(args, name: str) -> Path:
 
 
 def cmd_build(cfg, digest, args):
+    check_keys(cfg, set())
     tower, ledger, _ = _tower(cfg, args)
     rows = []
     for j in range(1, tower.depth + 1):
@@ -133,6 +135,7 @@ def cmd_build(cfg, digest, args):
 
 
 def cmd_check_sidon(cfg, digest, args):
+    check_keys(cfg, {"stage", "escape_depth", "m_stride"})
     tower, _, _ = _tower(cfg, args)
     j = parse_int(cfg.get("stage"), "stage", 1)
     report = sidon_property_check(
@@ -165,6 +168,7 @@ def cmd_check_sidon(cfg, digest, args):
 
 
 def cmd_corr(cfg, digest, args):
+    check_keys(cfg, {"A", "B", "C", "m", "m_grid", "n", "mc_samples", "epsilon"})
     tower, _, _ = _tower(cfg, args)
     A = parse_level_set(cfg["A"], "A", tower) if "A" in cfg else None
     B = parse_level_set(cfg["B"], "B", tower) if "B" in cfg else None
@@ -173,9 +177,9 @@ def cmd_corr(cfg, digest, args):
     C = parse_level_set(cfg["C"], "C", tower) if "C" in cfg else None
     eps = parse_epsilon(cfg, args)
     if "m_grid" in cfg:
-        ms = parse_int_grid(cfg["m_grid"], "m_grid")
+        ms = parse_int_grid(cfg["m_grid"], "m_grid", minimum=0)
     elif "m" in cfg:
-        ms = [parse_int(cfg["m"], "m")]
+        ms = [parse_int(cfg["m"], "m", 0)]
     else:
         raise ConfigError("corr config needs 'm' or 'm_grid'", "m")
     n = parse_int(cfg.get("n", 0), "n")
@@ -203,6 +207,7 @@ def cmd_corr(cfg, digest, args):
 
 
 def cmd_decay(cfg, digest, args):
+    check_keys(cfg, {"psi", "A", "m_grid", "epsilon"})
     tower, gen_ledger, gen_psi = _tower(cfg, args)
     warning = ""
     if "psi" in cfg:
@@ -219,7 +224,7 @@ def cmd_decay(cfg, digest, args):
     ms = cfg.get("m_grid")
     if not ms:
         raise ConfigError("decay config needs a nonempty 'm_grid'", "m_grid")
-    parse_int_grid(ms, "m_grid")
+    parse_int_grid(ms, "m_grid", minimum=0)
     eps = parse_epsilon(cfg, args)
     rows, c_max, ledger = decay_report(tower, psi, A, ms, epsilon=eps)
     write_csv(
@@ -244,8 +249,12 @@ def cmd_decay(cfg, digest, args):
 
 
 def cmd_poisson(cfg, digest, args):
-    tower, _, _ = _tower(cfg, args)
     mode = cfg.get("mode", "mixing")
+    if mode not in ("mixing", "triple"):
+        raise ConfigError(f"unknown poisson mode {mode!r}", "mode")
+    grid_key = "n_grid" if mode == "mixing" else "mn_grid"
+    check_keys(cfg, {"mode", "events", grid_key, "mc_samples", "epsilon"})
+    tower, _, _ = _tower(cfg, args)
     eps = parse_epsilon(cfg, args)
     mc = parse_int(cfg.get("mc_samples", 0), "mc_samples", 0)
     seed = _require_seed(args, "poisson with mc_samples") if mc else 0
@@ -259,7 +268,7 @@ def cmd_poisson(cfg, digest, args):
         header = ["n", "joint_lo", "joint_hi", "product", "dev_lo", "dev_hi"]
         body = [[r["n"], r["joint_lo"], r["joint_hi"], r["product"],
                  r["dev_lo"], r["dev_hi"]] for r in rows]
-    elif mode == "triple":
+    else:
         if len(events) != 3:
             raise ConfigError("triple mode needs exactly 3 events", "events")
         grid = [tuple(p) for p in parse_int_grid(cfg.get("mn_grid", []), "mn_grid", 2)]
@@ -269,8 +278,6 @@ def cmd_poisson(cfg, digest, args):
                   "dev_hi", "exact_zero_dev"]
         body = [[r["m"], r["n"], r["joint_lo"], r["joint_hi"], r["product"],
                  r["dev_lo"], r["dev_hi"], r["exact_zero_dev"]] for r in rows]
-    else:
-        raise ConfigError(f"unknown poisson mode {mode!r}", "mode")
     if mc:
         header += ["mc", "mc_stderr"]
         for row, r in zip(body, rows):
@@ -280,13 +287,20 @@ def cmd_poisson(cfg, digest, args):
 
 
 def cmd_homoclinic(cfg, digest, args):
-    tower, _, _ = _tower(cfg, args)
     mode = cfg.get("mode", "sweep")
+    mode_keys = {"sweep": {"j_range", "samples_per_stage", "epsilon"},
+                 "wandering": {"zmax"}, "retention": set()}
+    if not (isinstance(mode, str) and mode in mode_keys):
+        raise ConfigError(f"unknown homoclinic mode {mode!r}", "mode")
+    check_keys(cfg, {"mode", *mode_keys[mode]})
+    tower, _, _ = _tower(cfg, args)
     if mode == "sweep":
         jr = cfg.get("j_range")
         if not (isinstance(jr, list) and len(jr) == 2):
             raise ConfigError("sweep needs 'j_range': [j_lo, j_hi]", "j_range")
         parse_int_grid(jr, "j_range")
+        if not 1 <= jr[0] <= jr[1]:
+            raise ConfigError(f"j_range {jr!r} needs 1 <= j_lo <= j_hi", "j_range")
         samples = parse_int(cfg.get("samples_per_stage", 100), "samples_per_stage", 0)
         seed = _require_seed(args, "homoclinic sweep") if samples > 2 else (args.seed or 0)
         rows, stage_max = homoclinic_sweep(
@@ -318,7 +332,7 @@ def cmd_homoclinic(cfg, digest, args):
         )
         print(f"wandering |z|<={res['zmax']}: passed={res['passed']} "
               f"covered={float(res['covered_fraction']):.4f}")
-    elif mode == "retention":
+    else:
         dm = DissipativeMap(tower)
         rows = retention_audit(dm)
         write_csv(
@@ -334,11 +348,10 @@ def cmd_homoclinic(cfg, digest, args):
         )
         print(f"retention audit: {sum(r['blocks'] for r in rows)} blocks, "
               f"all ok={all(r['ok'] for r in rows)}")
-    else:
-        raise ConfigError(f"unknown homoclinic mode {mode!r}", "mode")
 
 
 def cmd_flow(cfg, digest, args):
+    check_keys(cfg, {"phi", "rect", "t", "samples", "n_grid"})
     tower, _, _ = _tower(cfg, args)
     seed = _require_seed(args, "flow")
     phi = cfg.get("phi", "reciprocal")

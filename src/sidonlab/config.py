@@ -37,6 +37,12 @@ def _require_keys(d: dict, required: set[str], optional: set[str], where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}", where)
 
 
+def check_keys(cfg: dict, keys: set[str]):
+    """Closed top-level schema: besides "construction", cfg may hold only
+    the keys a subcommand (in its mode) reads."""
+    _require_keys(cfg, set(), {"construction", *keys}, "config")
+
+
 def load_config(path: str) -> tuple[dict, str]:
     """Parse a JSON config; returns (config, sha256 of the raw bytes)."""
     raw = Path(path).read_bytes()
@@ -75,10 +81,11 @@ def parse_construction(d: dict):
         if sets not in ("singer", "greedy"):
             raise ConfigError(f"unknown set generator {sets!r}",
                               "construction.generator.sets")
-        h1 = d.get("h1", 1)
+        h1 = parse_int(d.get("h1", 1), "construction.h1", 1)
         spec, ledger = build_from_psi(psi, h1, num, sets)
         return spec, ledger, psi
     _require_keys(d, {"h1", "stages"}, set(), "construction")
+    parse_int(d["h1"], "construction.h1", 1)
     try:
         spec = ConstructionSpec.from_dict(d)
     except (SpecValidationError, TypeError, KeyError) as e:
@@ -105,8 +112,9 @@ def parse_real(x, where: str):
     return x
 
 
-def parse_int_grid(xs, where: str, width: int = 1) -> list:
-    """A list of integers, or for width > 1 of `width`-long integer lists."""
+def parse_int_grid(xs, where: str, width: int = 1, minimum: int | None = None) -> list:
+    """A list of integers, or for width > 1 of `width`-long integer lists;
+    each integer at least `minimum` if given."""
     if not isinstance(xs, list):
         raise ConfigError(f"{where} must be a list, got {xs!r}", where)
     for i, x in enumerate(xs):
@@ -114,7 +122,7 @@ def parse_int_grid(xs, where: str, width: int = 1) -> list:
         if not (isinstance(row, list) and len(row) == width):
             raise ConfigError(f"{where}[{i}] must be a list of {width} integers", where)
         for v in row:
-            parse_int(v, f"{where}[{i}]")
+            parse_int(v, f"{where}[{i}]", minimum)
     return xs
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from .construction import (
     ConstructionSpec,
@@ -98,18 +97,35 @@ def mian_chowla(n: int) -> SidonSet:
 # GF(p^d) helpers (dense polynomial arithmetic mod p, small fields only)
 
 
+def _prime_factors(n: int):
+    """Distinct prime factors of n >= 1, in increasing order, by trial
+    division (2, then odd divisors).  Lazy, so a caller that needs only the
+    smallest factor stops there."""
+    if n % 2 == 0:
+        yield 2
+        while n % 2 == 0:
+            n //= 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            yield d
+            while n % d == 0:
+                n //= d
+        d += 2
+    if n > 1:
+        yield n
+
+
 def prime_power_decompose(q: int) -> tuple[int, int] | None:
     """Return (p, k) with q = p^k, or None if q is not a prime power."""
     if q < 2:
         return None
-    for p in sympy.primerange(2, math.isqrt(q) + 2):
-        if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            return (p, k) if q == 1 else None
-    return (q, 1)  # q itself prime
+    p = next(_prime_factors(q))
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
 
 
 def next_prime_power(n: int) -> int:
@@ -117,6 +133,12 @@ def next_prime_power(n: int) -> int:
     while prime_power_decompose(q) is None:
         q += 1
     return q
+
+
+def _generates_units(g: int, p: int) -> bool:
+    """A unit g mod the prime p generates F_p^*: g^((p-1)/l) != 1 for every
+    prime l dividing p - 1."""
+    return all(pow(g, (p - 1) // l, p) != 1 for l in _prime_factors(p - 1))
 
 
 def _poly_mulmod(a, b, f, p):
@@ -159,7 +181,7 @@ def _is_irreducible(f, p):
         acc = _poly_powmod(acc, p, f, p)
     if acc != x:
         return False
-    for l in sympy.primefactors(d):
+    for l in _prime_factors(d):
         acc = list(x)
         for _ in range(d // l):
             acc = _poly_powmod(acc, p, f, p)
@@ -172,7 +194,7 @@ def _x_is_primitive(f, p):
     d = len(f) - 1
     order = p**d - 1
     x = [0, 1] + [0] * (d - 2)
-    for l in sympy.primefactors(order):
+    for l in _prime_factors(order):
         if _poly_powmod(x, order // l, f, p) == [1] + [0] * (d - 1):
             return False
     return True
@@ -186,7 +208,7 @@ def _find_primitive_poly(p: int, d: int):
     # x primitive => its norm (-1)^d f_0 generates F_p^*; skip other f_0
     sign = -1 if d % 2 else 1
     for f0 in range(1, p):
-        if sympy.n_order(sign * f0 % p, p) != p - 1:
+        if not _generates_units(sign * f0, p):
             continue
         for rest in product(range(p), repeat=d - 1):
             f = [f0, *rest, 1]
@@ -411,19 +433,16 @@ def _ceil_root(n: int, k: int) -> int:
     """Smallest t >= 0 with t^k >= n (n >= 0, k >= 1)."""
     if n <= 0:
         return 0
-    t = round(n ** (1.0 / k))
-    while t**k >= n:
-        t -= 1
-    while t**k < n:
-        t += 1
-    return t
-
-
-def _ceil_sqrt(n: int) -> int:
-    if n <= 0:
-        return 0
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
+    # integer Newton from 2^ceil(bits/k) > n^(1/k) descends to floor(n^(1/k));
+    # a float guess is off by about t * 1e-16, which is many unit steps for
+    # the t ~ 1e12 of a large h1, and cannot be formed past 1e308
+    t = 1 << -(-n.bit_length() // k)
+    while True:
+        u = ((k - 1) * t + n // t ** (k - 1)) // k
+        if u >= t:
+            break
+        t = u
+    return t if t**k == n else t + 1
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +503,7 @@ def build_from_psi(
     ledger: list[dict] = []
     for j in range(1, num_stages):
         h_star = psi.threshold_for(h)
-        r = max(2, _ceil_sqrt(h_star - 1))
+        r = max(2, _ceil_root(h_star - 1, 2))
         q = None
         if generator == "singer":
             q = next_prime_power(r)

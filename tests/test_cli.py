@@ -1,12 +1,20 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sidonlab
 from sidonlab.cli import main
 from tests.conftest import RUNNING_SPEC
+
+GENERATOR = {"type": "optimal-sidon", "psi": {"kind": "power", "alpha": [1, 4]},
+             "numStages": 2}
 
 
 def run_cli(argv):
@@ -204,6 +212,23 @@ class TestErrors:
         err = json.loads(capsys.readouterr().err)
         assert "unknown keys ['base']" in err["message"]
 
+    @staticmethod
+    def _write_config(tmp_path, cmd, extra):
+        """A config for cmd: the running tower's construction updated by
+        `extra`, plus the sets and psi that cmd needs."""
+        x2 = {"stage": 2, "ranges": [[0, 3]]}
+        cfg = {"construction": RUNNING_SPEC.to_dict(), **extra}
+        if cmd == "corr":
+            cfg.update({"A": x2, "B": x2})
+        elif cmd == "decay":
+            cfg["psi"] = {"kind": "power", "alpha": [1, 4]}
+        elif cmd == "poisson":
+            n_events = 3 if cfg.get("mode") == "triple" else 2
+            cfg["events"] = [{"set": x2, "count": 0}] * n_events
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
     @pytest.mark.parametrize("cmd, extra, field", [
         ("corr", {"m": "3"}, "m"),
         ("corr", {"m_grid": [1.5]}, "m_grid[0]"),
@@ -225,25 +250,78 @@ class TestErrors:
         ("flow", {"rect": [0.0, 1.0]}, "rect"),
         ("flow", {"rect": [0.0, 1.0, 0.5, 0.5]}, "rect"),
         ("flow", {"phi": "nope"}, "phi"),
+        ("build", {"construction": {**RUNNING_SPEC.to_dict(), "h1": "x"}},
+         "construction.h1"),
+        ("build", {"construction": {**RUNNING_SPEC.to_dict(), "h1": 1.5}},
+         "construction.h1"),
+        ("build", {"construction": {**RUNNING_SPEC.to_dict(), "h1": True}},
+         "construction.h1"),
+        ("build", {"construction": {"h1": "x", "generator": GENERATOR}},
+         "construction.h1"),
+        ("build", {"construction": {"h1": 1.5, "generator": GENERATOR}},
+         "construction.h1"),
+        ("build", {"construction": {"h1": True, "generator": GENERATOR}},
+         "construction.h1"),
+        ("homoclinic", {"mode": "sweep", "j_range": [0, 2]}, "j_range"),
+        ("homoclinic", {"mode": "sweep", "j_range": [3, 1]}, "j_range"),
+        ("corr", {"m": -1}, "m"),
+        ("corr", {"m_grid": [3, -1]}, "m_grid[1]"),
+        ("decay", {"m_grid": [-2]}, "m_grid[0]"),
     ])
     def test_bad_grid_or_sample_type(self, tmp_path, capsys, cmd, extra, field):
-        x2 = {"stage": 2, "ranges": [[0, 3]]}
-        cfg = {"construction": RUNNING_SPEC.to_dict(), **extra}
-        if cmd == "corr":
-            cfg.update({"A": x2, "B": x2})
-        elif cmd == "decay":
-            cfg["psi"] = {"kind": "power", "alpha": [1, 4]}
-        elif cmd == "poisson":
-            n_events = 3 if cfg.get("mode") == "triple" else 2
-            cfg["events"] = [{"set": x2, "count": 0}] * n_events
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path = self._write_config(tmp_path, cmd, extra)
         out = tmp_path / "o"
         assert run_cli([cmd, "--config", str(path), "--out", str(out),
                         "--seed", "1"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2 and err["context"]["field"] == field
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("cmd, extra, key", [
+        ("build", {"extra": 1}, "extra"),
+        ("check-sidon", {"stage": 1, "epsilon": {"num": 1, "den": 2}}, "epsilon"),
+        ("corr", {"m": 3, "m_grd": [5]}, "m_grd"),
+        ("decay", {"m_grid": [1], "n": 2}, "n"),
+        ("poisson", {"n_grid": [0], "mn_grid": [[1, 1]]}, "mn_grid"),
+        ("poisson", {"mode": "triple", "mn_grid": [[1, 1]], "n_grid": [0]}, "n_grid"),
+        ("homoclinic", {"mode": "sweep", "j_range": [2, 2], "zmax": 5}, "zmax"),
+        ("homoclinic", {"mode": "wandering", "j_range": [2, 2]}, "j_range"),
+        ("homoclinic", {"mode": "retention", "epsilon": {"num": 1, "den": 2}},
+         "epsilon"),
+        ("flow", {"m": 3}, "m"),
+    ])
+    def test_unknown_top_level_key(self, tmp_path, capsys, cmd, extra, key):
+        path = self._write_config(tmp_path, cmd, extra)
+        out = tmp_path / "o"
+        assert run_cli([cmd, "--config", str(path), "--out", str(out),
+                        "--seed", "1"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["code"] == 2 and f"unknown keys ['{key}']" in err["message"]
+        assert not out.exists()
+
+
+def test_cli_does_not_import_sympy(tmp_path):
+    # a Singer build (q = 25, GF(5^6)) runs the whole primitive-polynomial search
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"construction": {"h1": 25, "generator": GENERATOR}}))
+    out = tmp_path / "o"
+    code = (
+        "import sys\n"
+        "import sidonlab.cli as cli\n"
+        f"rc = cli.main(['build', '--config', {str(cfg)!r}, '--out', {str(out)!r}])\n"
+        "assert rc == 0, rc\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    src = str(Path(sidonlab.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    _, _, rows = read_report(out / "generator_ledger.csv")
+    assert [r[4] for r in rows] == ["25"]
 
 
 class TestCorr:

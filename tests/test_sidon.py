@@ -1,4 +1,6 @@
 import bisect
+import hashlib
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -21,13 +23,25 @@ from sidonlab.construction import LevelSet
 from sidonlab.sidon import (
     SidonCheckReport,
     SidonCheckRow,
+    _ceil_root,
     _descend_level,
     _find_primitive_poly,
+    _generates_units,
     _is_irreducible,
+    _prime_factors,
     _x_is_primitive,
     next_prime_power,
     prime_power_decompose,
 )
+
+
+def sieve_primes(n):
+    """The primes below n, by the sieve of Eratosthenes."""
+    is_prime = [False, False] + [True] * (n - 2)
+    for i in range(2, math.isqrt(n - 1) + 1):
+        if is_prime[i]:
+            is_prime[i * i::i] = [False] * len(range(i * i, n, i))
+    return [i for i in range(n) if is_prime[i]]
 
 
 def greedy_oracle(n):
@@ -214,6 +228,50 @@ class TestSinger:
         assert next_prime_power(24) == 25
 
 
+class TestNumberTheory:
+    def test_prime_factors_vs_sieve(self):
+        n_max = 10**4
+        factors = [[] for _ in range(n_max)]
+        for p in sieve_primes(n_max):
+            for m in range(p, n_max, p):
+                factors[m].append(p)
+        for n in range(1, n_max):
+            assert list(_prime_factors(n)) == factors[n], n
+
+    def test_prime_power_helpers_vs_table(self):
+        powers = {}
+        for p in sieve_primes(5000):
+            q, k = p, 1
+            while q < 5000:
+                powers[q] = (p, k)
+                q, k = q * p, k + 1
+        for q in range(5000):
+            assert prime_power_decompose(q) == powers.get(q), q
+        ordered = sorted(powers)
+        for n in range(3000):
+            assert next_prime_power(n) == ordered[bisect.bisect_left(ordered, max(2, n))], n
+
+    def test_generates_units_vs_order(self):
+        for p in sieve_primes(500):
+            for g in range(1, p):
+                x, order = g, 1
+                while x != 1:
+                    x, order = x * g % p, order + 1
+                assert _generates_units(g, p) == (order == p - 1), (g, p)
+                # the norm filter passes -g for odd degrees
+                assert _generates_units(g - p, p) == (order == p - 1), (g, p)
+
+    def test_singer_sets_pinned(self):
+        # SHA-256 over (q, elements) for every prime power q <= 139, computed
+        # with the earlier sympy-based primality and order helpers
+        h = hashlib.sha256()
+        for q in range(2, 140):
+            if prime_power_decompose(q):
+                h.update(repr((q, singer_set(q).elements)).encode())
+        assert h.hexdigest() == (
+            "ffc7828710ace07e5e96f6024880bde6a4c57787d86f28d4cbe0fd8bb93149bc")
+
+
 class TestOptimalStages:
     def test_spec_example(self):
         s = SidonSet((1, 2, 4), 7)
@@ -241,6 +299,20 @@ class TestPsi:
     def test_alpha_range(self):
         with pytest.raises(ValueError):
             PsiSpec("power", alpha=Fraction(1, 2))
+
+    def test_ceil_root(self):
+        # smallest t >= 0 with t^k >= n: brute force for small n, the
+        # defining inequalities for n far beyond float precision
+        for k in range(1, 7):
+            t = 0
+            for n in range(2000):
+                while t**k < n:
+                    t += 1
+                assert _ceil_root(n, k) == t, (n, k)
+        for k in (1, 2, 3, 8):
+            for n in (10**48, 10**48 + 1, (10**24 + 7) ** k, (10**24 + 7) ** k + 1, 10**400):
+                t = _ceil_root(n, k)
+                assert t**k >= n > (t - 1) ** k, (n, k)
 
     def test_threshold_is_minimal(self):
         psi = PsiSpec("power", alpha=Fraction(1, 4))
