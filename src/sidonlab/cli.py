@@ -176,6 +176,10 @@ def cmd_corr(cfg, digest, args):
         raise ConfigError("corr config needs sets 'A' and 'B'", "A")
     C = parse_level_set(cfg["C"], "C", tower) if "C" in cfg else None
     eps = parse_epsilon(cfg, args)
+    if "m" in cfg and "m_grid" in cfg:
+        raise ConfigError("corr config takes 'm' or 'm_grid', not both", "m")
+    if "n" in cfg and C is None:
+        raise ConfigError("corr config: 'n' is read only with a third set 'C'", "n")
     if "m_grid" in cfg:
         ms = parse_int_grid(cfg["m_grid"], "m_grid", minimum=0)
     elif "m" in cfg:

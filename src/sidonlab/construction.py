@@ -252,17 +252,29 @@ class PointState:
     offset: Fraction
 
 
+# Cells of sample_uniform's default offset grid in one mu(E_depth).
+GRID = 1024
+
+
 class Tower:
     """A construction built to a fixed depth.  Immutable after build; use
-    ``deepen`` to get a new tower with more stages."""
+    ``deepen`` to get a new tower with more stages.
+
+    Pointwise work runs on integers: a point is (stage, level, N) with its
+    offset N/d in units of mu(E_depth), for a denominator d the caller
+    keeps.  ``PointState`` and its ``Fraction`` offset are the API edge."""
 
     def __init__(self, spec: ConstructionSpec, depth: int):
         self.spec = spec
         self.stages = build_stages(spec, depth)
         self.depth = depth
-        # sample_uniform's default offset grid per stage: (cells, resolution)
-        fine = self.stages[-1].base_measure / 1024
-        self._offset_grid = [(int(st.base_measure / fine), fine) for st in self.stages]
+        # per stage j (index j; index 0 unused): h_j, the column offsets, and
+        # in ``units`` the width of E_j in units of mu(E_depth),
+        # r_j * ... * r_{depth-1}; every mu(E_j) is 1/(r_1 * ... * r_{j-1})
+        self._h = [0] + [st.h for st in self.stages]
+        self._offsets = [()] + [st.offsets for st in self.stages]
+        R = self.stages[-1].base_measure.denominator
+        self.units = [0] + [R // st.base_measure.denominator for st in self.stages]
 
     def stage(self, j: int) -> TowerStage:
         if not 1 <= j <= self.depth:
@@ -278,6 +290,16 @@ class Tower:
 
     def max_depth(self) -> int:
         return len(self.spec.stages) + 1
+
+    def resolving_stage(self, jmin: int, shift: int) -> int:
+        """The first stage J >= jmin taller than ``shift``."""
+        for J in range(jmin, self.depth + 1):
+            if self._h[J] > shift:
+                return J
+        raise NeedsMoreStages(
+            f"no built stage has height > {shift} (depth {self.depth})",
+            required_depth=self.depth + 1,
+        )
 
     # -- level-set lifting ------------------------------------------------
 
@@ -301,91 +323,113 @@ class Tower:
     def set_measure(self, A: LevelSet) -> Fraction:
         return A.count() * self.stage(A.stage).base_measure
 
+    # -- integer points ---------------------------------------------------
+
+    def descend(self, J: int, level: int, stop: int = 1) -> tuple[int, int, int]:
+        """Trace a stage-J level down the column copies to stage ``stop``, or
+        to the stage where it is born as a spacer level if that is deeper.
+        Returns (stage, level, u): the level there occupies [u, u + units_J)
+        of that level's offset coordinate, in units of mu(E_depth)."""
+        h, offsets, units = self._h, self._offsets, self.units
+        u = 0
+        while J > stop:
+            offs = offsets[J - 1]
+            i = bisect.bisect_right(offs, level) - 1
+            if i < 0 or level >= offs[i] + h[J - 1]:
+                break  # spacer level: born at stage J
+            level -= offs[i]
+            u += i * units[J]
+            J -= 1
+        return J, level, u
+
+    def ascend(self, stage: int, level: int, N: int, d: int, J: int) -> tuple[int, int]:
+        """(level, N) of the point (stage, level, N/d) at a deeper stage J:
+        column i of a level is the i-th sub-interval of its offset."""
+        if J > self.depth:
+            self.stage(self.depth + 1)  # NeedsMoreStages, as for any walk past the top
+        units, offsets = self.units, self._offsets
+        while stage < J:
+            stage += 1
+            col, N = divmod(N, d * units[stage])
+            level += offsets[stage - 1][col]
+        return level, N
+
+    def advance(self, stage: int, level: int, N: int, d: int, n: int) -> tuple[int, int, int]:
+        """T^n of the point (stage, level, N/d), as (J, level, N) at the first
+        stage J >= stage where the level plus n stays inside the tower."""
+        h, units, offsets = self._h, self.units, self._offsets
+        lvl = level
+        for J in range(stage, self.depth + 1):
+            if J > stage:
+                col, N = divmod(N, d * units[J])
+                lvl += offsets[J - 1][col]
+            if 0 <= lvl + n < h[J]:
+                return J, lvl + n, N
+        raise NeedsMoreStages(
+            f"iterating by {n} from stage {stage} level {level} exceeds "
+            f"built depth {self.depth}",
+            required_depth=self.depth + 1,
+        )
+
+    def in_set(self, J: int, level: int, N: int, d: int, A: LevelSet, cache: dict) -> bool:
+        """Whether the point (J, level, N/d) lies in A; ``cache`` keeps the
+        lifts of A per stage."""
+        if J < A.stage:
+            return A.contains(self.ascend(J, level, N, d, A.stage)[0])
+        key = ("lift", A, J)
+        lifted = cache.get(key)
+        if lifted is None:
+            lifted = cache[key] = self.lift(A, J)
+        return lifted.contains(level)
+
+    def draw(self, A: LevelSet, rng, cells: int | None = None) -> tuple[int, int]:
+        """A uniform level of A and an offset cell from ``cells`` equal cells
+        of its level, by default the grid cell N of mu(E_depth)/GRID."""
+        prefix = A._prefix_lengths
+        if not prefix[-1]:
+            raise ValueError("cannot sample from an empty level set")
+        pick = rng.randrange(prefix[-1])
+        i = bisect.bisect_right(prefix, pick) - 1
+        return (A.ranges[i][0] + pick - prefix[i],
+                rng.randrange(cells or GRID * self.units[A.stage]))
+
+    def _integer_offset(self, offset: Fraction) -> tuple[int, int]:
+        """(N, d) with N/d = offset / mu(E_depth); mu(E_1) = 1."""
+        return offset.numerator * self.units[1], offset.denominator
+
     # -- pointwise dynamics ----------------------------------------------
 
     def point_to_stage(self, p: PointState, J: int) -> PointState:
         """Re-express p at a deeper stage J."""
-        stage, level, offset = p.stage, p.level, p.offset
-        while stage < J:
-            st = self.stage(stage)
-            nxt = self.stage(stage + 1)
-            col = int(offset / nxt.base_measure)
-            level = st.offsets[col] + level
-            offset = offset - col * nxt.base_measure
-            stage += 1
-        return PointState(stage, level, offset)
+        if p.stage >= J:
+            return p
+        N, d = self._integer_offset(p.offset)
+        level, N = self.ascend(p.stage, p.level, N, d, J)
+        return PointState(J, level, Fraction(N, d * self.units[1]))
 
     def normalize_point(self, p: PointState) -> PointState:
         """Descend to the minimal-stage representation."""
-        stage, level, offset = p.stage, p.level, p.offset
-        while stage > 1:
-            prev = self.stage(stage - 1)
-            offs = prev.offsets
-            i = bisect.bisect_right(offs, level) - 1
-            if i < 0 or not offs[i] <= level < offs[i] + prev.h:
-                break  # spacer level: born at this stage
-            level = level - offs[i]
-            offset = offset + i * self.stage(stage).base_measure
-            stage -= 1
-        return PointState(stage, level, offset)
+        b, level, u = self.descend(p.stage, p.level)
+        return PointState(b, level, p.offset + Fraction(u, self.units[1]))
 
     def step(self, p: PointState, direction: int = 1) -> PointState:
         """Apply the transformation (direction=+1) or its inverse (-1)."""
         if direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
-        stage, level, offset = p.stage, p.level, p.offset
-        q = PointState(stage, level, offset)
-        if direction == 1:
-            while q.level == self.stage(q.stage).h - 1:
-                if q.stage + 1 > self.depth:
-                    raise NeedsMoreStages(
-                        f"forward step from the top of stage {q.stage} needs "
-                        f"stage {q.stage + 1}",
-                        required_depth=q.stage + 1,
-                    )
-                q = self.point_to_stage(q, q.stage + 1)
-            q = PointState(q.stage, q.level + 1, q.offset)
-        else:
-            while q.level == 0:
-                if q.stage + 1 > self.depth:
-                    raise NeedsMoreStages(
-                        f"backward step from the bottom of stage {q.stage} needs "
-                        f"stage {q.stage + 1}",
-                        required_depth=q.stage + 1,
-                    )
-                q = self.point_to_stage(q, q.stage + 1)
-            q = PointState(q.stage, q.level - 1, q.offset)
-        return self.normalize_point(q)
+        return self.iterate(p, direction)
 
     def iterate(self, p: PointState, n: int) -> PointState:
         """Exact n-fold composition of the step map, via level arithmetic."""
-        if n == 0:
-            return self.normalize_point(p)
-        q = p
-        for J in range(p.stage, self.depth + 1):
-            q = self.point_to_stage(q, J)
-            h = self.stage(J).h
-            lvl = q.level + n
-            if 0 <= lvl < h:
-                return self.normalize_point(PointState(J, lvl, q.offset))
-        raise NeedsMoreStages(
-            f"iterating by {n} from stage {p.stage} level {p.level} exceeds "
-            f"built depth {self.depth}",
-            required_depth=self.depth + 1,
-        )
+        N, d = self._integer_offset(p.offset)
+        J, level, N = self.advance(p.stage, p.level, N, d, n)
+        b, level, u = self.descend(J, level)
+        return PointState(b, level, Fraction(N + u * d, d * self.units[1]))
 
     def membership(self, p: PointState, A: LevelSet, cache: dict | None = None) -> bool:
         """Whether p lies in A.  A caller testing many points against the
         same sets passes its own ``cache`` dict, which keeps the lifts of A."""
-        if p.stage < A.stage:
-            return A.contains(self.point_to_stage(p, A.stage).level)
-        if cache is None:
-            return self.lift(A, p.stage).contains(p.level)
-        key = ("lift", A, p.stage)
-        lifted = cache.get(key)
-        if lifted is None:
-            lifted = cache[key] = self.lift(A, p.stage)
-        return lifted.contains(p.level)
+        N, d = self._integer_offset(p.offset)
+        return self.in_set(p.stage, p.level, N, d, A, {} if cache is None else cache)
 
     # -- sampling ---------------------------------------------------------
 
@@ -394,19 +438,12 @@ class Tower:
         rational grid; the default grid mu(E_depth)/2^10 subdivides every
         column path of every built stage, so deep membership frequencies
         are unbiased."""
-        if A.is_empty():
-            raise ValueError("cannot sample from an empty level set")
-        prefix = A._prefix_lengths
-        pick = rng.randrange(prefix[-1])
-        i = bisect.bisect_right(prefix, pick) - 1
-        level = A.ranges[i][0] + pick - prefix[i]
         base = self.stage(A.stage).base_measure
         if resolution is None:
-            cells, resolution = self._offset_grid[A.stage - 1]
-        else:
-            cells = int(base / resolution)
-            if cells < 1:
-                cells, resolution = 1, base
-        offset = rng.randrange(cells) * resolution
-        return PointState(A.stage, level, offset)
-
+            level, N = self.draw(A, rng)
+            return PointState(A.stage, level, Fraction(N, GRID * self.units[1]))
+        cells = int(base / resolution)
+        if cells < 1:
+            cells, resolution = 1, base
+        level, N = self.draw(A, rng, cells)
+        return PointState(A.stage, level, N * resolution)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construction import LevelSet, NeedsMoreStages, Tower
+from .construction import GRID, LevelSet, Tower
 from .enclosure import MeasureEnclosure
 
 
@@ -21,16 +21,6 @@ def default_epsilon(tower: Tower, A: LevelSet) -> Fraction:
     """An order below the one-column bound mu(A)/r_j at r_j <= 100."""
     mu = tower.set_measure(A)
     return mu / 1000 if mu > 0 else Fraction(1, 1000)
-
-
-def _resolving_stage(tower: Tower, jmin: int, shift: int) -> int:
-    for J in range(jmin, tower.depth + 1):
-        if tower.stage(J).h > shift:
-            return J
-    raise NeedsMoreStages(
-        f"no built stage has height > {shift} (depth {tower.depth})",
-        required_depth=tower.depth + 1,
-    )
 
 
 # -- array-backed escape engine -------------------------------------------
@@ -141,7 +131,7 @@ def pair_enclosure(
         epsilon = default_epsilon(tower, A)
     cache = {} if cache is None else cache
     dtype = _dtype(tower)
-    J = _resolving_stage(tower, max(A.stage, B.stage), m)
+    J = tower.resolving_stage(max(A.stage, B.stage), m)
 
     def hits(J, s, e):
         return _count_in(_prefix(tower, A, J, cache, dtype), s + m, e + m)
@@ -168,7 +158,7 @@ def triple_enclosure(
     cache = {} if cache is None else cache
     dtype = _dtype(tower)
     t = m + n
-    J = _resolving_stage(tower, max(A.stage, B.stage, C.stage), t)
+    J = tower.resolving_stage(max(A.stage, B.stage, C.stage), t)
 
     def hits(J, s, e):
         bs, be = _lifted(tower, B, J, cache, dtype)
@@ -189,10 +179,9 @@ def mc_correlation(
     lifts: dict = {}
     hits = 0
     for _ in range(samples):
-        p = tower.sample_uniform(B, rng)
-        q = tower.iterate(p, m)
-        if tower.membership(q, A, lifts):
-            hits += 1
+        level, N = tower.draw(B, rng)
+        J, level, N = tower.advance(B.stage, level, N, GRID, m)
+        hits += tower.in_set(J, level, N, GRID, A, lifts)
     f = hits / samples
     est = float(mu_b) * f
     stderr = float(mu_b) * math.sqrt(f * (1.0 - f) / samples)

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construction import LevelSet, NeedsMoreStages, PointState, Tower
-from .correlation import _resolving_stage
 from .enclosure import MeasureEnclosure
 
 
@@ -379,39 +378,6 @@ def retention_audit(dmap: DissipativeMap, piece_samples_per_stage: int = 3):
 # Lemma-style homoclinicity defect
 
 
-def _descend(tower: Tower, J: int, level: int):
-    """Birth stage, birth level and sub-offset of a stage-J level: the level
-    occupies [u, u + mu(E_J)) of its birth block's offset coordinate."""
-    u = Fraction(0)
-    b, lvl = J, level
-    while b > 1:
-        prev = tower.stage(b - 1)
-        offs = prev.offsets
-        i = bisect.bisect_right(offs, lvl) - 1
-        if i < 0 or not offs[i] <= lvl < offs[i] + prev.h:
-            break
-        u += i * tower.stage(b).base_measure
-        lvl -= offs[i]
-        b -= 1
-    return b, lvl, u
-
-
-def _merged_length(intervals):
-    intervals.sort()
-    total = Fraction(0)
-    cur_lo = cur_hi = None
-    for lo, hi in intervals:
-        if cur_hi is None or lo > cur_hi:
-            if cur_hi is not None:
-                total += cur_hi - cur_lo
-            cur_lo, cur_hi = lo, hi
-        else:
-            cur_hi = max(cur_hi, hi)
-    if cur_hi is not None:
-        total += cur_hi - cur_lo
-    return total
-
-
 def lemma61_defect(
     tower: Tower,
     j: int,
@@ -440,7 +406,7 @@ def lemma61_defect(
     if parts is None:
         parts, _ = s_schedule(tower)
     E = LevelSet.from_ranges(j, [(0, 1)])
-    J = _resolving_stage(tower, j, t)
+    J = tower.resolving_stage(j, t)
     esc = tower.lift(E, J)
     resolved = []  # (stage, image LevelSet)
     residual = Fraction(0)
@@ -455,39 +421,45 @@ def lemma61_defect(
             break
         esc = tower.lift(out, J + 1)
         J += 1
-    groups: dict[tuple[int, int], list] = {}
-    copy_slack = Fraction(0)
+    # classify the resolved levels by birth block, widths in units of
+    # mu(E_depth): a level that descends to stage j lies in a copy of X_j.
+    # The pieces are disjoint (T^t of disjoint parts of E_j), so the levels
+    # in one block cover it exactly when their widths add up to its width.
+    units = tower.units
+    covered: dict[tuple[int, int], int] = {}
+    copy_units = 0
     for J2, ls in resolved:
-        width = tower.stage(J2).base_measure
+        width = units[J2]
         for a, e in ls.ranges:
             for lvl in range(a, e):
-                b, l0, u = _descend(tower, J2, lvl)
-                if b <= j:
-                    copy_slack += width
+                b, l0, _ = tower.descend(J2, lvl, j)
+                if b == j:
+                    copy_units += width
                 else:
-                    groups.setdefault((b, l0), []).append((u, u + width))
-    full_defect = Fraction(0)
-    partial_slack = Fraction(0)
-    full_blocks = 0
-    for (b, l0), ivs in groups.items():
-        mu_b = tower.stage(b).base_measure
-        covered = _merged_length(ivs)
-        if covered == mu_b:
-            full_blocks += 1
-            full_defect += min(mu_b, 2 * mu_b / parts[b])
+                    covered[b, l0] = covered.get((b, l0), 0) + width
+    full_count: dict[int, int] = {}
+    partial_units = 0
+    for (b, _), width in covered.items():
+        if width == units[b]:
+            full_count[b] = full_count.get(b, 0) + 1
         else:
-            partial_slack += covered
+            partial_units += width
+    full_defect = Fraction(0)
+    for b, count in full_count.items():
+        mu_b = tower.stage(b).base_measure
+        full_defect += count * min(mu_b, 2 * mu_b / parts[b])
+    unit = tower.stage(tower.depth).base_measure
     hi = min(
         Fraction(1),
-        (full_defect + copy_slack + partial_slack + residual) / mu_total,
+        (full_defect + (copy_units + partial_units) * unit + residual) / mu_total,
     )
     info = {
         "pieces": resolved,
         "residual": residual,
-        "full_blocks": full_blocks,
+        "full_blocks": sum(full_count.values()),
         "full_defect": full_defect,
-        "copy_slack": copy_slack,
-        "partial_slack": partial_slack,
+        "copy_slack": copy_units * unit,
+        "partial_slack": partial_units * unit,
     }
     return MeasureEnclosure(Fraction(0), hi), info
 
@@ -636,8 +608,7 @@ def flow_defect(
     for _ in range(samples):
         Y = Y0 + W * rng.randrange(grid)
         if n and not 0 <= Y // B + n < h:
-            lvl, off = divmod(Fraction(Y, D), base)
-            tower.iterate(PointState(J, lvl, off), n)  # raises NeedsMoreStages
+            tower.advance(J, Y // B, Y % B, B, n)  # raises NeedsMoreStages
         y2 = (Y + n * B) / D
         x2 = fa + (fb - fa) * rng.random() + phi(y2) * params.t
         if not fa <= x2 <= fb:

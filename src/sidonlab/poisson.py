@@ -266,17 +266,12 @@ def sample_poisson_count(mean: float, rng: random.Random) -> int:
     return k
 
 
-def sample_configuration(
-    region: LevelSet, tower: Tower, rng: random.Random, mu: float | None = None
-):
+def sample_configuration(region: LevelSet, tower: Tower, rng: random.Random):
     """A Poisson configuration restricted to a finite-measure region:
-    Poisson count, then i.i.d. uniform points.  ``mu`` is the region's
-    measure, for callers that sample the same region many times."""
+    Poisson count, then i.i.d. uniform points."""
     if region.is_empty():
         return []
-    if mu is None:
-        mu = float(tower.set_measure(region))
-    n = sample_poisson_count(mu, rng)
+    n = sample_poisson_count(float(tower.set_measure(region)), rng)
     return [tower.sample_uniform(region, rng) for _ in range(n)]
 
 
@@ -308,14 +303,16 @@ def mc_joint(events: list[CountEvent], samples: int, seed: int, tower: Tower):
     for s in shifted[1:]:
         region = region.union(s)
     mu = float(tower.set_measure(region))
+    empty = region.is_empty()
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):
-        pts = sample_configuration(region, tower, rng, mu)
+        # sample_configuration's draws; only the levels are read
         counts = [0] * len(events)
-        for p in pts:
+        for _ in range(0 if empty else sample_poisson_count(mu, rng)):
+            level = tower.draw(region, rng)[0]
             for i, s in enumerate(shifted):
-                if s.contains(p.level):
+                if s.contains(level):
                     counts[i] += 1
         if all(c == e.count for c, e in zip(counts, events)):
             hits += 1

@@ -314,18 +314,21 @@ def singer_set(q: int) -> SidonSet:
     for i in range(first.shape[1]):
         first[:, i] = cur
         cur = (M @ cur) % p
-    Mb = first  # current block of column vectors
-    Mstep = _mat_pow_mod(M, block, p)
+    # The walk's products run in float64, which numpy hands to BLAS (int64
+    # it does not): their entries are below d * p^2 < 2^53, so exact.
+    Mb = first.astype(np.float64)  # current block of column vectors
+    Mstep = _mat_pow_mod(M, block, p).astype(np.float64)
+    Cf = C.astype(np.float64)
     base = 0
     while base < total:
         width = min(block, total - base)
         blk = Mb[:, :width]
-        zero = (C @ blk % p == 0).all(axis=0)
+        zero = ((Cf @ blk).astype(np.int64) % p == 0).all(axis=0)
         for idx in np.nonzero(zero)[0]:
             residues.add((base + int(idx)) % N)
         base += width
         if base < total:
-            Mb = (Mstep @ Mb) % p
+            Mb = ((Mstep @ Mb).astype(np.int64) % p).astype(np.float64)
     if len(residues) != q + 1:
         raise RuntimeError(
             f"Singer construction failed for q={q}: got {len(residues)} residues"
@@ -474,7 +477,7 @@ MIAN_CHOWLA_BUDGET = 300
 class GeneratorBudgetError(ValueError):
     """A Sidon set over its generator's budget: a Singer walk of more than
     SINGER_WALK_BUDGET powers, or more than MIAN_CHOWLA_BUDGET greedy terms.
-    ``context`` names the stage and the size asked for (q or n)."""
+    ``context`` names the stage and the size asked for (q, r or n)."""
 
     def __init__(self, message: str, **context):
         super().__init__(message)
@@ -506,6 +509,14 @@ def build_from_psi(
         r = max(2, _ceil_root(h_star - 1, 2))
         q = None
         if generator == "singer":
+            # Past r = SINGER_WALK_BUDGET any q >= r is refused, and rounding r
+            # up by trial division to sqrt(q) gets slow, so refuse from r;
+            # below it rounding is cheap and the refusal names q.
+            if r > SINGER_WALK_BUDGET:
+                raise GeneratorBudgetError(
+                    f"stage {j} needs a Singer set for q >= r={r}: at least r^3 - 1 "
+                    f"powers of x in GF(q^3), over the budget of {SINGER_WALK_BUDGET}",
+                    r=r, stage=j)
             q = next_prime_power(r)
             if q**3 - 1 > SINGER_WALK_BUDGET:
                 raise GeneratorBudgetError(
@@ -570,21 +581,6 @@ class SidonCheckReport:
     @property
     def relaxed_all(self) -> bool:
         return all(r.relaxed_ok for r in self.rows)
-
-
-def _descend_level(tower: Tower, J: int, level: int, target_stage: int):
-    """Trace a stage-J level down to target_stage; None if it is born later."""
-    import bisect as _bisect
-
-    while J > target_stage:
-        prev = tower.stage(J - 1)
-        offs = prev.offsets
-        i = _bisect.bisect_right(offs, level) - 1
-        if i < 0 or not offs[i] <= level < offs[i] + prev.h:
-            return None
-        level -= offs[i]
-        J -= 1
-    return level
 
 
 def sidon_property_check(
@@ -653,8 +649,8 @@ def sidon_property_check(
                     # consecutive hit levels descend to consecutive stage-(j+1)
                     # levels until the column of X_j they land in ends
                     while a < b:
-                        l1 = _descend_level(tower, J, a, j + 1)
-                        assert l1 is not None
+                        stage, l1, _ = tower.descend(J, a, j + 1)
+                        assert stage == j + 1
                         tgt = _bisect.bisect_right(offs, l1) - 1
                         run = min(b - a, offs[tgt] + h_j - l1)
                         resolved_extra.extend([(src, tgt, bm)] * run)

@@ -202,6 +202,22 @@ class TestErrors:
         assert "n=12433" in err["message"]
         assert not out.exists()
 
+    def test_huge_h1_refused_before_rounding(self, tmp_path, capsys):
+        # r ~ 10^30 at stage 1: rounding it up to a prime power by trial
+        # division would not finish, and q >= r is already over budget
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"construction": {"h1": 10**30, "generator": GENERATOR}}))
+        out = tmp_path / "o"
+        t0 = time.perf_counter()
+        assert run_cli(["build", "--config", str(cfg), "--out", str(out)]) == 2
+        assert time.perf_counter() - t0 < 10
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["code"] == 2 and err["context"]["stage"] == 1
+        r = err["context"]["r"]
+        assert r >= 10**29 and f"q >= r={r}" in err["message"]
+        assert not out.exists()
+
     def test_psi_base_is_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"construction": {"generator": {
@@ -267,6 +283,8 @@ class TestErrors:
         ("corr", {"m": -1}, "m"),
         ("corr", {"m_grid": [3, -1]}, "m_grid[1]"),
         ("decay", {"m_grid": [-2]}, "m_grid[0]"),
+        ("corr", {"m": 3, "m_grid": [1]}, "m"),
+        ("corr", {"m": 3, "n": 5}, "n"),
     ])
     def test_bad_grid_or_sample_type(self, tmp_path, capsys, cmd, extra, field):
         path = self._write_config(tmp_path, cmd, extra)

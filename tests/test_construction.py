@@ -1,3 +1,4 @@
+import bisect
 import random
 from fractions import Fraction
 
@@ -5,7 +6,9 @@ import pytest
 
 from sidonlab import (
     ConstructionSpec,
+    DissipativeMap,
     LevelSet,
+    NeedsMoreBlocks,
     NeedsMoreStages,
     PointState,
     SpecValidationError,
@@ -38,6 +41,61 @@ def reference_sample_uniform(tower, A, rng, resolution=None):
         cells, resolution = 1, base
     offset = rng.randrange(cells) * resolution
     return PointState(A.stage, level, offset)
+
+
+def reference_point_to_stage(tower, p, J):
+    """The Fraction walk that the integer ascent replaced: one division and
+    one subtraction per stage."""
+    stage, level, offset = p.stage, p.level, p.offset
+    while stage < J:
+        st = tower.stage(stage)
+        nxt = tower.stage(stage + 1)
+        col = int(offset / nxt.base_measure)
+        level = st.offsets[col] + level
+        offset = offset - col * nxt.base_measure
+        stage += 1
+    return PointState(stage, level, offset)
+
+
+def reference_normalize_point(tower, p):
+    """The Fraction walk down to the minimal-stage representation."""
+    stage, level, offset = p.stage, p.level, p.offset
+    while stage > 1:
+        prev = tower.stage(stage - 1)
+        offs = prev.offsets
+        i = bisect.bisect_right(offs, level) - 1
+        if i < 0 or not offs[i] <= level < offs[i] + prev.h:
+            break
+        level = level - offs[i]
+        offset = offset + i * tower.stage(stage).base_measure
+        stage -= 1
+    return PointState(stage, level, offset)
+
+
+def reference_iterate(tower, p, n):
+    """Tower.iterate over the Fraction walks above."""
+    if n == 0:
+        return reference_normalize_point(tower, p)
+    q = p
+    for J in range(p.stage, tower.depth + 1):
+        q = reference_point_to_stage(tower, q, J)
+        lvl = q.level + n
+        if 0 <= lvl < tower.stage(J).h:
+            return reference_normalize_point(tower, PointState(J, lvl, q.offset))
+    raise NeedsMoreStages(
+        f"iterating by {n} from stage {p.stage} level {p.level} exceeds "
+        f"built depth {tower.depth}",
+        required_depth=tower.depth + 1,
+    )
+
+
+def outcome(fn, *args):
+    """fn's result, or the type, message and required depth of the
+    NeedsMoreStages it raises."""
+    try:
+        return fn(*args)
+    except NeedsMoreStages as e:
+        return ("NeedsMoreStages", str(e), e.required_depth)
 
 
 class TestStageTable:
@@ -240,3 +298,57 @@ class TestSamplingAgainstReference:
                 assert cached == demo_tower.membership(p, A)
                 hits += cached
         assert 0 < hits < 150 * len(sets)
+
+
+class TestIntegerPointsAgainstReference:
+    """The integer ascent, descent and iteration must give the points of the
+    Fraction walks they replaced, at every stage of the demo tower."""
+
+    def _points(self, tower, rng):
+        dmap = DissipativeMap(tower)
+        for j in range(1, tower.depth + 1):
+            A = tower.full_tower(j)
+            base = tower.stage(j).base_measure
+            for _ in range(40):
+                yield tower.sample_uniform(A, rng)  # default grid
+                level = rng.randrange(tower.stage(j).h)
+                den = rng.choice([3, 7, 1024 * 3, 10**9 + 7, rng.randrange(1, 5000)])
+                yield PointState(j, level, base * Fraction(rng.randrange(den), den))
+                try:  # sub-block offsets, denominator c
+                    yield dmap.apply(tower.sample_uniform(A, rng), rng.random() < 0.5)
+                except NeedsMoreBlocks:
+                    pass
+
+    def test_point_to_stage_and_normalize(self, demo_tower):
+        rng = random.Random(21)
+        for p in self._points(demo_tower, rng):
+            assert demo_tower.normalize_point(p) == reference_normalize_point(demo_tower, p)
+            for J in range(p.stage, demo_tower.depth + 2):
+                assert outcome(demo_tower.point_to_stage, p, J) == outcome(
+                    reference_point_to_stage, demo_tower, p, J)
+
+    def test_iterate(self, demo_tower):
+        rng = random.Random(22)
+        h = [demo_tower.stage(j).h for j in range(1, demo_tower.depth + 1)]
+        for p in self._points(demo_tower, rng):
+            ns = [0, 1, -1, h[-1], -h[-1]]  # the last two leave the top and the bottom
+            ns += [rng.randrange(-hj, hj) for hj in h if hj > 1]
+            for n in ns:
+                got = outcome(demo_tower.iterate, p, n)
+                assert got == outcome(reference_iterate, demo_tower, p, n)
+        with pytest.raises(NeedsMoreStages):
+            demo_tower.iterate(PointState(1, 0, Fraction(0)), h[-1])
+
+    def test_membership(self, demo_tower):
+        rng = random.Random(23)
+        sets = [LevelSet.from_levels(j, rng.sample(range(demo_tower.stage(j).h), 3))
+                for j in (2, 3, 4, 5)]
+        cache: dict = {}
+        lifts: dict = {}
+        for p in self._points(demo_tower, rng):
+            for A in sets:
+                q = reference_point_to_stage(demo_tower, p, max(p.stage, A.stage))
+                if (A, q.stage) not in lifts:
+                    lifts[A, q.stage] = demo_tower.lift(A, q.stage)
+                want = lifts[A, q.stage].contains(q.level)
+                assert demo_tower.membership(p, A, cache) == want

@@ -15,7 +15,7 @@ from sidonlab import (
     support_decay_report,
     triple_enclosure,
 )
-from sidonlab.correlation import _dtype, _resolving_stage, decay_report, default_epsilon
+from sidonlab.correlation import _dtype, decay_report, default_epsilon
 from sidonlab.enclosure import MeasureEnclosure
 from sidonlab.sidon import PsiSpec, build_from_psi
 
@@ -25,7 +25,7 @@ def reference_pair(A, B, m, tower, epsilon=None):
     every clipped, shifted and intersected set, read its count."""
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
-    J = _resolving_stage(tower, max(A.stage, B.stage), m)
+    J = tower.resolving_stage(max(A.stage, B.stage), m)
     esc = tower.lift(B, J)
     lo = Fraction(0)
     while True:
@@ -47,7 +47,7 @@ def reference_triple(A, B, C, m, n, tower, epsilon=None):
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
     t = m + n
-    J = _resolving_stage(tower, max(A.stage, B.stage, C.stage), t)
+    J = tower.resolving_stage(max(A.stage, B.stage, C.stage), t)
     esc = tower.lift(C, J)
     lo = Fraction(0)
     while True:

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -51,6 +52,53 @@ def reference_flow_defect(tower, params, n, samples, seed):
     sigma_p = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
     stderr = area * sigma_p / defect if defect > 0 else math.sqrt(2.0 * area * sigma_p)
     return defect, stderr
+
+
+def reference_descend(tower, J, level):
+    """The Fraction walk that Tower.descend replaced in lemma61_defect: birth
+    stage, birth level and sub-offset of a stage-J level."""
+    u = Fraction(0)
+    b, lvl = J, level
+    while b > 1:
+        prev = tower.stage(b - 1)
+        offs = prev.offsets
+        i = bisect.bisect_right(offs, lvl) - 1
+        if i < 0 or not offs[i] <= lvl < offs[i] + prev.h:
+            break
+        u += i * tower.stage(b).base_measure
+        lvl -= offs[i]
+        b -= 1
+    return b, lvl, u
+
+
+def reference_classify(tower, j, pieces, parts):
+    """lemma61_defect's per-level Fraction classification of the resolved
+    pieces: (full blocks, full defect, copy slack, partial slack)."""
+    groups = {}
+    copy_slack = Fraction(0)
+    for J, ls in pieces:
+        width = tower.stage(J).base_measure
+        for lvl in ls.levels():
+            b, l0, u = reference_descend(tower, J, lvl)
+            if b <= j:
+                copy_slack += width
+            else:
+                groups.setdefault((b, l0), []).append((u, u + width))
+    full_blocks, full_defect, partial_slack = 0, Fraction(0), Fraction(0)
+    for (b, l0), ivs in groups.items():
+        mu_b = tower.stage(b).base_measure
+        ivs.sort()
+        covered, end = Fraction(0), None
+        for lo, hi in ivs:
+            lo = lo if end is None else max(lo, end)
+            covered += max(Fraction(0), hi - lo)
+            end = hi if end is None else max(end, hi)
+        if covered == mu_b:
+            full_blocks += 1
+            full_defect += min(mu_b, 2 * mu_b / parts[b])
+        else:
+            partial_slack += covered
+    return full_blocks, full_defect, copy_slack, partial_slack
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +238,28 @@ class TestDefect:
         ) / mu
         assert enc.lo == 0
         assert enc.hi == min(Fraction(1), raw)
+
+    def test_descend_vs_reference(self, demo_tower):
+        rng = random.Random(4)
+        unit = demo_tower.stage(demo_tower.depth).base_measure
+        for J in range(1, demo_tower.depth + 1):
+            h = demo_tower.stage(J).h
+            for level in (range(h) if h < 2000 else rng.sample(range(h), 2000)):
+                b, l0, u = demo_tower.descend(J, level)
+                assert (b, l0, u * unit) == reference_descend(demo_tower, J, level)
+
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_classification_vs_reference(self, demo_tower, j):
+        parts, _ = s_schedule(demo_tower)
+        rng = random.Random(j)
+        h_j, h_next = demo_tower.stage(j).h, demo_tower.stage(j + 1).h
+        pairs = [(0, h_j), (0, h_next), (h_j, h_next)]
+        pairs += [(rng.randint(0, h_j), rng.randint(h_j, h_next)) for _ in range(12)]
+        for k, n in pairs:
+            _, info = lemma61_defect(demo_tower, j, k, n, parts=parts)
+            got = (info["full_blocks"], info["full_defect"], info["copy_slack"],
+                   info["partial_slack"])
+            assert got == reference_classify(demo_tower, j, info["pieces"], parts)
 
     def test_full_block_defect_bounded(self, demo_tower):
         parts, _ = s_schedule(demo_tower)

@@ -1,6 +1,7 @@
 import bisect
 import hashlib
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -24,7 +25,6 @@ from sidonlab.sidon import (
     SidonCheckReport,
     SidonCheckRow,
     _ceil_root,
-    _descend_level,
     _find_primitive_poly,
     _generates_units,
     _is_irreducible,
@@ -82,6 +82,20 @@ def reference_find_primitive_poly(p, d):
     raise RuntimeError("none found")
 
 
+def reference_descend_level(tower, J, level, target_stage):
+    """The stagewise walk that Tower.descend replaced in the property check:
+    trace a stage-J level down to target_stage; None if it is born later."""
+    while J > target_stage:
+        prev = tower.stage(J - 1)
+        offs = prev.offsets
+        i = bisect.bisect_right(offs, level) - 1
+        if i < 0 or not offs[i] <= level < offs[i] + prev.h:
+            return None
+        level -= offs[i]
+        J -= 1
+    return level
+
+
 def reference_property_check(tower, j, depth=1, m_stride=1):
     """sidon_property_check with one descent and one Fraction add per hit
     level, as it was before the per-range attribution."""
@@ -133,7 +147,7 @@ def reference_property_check(tower, j, depth=1, m_stride=1):
                 stJ = tower.stage(J)
                 hits = cur.clip(0, stJ.h - m).shift(m).intersect(xj_at(J))
                 for lvl in hits.levels():
-                    l1 = _descend_level(tower, J, lvl, j + 1)
+                    l1 = reference_descend_level(tower, J, lvl, j + 1)
                     tgt = bisect.bisect_right(offs, l1) - 1
                     resolved_extra.append((src, tgt, stJ.base_measure))
                     total += stJ.base_measure
@@ -365,6 +379,17 @@ class TestPropertyCheck:
     def test_stride(self, demo_tower):
         rep = sidon_property_check(demo_tower, 2, m_stride=7)
         assert len(rep.rows) == 10
+
+    def test_descend_vs_reference(self, demo_tower):
+        rng = random.Random(8)
+        for J in range(1, demo_tower.depth + 1):
+            h = demo_tower.stage(J).h
+            levels = range(h) if h < 2000 else rng.sample(range(h), 2000)
+            for target in range(1, J + 1):
+                for level in levels:
+                    stage, l1, _ = demo_tower.descend(J, level, target)
+                    want = reference_descend_level(demo_tower, J, level, target)
+                    assert (l1 if stage == target else None) == want
 
     @pytest.mark.parametrize("j, depth, stride", [(3, 2, 7), (4, 1, 97), (2, 3, 1)])
     def test_vs_reference_loop(self, demo_tower, j, depth, stride):
