@@ -37,7 +37,7 @@ from .construction import (
     Tower,
     measure_growth,
 )
-from .correlation import decay_report, pair_enclosure, triple_enclosure, mc_correlation
+from .correlation import decay_report, mc_correlation, pair_enclosure_grid, triple_enclosure
 from .homoclinic import (
     PHI_CATALOG,
     DissipativeMap,
@@ -190,14 +190,14 @@ def cmd_corr(cfg, digest, args):
     mc = parse_int(cfg.get("mc_samples", 0), "mc_samples", 0)
     if mc:
         _require_seed(args, "corr with mc_samples")
-    cache: dict = {}
+    if C is None:
+        encs = pair_enclosure_grid(A, B, ms, tower, epsilon=eps)
+    else:
+        cache: dict = {}
+        encs = (triple_enclosure(A, B, C, m, n, tower, epsilon=eps, cache=cache)
+                for m in ms)
     rows = []
-    for m in ms:
-        if C is None:
-            enc = pair_enclosure(A, B, m, tower, epsilon=eps, cache=cache)
-        else:
-            enc = triple_enclosure(A, B, C, m, n, tower,
-                                   epsilon=eps, cache=cache)
+    for m, enc in zip(ms, encs):
         row = [m, *frac_vals(enc.lo), *frac_vals(enc.hi), *frac_vals(enc.slack)]
         if mc:
             est, err = mc_correlation(A, B, m, mc, args.seed + m, tower)
@@ -228,7 +228,7 @@ def cmd_decay(cfg, digest, args):
     ms = cfg.get("m_grid")
     if not ms:
         raise ConfigError("decay config needs a nonempty 'm_grid'", "m_grid")
-    parse_int_grid(ms, "m_grid", minimum=0)
+    parse_int_grid(ms, "m_grid", minimum=1)
     eps = parse_epsilon(cfg, args)
     rows, c_max, ledger = decay_report(tower, psi, A, ms, epsilon=eps)
     write_csv(

@@ -13,7 +13,8 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import le, lt
 from typing import Iterable, Sequence
 
 
@@ -164,7 +165,15 @@ class LevelSet:
 
     @classmethod
     def from_ranges(cls, stage: int, ranges: Iterable[tuple[int, int]]) -> "LevelSet":
-        return cls(stage, _normalize_ranges(ranges))
+        return cls._normalized(stage, _normalize_ranges(ranges))
+
+    @classmethod
+    def _normalized(cls, stage: int, ranges: tuple[tuple[int, int], ...]) -> "LevelSet":
+        """A set whose ranges are known to be sorted, disjoint and nonempty,
+        so that ``is_normalized`` never rechecks them."""
+        out = cls(stage, ranges)
+        out.__dict__["is_normalized"] = True
+        return out
 
     @classmethod
     def from_levels(cls, stage: int, levels: Iterable[int]) -> "LevelSet":
@@ -174,6 +183,14 @@ class LevelSet:
     def _prefix_lengths(self) -> list[int]:
         """Level counts of the ranges before each range, and in total last."""
         return list(accumulate((b - a for a, b in self.ranges), initial=0))
+
+    @cached_property
+    def is_normalized(self) -> bool:
+        """Whether the ranges are nonempty, sorted and disjoint, as
+        ``from_ranges`` makes them; the plain constructor does not check."""
+        flat = list(chain.from_iterable(self.ranges))
+        return (all(map(lt, flat[::2], flat[1::2]))
+                and all(map(le, flat[1:-1:2], flat[2::2])))
 
     def count(self) -> int:
         return self._prefix_lengths[-1]
@@ -190,7 +207,10 @@ class LevelSet:
         return i >= 0 and self.ranges[i][0] <= level < self.ranges[i][1]
 
     def shift(self, n: int) -> "LevelSet":
-        return LevelSet(self.stage, tuple((a + n, b + n) for a, b in self.ranges))
+        out = LevelSet(self.stage, tuple((a + n, b + n) for a, b in self.ranges))
+        if "is_normalized" in self.__dict__:  # a shift keeps the order
+            out.__dict__["is_normalized"] = self.is_normalized
+        return out
 
     def clip(self, lo: int, hi: int) -> "LevelSet":
         out = []
@@ -303,9 +323,27 @@ class Tower:
 
     # -- level-set lifting ------------------------------------------------
 
+    def validate_set(self, A: LevelSet) -> None:
+        """Raise ValueError unless A is a set of this tower: its stage in
+        1..depth and its ranges sorted, disjoint and inside [0, h_stage).
+        The order is checked once per set, so the bounds are O(1)."""
+        if not 1 <= A.stage <= self.depth:
+            raise ValueError(f"level set stage {A.stage} outside 1..{self.depth}")
+        if not A.is_normalized:
+            raise ValueError(
+                "level set ranges are not sorted, disjoint and nonempty; "
+                "build the set with LevelSet.from_ranges"
+            )
+        if A.ranges and (A.ranges[0][0] < 0 or A.ranges[-1][1] > self._h[A.stage]):
+            raise ValueError(
+                f"level set ranges {A.ranges[0]}..{A.ranges[-1]} leave "
+                f"[0, {self._h[A.stage]}) of stage {A.stage}"
+            )
+
     def lift(self, A: LevelSet, J: int) -> LevelSet:
         """Re-express A at stage J >= A.stage.  One level l of stage j maps
         to {o_i + l} over the stage-j columns; measure is preserved."""
+        self.validate_set(A)
         if J < A.stage:
             raise ValueError("cannot lift to a shallower stage")
         self.stage(J)
@@ -315,12 +353,13 @@ class Tower:
             ranges = _normalize_ranges(
                 (o + a, o + b) for (a, b) in ranges for o in offs
             )
-        return LevelSet(J, ranges)
+        return LevelSet._normalized(J, ranges)
 
     def full_tower(self, j: int) -> LevelSet:
         return LevelSet(j, ((0, self.stage(j).h),))
 
     def set_measure(self, A: LevelSet) -> Fraction:
+        self.validate_set(A)
         return A.count() * self.stage(A.stage).base_measure
 
     # -- integer points ---------------------------------------------------
@@ -428,6 +467,7 @@ class Tower:
     def membership(self, p: PointState, A: LevelSet, cache: dict | None = None) -> bool:
         """Whether p lies in A.  A caller testing many points against the
         same sets passes its own ``cache`` dict, which keeps the lifts of A."""
+        self.validate_set(A)
         N, d = self._integer_offset(p.offset)
         return self.in_set(p.stage, p.level, N, d, A, {} if cache is None else cache)
 

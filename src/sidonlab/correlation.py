@@ -124,9 +124,12 @@ def pair_enclosure(
     epsilon: Fraction | None = None,
     cache: dict | None = None,
 ) -> MeasureEnclosure:
-    """Enclosure of mu(A intersect T^m B)."""
+    """Enclosure of mu(A intersect T^m B) for one shift; a grid of shifts
+    is cheaper through ``pair_enclosure_grid``."""
     if m < 0:
         raise ValueError("shift m must be >= 0")
+    tower.validate_set(A)
+    tower.validate_set(B)
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
     cache = {} if cache is None else cache
@@ -138,6 +141,167 @@ def pair_enclosure(
 
     return _escape_enclosure(tower, J, m, _lifted(tower, B, J, cache, dtype),
                              hits, epsilon)
+
+
+# -- whole-grid pair correlations -----------------------------------------
+#
+# Stopped at stage J, the escape loop of pair_enclosure has lo = w_J X_J(m)
+# and hi - lo = w_J |B_J intersect [h_J - m, h_J)|, where
+# X_J(d) = |(B_J + d) intersect A_J| for -h_J < d < h_J and 0 beyond: a hit
+# resolved at an earlier stage lifts to hits at J, and what is still in the
+# top m levels at J is exactly what the loop has not resolved.  Lifting both
+# sets one stage gives X_{J+1}(d) = sum over column pairs (i, t) of
+# X_J(d + o_i - o_t).  So one table of X serves every shift: it is counted
+# at the sets' stage, lifted densely while small, and read through that
+# recursion at the stages above.
+
+# The largest table of X (entries, 8 MiB of int64) that is kept dense.
+DENSE_MAX = 1 << 20
+# Shifts times ranges, or points read, that one vectorised step handles.
+CHUNK = 1 << 16
+
+
+def _stage_table(tower, A, B, K, d, cache, dtype):
+    """X_K(d) for each d of the int64 array d, |d| < h_K, by counting A's
+    levels under each shifted range of B; for a few scattered points."""
+    s, e = _lifted(tower, B, K, cache, dtype)
+    prefix = _prefix(tower, A, K, cache, dtype)
+    h = tower.stage(K).h
+    out = np.zeros(len(d), dtype=np.int64)
+    step = max(1, CHUNK // max(1, len(s)))
+    for i in range(0, len(d) if len(s) else 0, step):
+        dd = d[i:i + step, None]
+        lo, hi = np.clip(s + dd, 0, h), np.clip(e + dd, 0, h)
+        out[i:i + step] = (_count_below(prefix, hi) - _count_below(prefix, lo)).sum(axis=1)
+    return out
+
+
+def _dense_table(tower, A, B, K, cache, dtype):
+    """X_K(d) for every -h_K < d < h_K: for each range [s, e) of B, the
+    levels of A in [s + d, e + d) are a difference of two slices of A's
+    prefix counts, padded by h_K on both sides.  It loops over the set with
+    fewer ranges, since X for (B, A) is X for (A, B) reversed."""
+    s, e = _lifted(tower, B, K, cache, dtype)
+    a_s, a_e = _lifted(tower, A, K, cache, dtype)
+    if len(a_s) < len(s):
+        return _dense_table(tower, B, A, K, cache, dtype)[::-1]
+    h = tower.stage(K).h
+    steps = np.zeros(3 * h + 1, dtype=np.int64)
+    np.add.at(steps, a_s + h + 1, 1)
+    np.add.at(steps, a_e + h + 1, -1)
+    prefix = np.cumsum(np.cumsum(steps))  # prefix[i] = |A intersect [0, i - h)|
+    out = np.zeros(2 * h - 1, dtype=np.int64)
+    for lo, hi in zip(s.tolist(), e.tolist()):
+        out += prefix[hi + 1:hi + 2 * h]
+        out -= prefix[lo + 1:lo + 2 * h]
+    return out
+
+
+def _lift_table(tower, X, K):
+    """The dense table of X_{K+1} from that of X_K: r_K^2 slice-adds."""
+    h, h_next = tower.stage(K).h, tower.stage(K + 1).h
+    out = np.zeros(2 * h_next - 1, dtype=np.int64)
+    offs = tower.stage(K).offsets
+    for o_i in offs:
+        for o_t in offs:
+            start = h_next - h + o_t - o_i
+            out[start:start + len(X)] += X
+    return out
+
+
+def _descend(tower, d, J, K):
+    """(rows, points) with X_J(d[row]) = the sum of X_K over its points.
+    Each stage down keeps only the column pairs with |d + o_i - o_t| < h_k,
+    which are at most two per i since the offsets are h_k or more apart."""
+    rows = np.arange(len(d))
+    for k in range(J - 1, K - 1, -1):
+        h = tower.stage(k).h
+        offs = np.array(tower.stage(k).offsets, dtype=np.int64)
+        u = d[:, None] + offs
+        t = np.searchsorted(offs, u - h, side="right")[..., None] + np.arange(2)
+        v = u[..., None] - offs[np.minimum(t, len(offs) - 1)]
+        keep = (t < len(offs)) & (v > -h)
+        rows = np.broadcast_to(rows[:, None, None], v.shape)[keep]
+        d = v[keep]
+    return rows, d
+
+
+def pair_enclosure_grid(
+    A: LevelSet,
+    B: LevelSet,
+    ms,
+    tower: Tower,
+    epsilon: Fraction | None = None,
+) -> list[MeasureEnclosure]:
+    """Enclosures of mu(A intersect T^m B) for every m of ``ms``, in order,
+    each equal to ``pair_enclosure(A, B, m, ...)``, from one table of X
+    (see above)."""
+    tower.validate_set(A)
+    tower.validate_set(B)
+    ms = list(ms)
+    top = tower.stage(tower.depth).h
+    for m in ms:  # the error the per-shift loop meets first
+        if m < 0:
+            raise ValueError("shift m must be >= 0")
+        if m >= top:
+            tower.resolving_stage(tower.depth, m)
+    if not ms:
+        return []
+    if epsilon is None:
+        epsilon = default_epsilon(tower, A)
+    dtype = _dtype(tower)
+    cache: dict = {}
+    if dtype is object:
+        return [pair_enclosure(A, B, m, tower, epsilon, cache) for m in ms]
+    js = max(A.stage, B.stage)
+    shifts, where = np.unique(np.array(ms, dtype=np.int64), return_inverse=True)
+
+    # the per-shift stopping rule, one stage at a time: from the resolving
+    # stage, stop where the escape count is 0, at most epsilon / w_J, or J
+    # is the top stage
+    heights = np.array([tower.stage(j).h for j in range(js, tower.depth + 1)])
+    stop = js + np.searchsorted(heights, shifts, side="right")
+    esc = np.zeros(len(shifts), dtype=np.int64)
+    for J in range(int(stop.min()), tower.depth + 1):
+        at = np.flatnonzero(stop == J)
+        if not len(at):
+            continue
+        st = tower.stage(J)
+        prefix = _prefix(tower, B, J, cache, dtype)
+        esc[at] = prefix[2][-1] - _count_below(prefix, st.h - shifts[at])
+        most = max(min(math.floor(epsilon / st.base_measure), st.h), -1)
+        go_on = (esc[at] > 0) & (esc[at] > most) & (J < tower.depth)
+        stop[at[go_on]] = J + 1
+
+    # X at each stopping stage, read from the table of X_K: dense and lifted
+    # stage by stage while it has at most DENSE_MAX entries; counted at just
+    # the points read when the sets' own stage is already taller
+    size = lambda k: 2 * tower.stage(k).h - 1
+    X = np.zeros(len(shifts), dtype=np.int64)
+    K, table = js, None
+    if size(js) <= DENSE_MAX:
+        table = _dense_table(tower, A, B, js, cache, dtype)
+    for J in np.unique(stop).tolist():
+        while table is not None and K < J and size(K + 1) <= DENSE_MAX:
+            table = _lift_table(tower, table, K)
+            K += 1
+        at = np.flatnonzero(stop == J)
+        step = max(1, CHUNK // math.prod(2 * tower.spec.stages[i - 1].r for i in range(K, J)))
+        for i in range(0, len(at), step):
+            rows, d = _descend(tower, shifts[at[i:i + step]], J, K)
+            vals = (table[d + tower.stage(K).h - 1] if table is not None
+                    else _stage_table(tower, A, B, K, d, cache, dtype))
+            np.add.at(X, at[i:i + step][rows], vals)
+
+    made: dict = {}  # many shifts share one (stage, count, escape count)
+    encs = []
+    for key in zip(stop.tolist(), X.tolist(), esc.tolist()):
+        if key not in made:
+            J, x, e = key
+            w = tower.stage(J).base_measure
+            made[key] = MeasureEnclosure(x * w, (x + e) * w)
+        encs.append(made[key])
+    return [encs[i] for i in where.tolist()]
 
 
 def triple_enclosure(
@@ -206,7 +370,6 @@ def sidon_bound_report(
     one column of the next stage, mu(A)/r_j + mu(A)/r_{j+1}, and rows
     carry both verdicts."""
     mu_a = tower.set_measure(A)
-    cache: dict = {}
     rows = []
     for j in j_range:
         h_j = tower.stage(j).h
@@ -222,8 +385,7 @@ def sidon_bound_report(
         else:
             stride = max(1, (h_next - h_j) // max(1, m_samples_per_stage - 1))
             ms = sorted(set(range(h_j, h_next + 1, stride)) | {h_j, h_next})
-        for m in ms:
-            enc = pair_enclosure(A, B, m, tower, epsilon=epsilon, cache=cache)
+        for m, enc in zip(ms, pair_enclosure_grid(A, B, ms, tower, epsilon=epsilon)):
             rows.append(
                 {
                     "m": m,
@@ -252,12 +414,13 @@ def decay_report(
 ) -> tuple[list[dict], float, list[dict]]:
     """Per-m enclosures of mu(A intersect T^m A), the envelope psi(m)/sqrt(m)
     and the implied constant C(m) = hi * sqrt(m)/psi(m).  Also emits the
-    per-stage proof-chain check sqrt(h_j) <= psi(h_{j+1})."""
-    cache: dict = {}
+    per-stage proof-chain check sqrt(h_j) <= psi(h_{j+1}).  Shifts are >= 1."""
+    m_grid = list(m_grid)
+    if any(m < 1 for m in m_grid):
+        raise ValueError("decay shifts m must be >= 1")
     rows = []
     c_max = 0.0
-    for m in m_grid:
-        enc = pair_enclosure(A, A, m, tower, epsilon=epsilon, cache=cache)
+    for m, enc in zip(m_grid, pair_enclosure_grid(A, A, m_grid, tower, epsilon=epsilon)):
         env = psi.value(m) / math.sqrt(m)
         c_m = float(enc.hi) * math.sqrt(m) / psi.value(m)
         c_max = max(c_max, c_m)
@@ -295,9 +458,9 @@ def support_decay_report(
 ) -> list[dict]:
     """Rows of mu(A intersect T^{-n} supp S); by measure preservation this is
     mu(supp S intersect T^n A)."""
-    cache: dict = {}
+    n_grid = list(n_grid)
     rows = []
-    for n in n_grid:
-        enc = pair_enclosure(supp_s, A, n, tower, epsilon=epsilon, cache=cache)
+    for n, enc in zip(n_grid, pair_enclosure_grid(supp_s, A, n_grid, tower,
+                                                  epsilon=epsilon)):
         rows.append({"n": n, "lo": enc.lo, "hi": enc.hi, "slack": enc.slack})
     return rows

@@ -285,6 +285,7 @@ class TestErrors:
         ("decay", {"m_grid": [-2]}, "m_grid[0]"),
         ("corr", {"m": 3, "m_grid": [1]}, "m"),
         ("corr", {"m": 3, "n": 5}, "n"),
+        ("decay", {"m_grid": [0, 5]}, "m_grid[0]"),
     ])
     def test_bad_grid_or_sample_type(self, tmp_path, capsys, cmd, extra, field):
         path = self._write_config(tmp_path, cmd, extra)
@@ -359,6 +360,19 @@ class TestCorr:
         assert row[0] == "3"
         assert Fraction(int(row[1]), int(row[2])) == Fraction(1, 2)
         assert Fraction(int(row[4]), int(row[5])) == Fraction(1, 2)
+
+    def test_empty_grid_header_only(self, tmp_path):
+        cfg = tmp_path / "corr.json"
+        cfg.write_text(json.dumps({
+            "construction": RUNNING_SPEC.to_dict(),
+            "A": {"stage": 2, "ranges": [[0, 3]]},
+            "B": {"stage": 2, "ranges": [[0, 3]]},
+            "m_grid": [],
+        }))
+        out = tmp_path / "o"
+        assert run_cli(["corr", "--config", str(cfg), "--out", str(out)]) == 0
+        _, header, rows = read_report(out / "corr.csv")
+        assert header[0] == "m" and rows == []
 
 
 class TestCheckSidon:

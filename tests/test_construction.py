@@ -190,6 +190,32 @@ class TestLift:
         with pytest.raises(NeedsMoreStages):
             running_tower.lift(LevelSet.from_levels(2, [0]), 4)
 
+    @pytest.mark.parametrize("bad", [
+        LevelSet.from_ranges(2, [(5, 20)]),   # past h_2 = 7
+        LevelSet.from_ranges(2, [(-3, 1)]),
+        LevelSet.from_ranges(2, [(0, 8)]),
+        LevelSet.from_ranges(0, [(0, 1)]),
+        LevelSet.from_ranges(7, [(0, 1)]),    # past depth 6
+        LevelSet(2, ((0, 1), (10, 12), (3, 4))),  # unsorted, past h_2
+        LevelSet(2, ((0, 3), (2, 4))),        # overlapping
+        LevelSet(2, ((1, 1),)),               # an empty range
+    ], ids=["past-top", "negative", "one-past", "stage-0", "stage-past-depth",
+            "unsorted", "overlapping", "empty-range"])
+    def test_set_outside_its_stage_rejected(self, demo_tower, bad):
+        with pytest.raises(ValueError):
+            demo_tower.set_measure(bad)
+        with pytest.raises(ValueError):
+            demo_tower.lift(bad, 6)
+        with pytest.raises(ValueError):
+            demo_tower.membership(PointState(3, 0, Fraction(0)), bad)
+
+    def test_set_filling_its_stage_accepted(self, demo_tower):
+        full = LevelSet.from_ranges(2, [(0, 7)])
+        assert demo_tower.set_measure(full) == 7 * demo_tower.stage(2).base_measure
+        assert demo_tower.lift(full, 3).count() == 4 * 7
+        touching = LevelSet(2, ((0, 2), (2, 3)))  # as intersect can leave them
+        assert demo_tower.set_measure(touching) == 3 * demo_tower.stage(2).base_measure
+
 
 class TestPointDynamics:
     def test_forward_step_representation(self, running_tower):

@@ -11,11 +11,13 @@ from sidonlab import (
     Tower,
     mc_correlation,
     pair_enclosure,
+    pair_enclosure_grid,
     sidon_bound_report,
     support_decay_report,
     triple_enclosure,
 )
-from sidonlab.correlation import _dtype, decay_report, default_epsilon
+from sidonlab import correlation
+from sidonlab.correlation import DENSE_MAX, _dtype, decay_report, default_epsilon
 from sidonlab.enclosure import MeasureEnclosure
 from sidonlab.sidon import PsiSpec, build_from_psi
 
@@ -236,6 +238,120 @@ class TestAgainstReferenceLoop:
                         reference_triple(A, B, C, m, n, tower, epsilon=eps))
 
 
+class TestGridAgainstPerShift:
+    """pair_enclosure_grid must give per-shift pair_enclosure's lo and hi,
+    in grid order, and the per-shift loop's first error."""
+
+    @staticmethod
+    def edge_grid(rng, tower, count):
+        """Unsorted shifts with duplicates, 0, h_j - 1, h_j, h_j + 1 and
+        o_t - o_i -+ h_j (a column copy just clear of another) of every
+        stage, all below the top height."""
+        top = tower.stage(tower.depth).h
+        ms = [0, top - 1] + [rng.randrange(top) for _ in range(count)]
+        for j in range(1, tower.depth + 1):
+            h, offs = tower.stage(j).h, tower.stage(j).offsets
+            ms += [m for m in (h - 1, h, h + 1) if m < top]
+            ms += [m for o in offs for p in offs for m in (p - o - h, p - o + h)
+                   if 0 <= m < top]
+        ms += rng.sample(ms, len(ms) // 3)
+        rng.shuffle(ms)
+        return ms
+
+    def assert_grid(self, A, B, ms, tower, eps):
+        got = pair_enclosure_grid(A, B, ms, tower, epsilon=eps)
+        assert len(got) == len(ms)
+        cache: dict = {}
+        for m, enc in zip(ms, got):
+            assert_same(enc, pair_enclosure(A, B, m, tower, epsilon=eps, cache=cache))
+
+    # The table of X is dense and lifted while it has at most DENSE_MAX
+    # entries; a smaller ceiling makes the small random towers stop lifting
+    # part way (200) or count X at the points read from the start (0).
+    @pytest.mark.parametrize("dense_max", [DENSE_MAX, 200, 0],
+                             ids=["default", "lift-to-200", "scattered"])
+    def test_random_specs_mixed_stages(self, monkeypatch, dense_max):
+        monkeypatch.setattr(correlation, "DENSE_MAX", dense_max)
+        rng = random.Random(41)
+        for i in range(150):
+            spec = random_spec(rng)
+            tower = Tower(spec, depth=rng.randint(2, len(spec.stages) + 1))
+            A = random_level_set(rng, tower, rng.randint(1, tower.depth))
+            B = random_level_set(rng, tower, rng.randint(1, tower.depth))
+            eps = (None, Fraction(0), Fraction(1, 3))[i % 3]
+            self.assert_grid(A, B, self.edge_grid(rng, tower, 30), tower, eps)
+
+    def test_demo_tower(self, demo_tower):
+        rng = random.Random(42)
+        for i, (sa, sb) in enumerate([(2, 2), (3, 2), (2, 4), (3, 3), (5, 1)]):
+            A = random_level_set(rng, demo_tower, sa)
+            B = random_level_set(rng, demo_tower, sb)
+            eps = (None, Fraction(0), Fraction(1, 3))[i % 3]
+            ms = self.edge_grid(rng, demo_tower, 150)
+            ms += [rng.randrange(1463, 59983) for _ in range(150)]
+            self.assert_grid(A, B, ms, demo_tower, eps)
+
+    def test_sets_taller_than_the_dense_ceiling(self, demo_tower):
+        # 2 h_6 - 1 > DENSE_MAX, so X is counted at just the points read
+        assert 2 * demo_tower.stage(6).h - 1 > DENSE_MAX
+        rng = random.Random(44)
+        A = LevelSet.from_ranges(6, [(0, 5), (1000, 1100), (3_000_000, 3_059_133)])
+        for B in (random_level_set(rng, demo_tower, 2), A):
+            self.assert_grid(A, B, self.edge_grid(rng, demo_tower, 40), demo_tower, None)
+
+    def test_copies_edge_to_edge(self, monkeypatch):
+        # No spacers: at m = h_2 the image of stage-2 copy i ends where copy
+        # i + 2 begins, so a column pair has d + o_i - o_t = -h_2 exactly.
+        # A ceiling of 5 entries keeps X dense at stage 2 (2 h_2 - 1 = 5)
+        # and reads it from stage 3.
+        monkeypatch.setattr(correlation, "DENSE_MAX", 5)
+        tower = Tower(ConstructionSpec(1, (StageParams(3, (0, 0, 0)),) * 2), depth=3)
+        full = LevelSet.from_ranges(2, [(0, 3)])
+        self.assert_grid(full, full, [3], tower, None)
+
+    def test_heights_beyond_int64(self):
+        rng = random.Random(43)
+        for i in range(30):
+            tower = Tower(huge_spec(rng), depth=3)
+            assert _dtype(tower) is object
+            A, B = (random_ranges(rng, tower, rng.randint(1, 2), 3) for _ in range(2))
+            eps = (None, Fraction(0), Fraction(1, 3))[i % 3]
+            self.assert_grid(A, B, self.edge_grid(rng, tower, 5), tower, eps)
+
+    def test_empty_grid(self, demo_tower):
+        a = LevelSet.from_ranges(2, [(0, 1)])
+        assert pair_enclosure_grid(a, a, [], demo_tower) == []
+
+    def test_shift_past_top_same_error(self, demo_tower):
+        a = LevelSet.from_ranges(2, [(0, 1)])
+        top = demo_tower.stage(demo_tower.depth).h
+        ms = [5, top + 7, 80, top, top - 1]
+        with pytest.raises(NeedsMoreStages) as per_shift:
+            for m in ms:
+                pair_enclosure(a, a, m, demo_tower)
+        with pytest.raises(NeedsMoreStages) as grid:
+            pair_enclosure_grid(a, a, ms, demo_tower)
+        assert str(grid.value) == str(per_shift.value)
+        assert grid.value.required_depth == per_shift.value.required_depth
+
+    def test_negative_m_rejected(self, demo_tower):
+        a = LevelSet.from_ranges(2, [(0, 1)])
+        with pytest.raises(ValueError):
+            pair_enclosure_grid(a, a, [3, -1, 5], demo_tower)
+
+    def test_set_outside_its_stage_rejected(self, demo_tower):
+        a = LevelSet.from_ranges(2, [(0, 1)])
+        for bad in (LevelSet.from_ranges(2, [(5, 20)]), LevelSet.from_ranges(2, [(-1, 2)]),
+                    LevelSet.from_ranges(7, [(0, 1)]), LevelSet.from_ranges(0, [(0, 1)]),
+                    LevelSet(2, ((0, 1), (10, 12), (3, 4)))):
+            with pytest.raises(ValueError):
+                pair_enclosure_grid(a, bad, [3], demo_tower)
+            with pytest.raises(ValueError):
+                pair_enclosure_grid(bad, a, [3], demo_tower, epsilon=Fraction(0))
+            with pytest.raises(ValueError):
+                pair_enclosure(bad, a, 3, demo_tower, epsilon=Fraction(0))
+
+
 class TestMonteCarlo:
     def test_mc_within_4_sigma(self, demo_tower):
         rng = random.Random(77)
@@ -308,6 +424,12 @@ class TestReports:
         rows, c_max, ledger = decay_report(demo_tower, psi, a, [1, 7, 50, 77, 500])
         assert c_max == max(r["c_of_m"] for r in rows)
         assert all(float(r["hi"]) <= c_max * r["envelope"] + 1e-12 for r in rows)
+
+    def test_decay_rejects_m0(self, demo_tower):
+        psi = PsiSpec("power", alpha=Fraction(1, 4))
+        a = LevelSet.from_ranges(2, [(0, 1)])
+        with pytest.raises(ValueError):
+            decay_report(demo_tower, psi, a, [0, 5])
 
     def test_support_decay(self, demo_tower):
         a = LevelSet.from_ranges(2, [(0, 4)])
