@@ -18,12 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construction import (
-    ConstructionSpec,
-    LevelSet,
-    StageParams,
-    Tower,
-)
+from . import correlation
+from .construction import ConstructionSpec, StageParams, Tower
 
 # ---------------------------------------------------------------------------
 # B2 predicates and generators
@@ -589,90 +585,90 @@ def sidon_property_check(
     """For each checked m in (h_j, h_{j+1}]: which columns of the stage-j
     tower contain X_j intersect T^m X_j.  Strict reading: at most one
     nonempty (source, target) pair.  Relaxed reading: total intersection
-    mass bounded by one column's worth, mu(X_j)/r_j."""
+    mass bounded by one column's worth, mu(X_j)/r_j.
+
+    Every checked m is resolved at once on range arrays, one stage at a
+    time from j+1 to at most j+1+depth.  Each source column's levels below
+    h_J - m, shifted by m, are hits; what is in the top m levels escapes
+    and is lifted to the next stage, and what is left there at the last
+    stage is slack.  A resolved range is at most h_j long, and the copies
+    of X_j at stage J are h_j long, so it meets at most two of them, and
+    copy k lies in column k mod r_j.  Hits at stage j+1 are the direct
+    pairs; later ones are escape returns."""
     if m_stride < 1:
         raise ValueError("m_stride must be >= 1")
     st_j = tower.stage(j)
-    st_j1 = tower.stage(j + 1)
-    tower.stage(min(tower.depth, j + 1 + depth))
-    h_j, h_j1 = st_j.h, st_j1.h
-    offs = st_j.offsets
-    r = len(offs)
-    base1 = st_j1.base_measure
-    bound = h_j * base1
-    xj_lifts: dict[int, LevelSet] = {}
-
-    def xj_at(J):
-        if J not in xj_lifts:
-            xj_lifts[J] = tower.lift(tower.full_tower(j), J)
-        return xj_lifts[J]
-
-    report = SidonCheckReport(j=j, depth=depth, m_stride=m_stride, bound=bound)
-    import bisect as _bisect
-
-    for m in range(h_j + 1, h_j1 + 1, m_stride):
-        pairs = []
-        total = Fraction(0)
-        esc_by_src: list[tuple[int, LevelSet]] = []
-        for i in range(r):
-            lo_lvl, hi_lvl = offs[i], offs[i] + h_j
-            cut = h_j1 - m
-            res_hi = min(hi_lvl, cut)
-            if res_hi > lo_lvl:
-                a, b = lo_lvl + m, res_hi + m
-                i2 = _bisect.bisect_right(offs, b - 1) - 1
-                # shifted interval [a,b) against each candidate copy
-                for t in range(max(0, i2 - 1), min(r, i2 + 2)):
-                    ov = min(b, offs[t] + h_j) - max(a, offs[t])
-                    if ov > 0:
-                        pairs.append((i, t, ov * base1))
-                        total += ov * base1
-            if hi_lvl > max(lo_lvl, cut):
-                esc = LevelSet.from_ranges(j + 1, [(max(lo_lvl, cut), hi_lvl)])
-                esc_by_src.append((i, esc))
-        # escape returns, resolved a bounded number of stages up
-        resolved_extra = []
-        slack = Fraction(0)
-        for src, esc in esc_by_src:
-            J = j + 1
-            cur = esc
-            for _ in range(depth):
-                if J + 1 > tower.depth:
-                    break
-                cur = tower.lift(cur, J + 1)
-                J += 1
-                stJ = tower.stage(J)
-                resolved = cur.clip(0, stJ.h - m)
-                hits = resolved.shift(m).intersect(xj_at(J))
-                bm = stJ.base_measure
-                for a, b in hits.ranges:
-                    # consecutive hit levels descend to consecutive stage-(j+1)
-                    # levels until the column of X_j they land in ends
-                    while a < b:
-                        stage, l1, _ = tower.descend(J, a, j + 1)
-                        assert stage == j + 1
-                        tgt = _bisect.bisect_right(offs, l1) - 1
-                        run = min(b - a, offs[tgt] + h_j - l1)
-                        resolved_extra.extend([(src, tgt, bm)] * run)
-                        a += run
-                total += hits.count() * bm
-                cur = cur.clip(stJ.h - m, stJ.h)
-                if cur.is_empty():
-                    break
-            if not cur.is_empty():
-                slack += cur.count() * tower.stage(cur.stage).base_measure
-        nonempty = {(a, b) for a, b, _ in pairs} | {(a, b) for a, b, _ in resolved_extra}
-        strict_ok = len(nonempty) <= 1
-        relaxed_ok = total + slack <= bound
-        report.rows.append(
-            SidonCheckRow(
-                m=m,
-                pairs=pairs,
-                resolved_extra=resolved_extra,
-                slack=slack,
-                total_mass=total,
-                strict_ok=strict_ok,
-                relaxed_ok=relaxed_ok,
+    h_j1 = tower.stage(j + 1).h
+    top = min(tower.depth, j + 1 + depth)
+    r = len(st_j.offsets)
+    units = tower.units  # w_J = units[J] / units[1]
+    report = SidonCheckReport(j=j, depth=depth, m_stride=m_stride,
+                              bound=st_j.h * tower.stage(j + 1).base_measure)
+    dtype = correlation._dtype(tower)
+    cache: dict = {}
+    xj = tower.full_tower(j)
+    widest = max(len(tower.stage(J).offsets) for J in range(j, top))
+    shifts = range(st_j.h + 1, h_j1 + 1, m_stride)
+    step = max(1, correlation.CHUNK // (r * widest))
+    # the source columns [o_i, o_i + h_j) of X_j at stage j+1
+    cols_s, cols_e = correlation._lifted(tower, xj, j + 1, cache, dtype)
+    for c in range(0, len(shifts), step):
+        ms = shifts[c:c + step]
+        grid = np.array(ms, dtype=dtype)
+        # one group g = row * r + i per (shift, column), ranges sorted by
+        # group and then level
+        s, e = np.tile(cols_s, len(ms)), np.tile(cols_e, len(ms))
+        g = np.arange(len(s))
+        found = []  # per stage: (J, group, target column, run)
+        for J in range(j + 1, top + 1):
+            if J > j + 1:  # lift the escaped ranges, keeping group order
+                offs = np.array(tower.stage(J - 1).offsets, dtype=dtype)
+                s, e = np.add.outer(offs, s).ravel(), np.add.outer(offs, e).ravel()
+                g = np.tile(g, len(offs))
+                order = np.argsort(g, kind="stable")
+                s, e, g = s[order], e[order], g[order]
+            m = grid[g // r]
+            cut = tower.stage(J).h - m
+            a, b = s + m, np.minimum(e, cut) + m
+            xs, xe = correlation._lifted(tower, xj, J, cache, dtype)
+            k = np.searchsorted(xs, b)[:, None] - np.array([2, 1])
+            kk = np.maximum(k, 0)
+            run = np.minimum(b[:, None], xe[kk]) - np.maximum(a[:, None], xs[kk])
+            hit = (k >= 0) & (run > 0)
+            found.append((np.full(hit.sum(), J), g[np.nonzero(hit)[0]], k[hit] % r,
+                          run[hit]))
+            s = np.maximum(s, cut)
+            keep = e > s
+            s, e, g = s[keep], e[keep], g[keep]
+            if not len(s):
+                break
+        slack = np.zeros(len(ms), dtype=dtype)  # left at the last stage, J
+        np.add.at(slack, g // r, (e - s) * units[J])
+        pairs, extra = [[] for _ in ms], [[] for _ in ms]
+        seen, mass = [set() for _ in ms], [0] * len(ms)
+        # the hits by group, each group's in (stage, level) order
+        Js, gs, ts, runs = (np.concatenate(x) for x in zip(*found))
+        order = np.argsort(gs, kind="stable")
+        for J, gi, t, n in zip(*(x[order].tolist() for x in (Js, gs, ts, runs))):
+            row, src = divmod(gi, r)
+            w = tower.stage(J).base_measure
+            if J == j + 1:
+                pairs[row].append((src, t, n * w))
+            else:
+                extra[row] += [(src, t, w)] * n
+            seen[row].add((src, t))
+            mass[row] += n * units[J]
+        for row, m in enumerate(ms):
+            left = int(slack[row])
+            report.rows.append(
+                SidonCheckRow(
+                    m=m,
+                    pairs=pairs[row],
+                    resolved_extra=extra[row],
+                    slack=Fraction(left, units[1]),
+                    total_mass=Fraction(mass[row], units[1]),
+                    strict_ok=len(seen[row]) <= 1,
+                    relaxed_ok=mass[row] + left <= st_j.h * units[j + 1],
+                )
             )
-        )
     return report

@@ -1,16 +1,21 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import sidonlab
 from sidonlab.cli import main
+from sidonlab.sidon import sidon_property_check
 from tests.conftest import RUNNING_SPEC
 
 GENERATOR = {"type": "optimal-sidon", "psi": {"kind": "power", "alpha": [1, 4]},
@@ -393,6 +398,59 @@ class TestCheckSidon:
                           "verdictRelaxed", "slack_num", "slack_den"]
         assert len(rows) == 10
         assert rows[0][0] == "8"  # m sweeps (h_2, h_3] with stride 7
+
+    # one row; escapes lifted to the top stage; every escape left as slack
+    @pytest.mark.parametrize("stage, escape_depth, m_stride",
+                             [(2, 1, 2**63), (3, 10**30, 7), (1, 0, 1)])
+    def test_edge_configs(self, demo_config, demo_tower, tmp_path,
+                          stage, escape_depth, m_stride):
+        cfg = tmp_path / "cs.json"
+        cfg.write_text(json.dumps({**json.loads(demo_config.read_text()), "stage": stage,
+                                   "escape_depth": escape_depth, "m_stride": m_stride}))
+        out = tmp_path / "o"
+        assert run_cli(["check-sidon", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, rows = read_report(out / "check_sidon.csv")
+        want = sidon_property_check(demo_tower, stage, escape_depth, m_stride).rows
+        assert [int(r[0]) for r in rows] == [r.m for r in want]
+
+    # A config of integer fields (stage 6 has no stage 7 to check against)
+    # with up to two fields replaced by any JSON value, or an unknown key
+    # added: the run exits 0, 2 or 3, and a failure prints one JSON
+    # diagnostic.  Draws are kept to at most 10^4 rows, and to
+    # m_stride >= 500 from stage 4 on: stride 1 at stage 4 would list about
+    # 5 * 10^7 escape-return levels.
+    BASE = st.fixed_dictionaries(
+        {"stage": st.integers(1, 6)},
+        optional={"escape_depth": st.integers(0, 3),
+                  "m_stride": st.sampled_from([1, 7, 500, 997, 2**63])})
+    VALUE = st.one_of(st.integers(-1, 6), st.sampled_from([2**63, 10**30]), st.booleans(),
+                      st.floats(), st.text(max_size=3), st.none())
+    CHANGES = st.dictionaries(
+        st.sampled_from(["stage", "escape_depth", "m_stride", "epsilon", "stages"]),
+        VALUE, max_size=2)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(fields=st.builds(lambda a, b: {**a, **b}, BASE, CHANGES))
+    def test_fuzz_exit_contract(self, demo_config, demo_tower, fields):
+        is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
+        j, stride = fields.get("stage"), fields.get("m_stride", 1)
+        if is_int(j) and is_int(stride) and 1 <= j < demo_tower.depth and stride >= 1:
+            rows = (demo_tower.stage(j + 1).h - demo_tower.stage(j).h) // stride
+            assume(rows <= 10**4 and (j < 4 or stride >= 500))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cs.json"
+            cfg.write_text(json.dumps({**json.loads(demo_config.read_text()), **fields}))
+            out = Path(tmp) / "o"
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli(["check-sidon", "--config", str(cfg), "--out", str(out)])
+            assert (out / "check_sidon.csv").exists() == (code == 0)
+        assert code in (0, 2, 3)
+        if code:
+            (line,) = err.getvalue().splitlines()
+            assert json.loads(line)["code"] == code
+        else:
+            assert err.getvalue() == ""
 
 
 class TestDecay:

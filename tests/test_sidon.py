@@ -11,6 +11,7 @@ from sidonlab import (
     ConstructionSpec,
     PsiSpec,
     SidonSet,
+    StageParams,
     Tower,
     build_from_psi,
     build_stages,
@@ -20,7 +21,9 @@ from sidonlab import (
     sidon_property_check,
     singer_set,
 )
+from sidonlab import correlation
 from sidonlab.construction import LevelSet
+from sidonlab.correlation import _dtype
 from sidonlab.sidon import (
     SidonCheckReport,
     SidonCheckRow,
@@ -398,3 +401,46 @@ class TestPropertyCheck:
         assert new == ref
         # the cases attribute escape returns to columns
         assert any(row.resolved_extra for row in new.rows)
+
+    def test_random_specs_vs_reference(self):
+        # spacers of 0 put copies of X_j edge to edge, so the reference's
+        # lifted X_j merges ranges that the range arrays keep apart
+        rng = random.Random(5)
+        for _ in range(40):
+            h1 = rng.randint(1, 3)
+            stages = []
+            for _ in range(rng.randint(2, 3)):
+                r = rng.randint(2, 4)
+                stages.append(StageParams(r, tuple(rng.randint(0, 5) for _ in range(r))))
+            tower = Tower(ConstructionSpec(h1, tuple(stages)), len(stages) + 1)
+            for j in range(1, tower.depth):
+                depth, stride = rng.choice([0, 1, 2, 5]), rng.choice([1, 1, 2, 3])
+                new = sidon_property_check(tower, j, depth=depth, m_stride=stride)
+                assert new == reference_property_check(tower, j, depth=depth,
+                                                       m_stride=stride)
+
+    def test_object_dtype_vs_reference(self):
+        # the last spacer passes 2^63, so the ranges are exact Python ints
+        spec = ConstructionSpec(3, (StageParams(3, (0, 5, 1)),
+                                    StageParams(2, (7, 2**63 + 12345))))
+        tower = Tower(spec, depth=3)
+        assert _dtype(tower) is object
+        new = sidon_property_check(tower, 1)
+        assert new == reference_property_check(tower, 1)
+        assert any(row.resolved_extra for row in new.rows)
+        new = sidon_property_check(tower, 2, m_stride=2**60 + 1)
+        assert new == reference_property_check(tower, 2, m_stride=2**60 + 1)
+        assert len(new.rows) > 1
+
+    @pytest.mark.parametrize("chunk", [1, 400])  # rows per chunk: 1 and 10
+    def test_chunked_grid(self, demo_tower, monkeypatch, chunk):
+        whole = sidon_property_check(demo_tower, 3, depth=2, m_stride=7)
+        monkeypatch.setattr(correlation, "CHUNK", chunk)
+        assert sidon_property_check(demo_tower, 3, depth=2, m_stride=7) == whole
+        assert whole == reference_property_check(demo_tower, 3, depth=2, m_stride=7)
+
+    # one row; escapes lifted to the top stage; every escape left as slack
+    @pytest.mark.parametrize("j, depth, stride", [(2, 1, 2**63), (3, 10**30, 7), (1, 0, 1)])
+    def test_edge_configs_vs_reference(self, demo_tower, j, depth, stride):
+        new = sidon_property_check(demo_tower, j, depth=depth, m_stride=stride)
+        assert new == reference_property_check(demo_tower, j, depth=depth, m_stride=stride)
