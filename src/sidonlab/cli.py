@@ -93,7 +93,7 @@ def _out(args, name: str) -> Path:
 
 
 def cmd_build(cfg, digest, args):
-    check_keys(cfg, set())
+    check_keys(cfg, set(), args)
     tower, ledger, _ = _tower(cfg, args)
     rows = []
     for j in range(1, tower.depth + 1):
@@ -135,7 +135,7 @@ def cmd_build(cfg, digest, args):
 
 
 def cmd_check_sidon(cfg, digest, args):
-    check_keys(cfg, {"stage", "escape_depth", "m_stride"})
+    check_keys(cfg, {"stage", "escape_depth", "m_stride"}, args)
     tower, _, _ = _tower(cfg, args)
     j = parse_int(cfg.get("stage"), "stage", 1)
     report = sidon_property_check(
@@ -168,7 +168,7 @@ def cmd_check_sidon(cfg, digest, args):
 
 
 def cmd_corr(cfg, digest, args):
-    check_keys(cfg, {"A", "B", "C", "m", "m_grid", "n", "mc_samples", "epsilon"})
+    check_keys(cfg, {"A", "B", "C", "m", "m_grid", "n", "mc_samples", "epsilon"}, args)
     tower, _, _ = _tower(cfg, args)
     A = parse_level_set(cfg["A"], "A", tower) if "A" in cfg else None
     B = parse_level_set(cfg["B"], "B", tower) if "B" in cfg else None
@@ -211,7 +211,7 @@ def cmd_corr(cfg, digest, args):
 
 
 def cmd_decay(cfg, digest, args):
-    check_keys(cfg, {"psi", "A", "m_grid", "epsilon"})
+    check_keys(cfg, {"psi", "A", "m_grid", "epsilon"}, args)
     tower, gen_ledger, gen_psi = _tower(cfg, args)
     warning = ""
     if "psi" in cfg:
@@ -257,7 +257,7 @@ def cmd_poisson(cfg, digest, args):
     if mode not in ("mixing", "triple"):
         raise ConfigError(f"unknown poisson mode {mode!r}", "mode")
     grid_key = "n_grid" if mode == "mixing" else "mn_grid"
-    check_keys(cfg, {"mode", "events", grid_key, "mc_samples", "epsilon"})
+    check_keys(cfg, {"mode", "events", grid_key, "mc_samples", "epsilon"}, args)
     tower, _, _ = _tower(cfg, args)
     eps = parse_epsilon(cfg, args)
     mc = parse_int(cfg.get("mc_samples", 0), "mc_samples", 0)
@@ -296,7 +296,7 @@ def cmd_homoclinic(cfg, digest, args):
                  "wandering": {"zmax"}, "retention": set()}
     if not (isinstance(mode, str) and mode in mode_keys):
         raise ConfigError(f"unknown homoclinic mode {mode!r}", "mode")
-    check_keys(cfg, {"mode", *mode_keys[mode]})
+    check_keys(cfg, {"mode", *mode_keys[mode]}, args)
     tower, _, _ = _tower(cfg, args)
     if mode == "sweep":
         jr = cfg.get("j_range")
@@ -355,7 +355,7 @@ def cmd_homoclinic(cfg, digest, args):
 
 
 def cmd_flow(cfg, digest, args):
-    check_keys(cfg, {"phi", "rect", "t", "samples", "n_grid"})
+    check_keys(cfg, {"phi", "rect", "t", "samples", "n_grid"}, args)
     tower, _, _ = _tower(cfg, args)
     seed = _require_seed(args, "flow")
     phi = cfg.get("phi", "reciprocal")

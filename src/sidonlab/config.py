@@ -37,10 +37,15 @@ def _require_keys(d: dict, required: set[str], optional: set[str], where: str):
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}", where)
 
 
-def check_keys(cfg: dict, keys: set[str]):
+def check_keys(cfg: dict, keys: set[str], args):
     """Closed top-level schema: besides "construction", cfg may hold only
-    the keys a subcommand (in its mode) reads."""
+    the keys a subcommand (in its mode) reads, and the --epsilon-* flags
+    are taken only where "epsilon" is one of them."""
     _require_keys(cfg, set(), {"construction", *keys}, "config")
+    given = [f"--{f.replace('_', '-')}" for f in ("epsilon_num", "epsilon_den")
+             if getattr(args, f, None) is not None]
+    if given and "epsilon" not in keys:
+        raise ConfigError(f"{' and '.join(given)}: this run reads no epsilon", "epsilon")
 
 
 def load_config(path: str) -> tuple[dict, str]:
@@ -58,7 +63,10 @@ def load_config(path: str) -> tuple[dict, str]:
 
 def parse_psi(d: dict) -> PsiSpec:
     _require_keys(d, {"kind"}, {"alpha", "table"}, "psi")
-    return PsiSpec.from_dict(d)
+    try:
+        return PsiSpec.from_dict(d)
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as e:
+        raise ConfigError(f"invalid psi: {e!r}", "psi") from e
 
 
 def parse_construction(d: dict):
@@ -161,11 +169,13 @@ def parse_event(d: dict, where: str, tower: Tower) -> CountEvent:
 
 
 def parse_epsilon(cfg: dict, args=None) -> Fraction | None:
-    den = getattr(args, "epsilon_den", None)
+    num, den = getattr(args, "epsilon_num", None), getattr(args, "epsilon_den", None)
     if den is not None and den < 1:
         raise ConfigError(f"--epsilon-den must be >= 1, got {den}", "epsilon")
-    if getattr(args, "epsilon_num", None) is not None:
-        return Fraction(args.epsilon_num, den or 1)
+    if den is not None and num is None:
+        raise ConfigError("--epsilon-den needs --epsilon-num", "epsilon")
+    if num is not None:
+        return Fraction(num, den or 1)
     if "epsilon" in cfg:
         e = cfg["epsilon"]
         _require_keys(e, {"num", "den"}, set(), "epsilon")

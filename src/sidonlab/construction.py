@@ -17,6 +17,10 @@ from itertools import accumulate, chain
 from operator import le, lt
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from .enclosure import MeasureEnclosure
+
 
 class SpecValidationError(ValueError):
     """Construction parameters are malformed; the message names the stage."""
@@ -176,6 +180,15 @@ class LevelSet:
         return out
 
     @classmethod
+    def from_arrays(cls, stage: int, starts, ends) -> "LevelSet":
+        """The set of the sorted disjoint ranges [starts[i], ends[i]) of two
+        arrays, with ranges that touch merged."""
+        gap = starts[1:] != ends[:-1]
+        if not gap.all():
+            starts, ends = starts[np.r_[True, gap]], ends[np.r_[gap, True]]
+        return cls._normalized(stage, tuple(zip(starts.tolist(), ends.tolist())))
+
+    @classmethod
     def from_levels(cls, stage: int, levels: Iterable[int]) -> "LevelSet":
         return cls.from_ranges(stage, ((l, l + 1) for l in levels))
 
@@ -277,12 +290,16 @@ GRID = 1024
 
 
 class Tower:
-    """A construction built to a fixed depth.  Immutable after build; use
-    ``deepen`` to get a new tower with more stages.
+    """A construction built to a fixed depth, immutable after build.
 
     Pointwise work runs on integers: a point is (stage, level, N) with its
     offset N/d in units of mu(E_depth), for a denominator d the caller
-    keeps.  ``PointState`` and its ``Fraction`` offset are the API edge."""
+    keeps.  ``PointState`` and its ``Fraction`` offset are the API edge.
+
+    Set work runs on range arrays: a level set at stage J is a pair of
+    arrays (starts, ends) of sorted disjoint half-open ranges, of the
+    tower's ``dtype``.  That is int64 while every value stays below
+    2 * h_depth < 2^63, and exact Python ints (object, same code) beyond."""
 
     def __init__(self, spec: ConstructionSpec, depth: int):
         self.spec = spec
@@ -295,6 +312,8 @@ class Tower:
         self._offsets = [()] + [st.offsets for st in self.stages]
         R = self.stages[-1].base_measure.denominator
         self.units = [0] + [R // st.base_measure.denominator for st in self.stages]
+        self.dtype = np.int64 if 2 * self._h[-1] < 2**63 else object
+        self._offset_arrays = [np.array(o, dtype=self.dtype) for o in self._offsets]
 
     def stage(self, j: int) -> TowerStage:
         if not 1 <= j <= self.depth:
@@ -302,14 +321,6 @@ class Tower:
                 f"stage {j} not built (depth {self.depth})", required_depth=j
             )
         return self.stages[j - 1]
-
-    def deepen(self, depth: int) -> "Tower":
-        if depth <= self.depth:
-            return self
-        return Tower(self.spec, depth)
-
-    def max_depth(self) -> int:
-        return len(self.spec.stages) + 1
 
     def resolving_stage(self, jmin: int, shift: int) -> int:
         """The first stage J >= jmin taller than ``shift``."""
@@ -340,6 +351,28 @@ class Tower:
                 f"[0, {self._h[A.stage]}) of stage {A.stage}"
             )
 
+    def lift_ranges(self, starts, ends, j: int):
+        """Range arrays of stage j lifted to stage j + 1: copy i of [s, e) is
+        [o_i + s, o_i + e), copies in column order.  The copies are disjoint
+        and ordered, so sorted disjoint input stays sorted and disjoint;
+        copies that touch (a zero spacer) are not merged."""
+        return tuple(np.add.outer(self._offset_arrays[j], x).ravel() for x in (starts, ends))
+
+    def range_arrays(self, A: LevelSet, J: int, cache: dict | None = None):
+        """(starts, ends) of A lifted to stage J >= A.stage; ``cache`` keeps
+        them per stage."""
+        key = ("ranges", A, J)
+        got = None if cache is None else cache.get(key)
+        if got is None:
+            if J == A.stage:
+                r = np.array(A.ranges, dtype=self.dtype).reshape(-1, 2)
+                got = r[:, 0].copy(), r[:, 1].copy()
+            else:
+                got = self.lift_ranges(*self.range_arrays(A, J - 1, cache), J - 1)
+            if cache is not None:
+                cache[key] = got
+        return got
+
     def lift(self, A: LevelSet, J: int) -> LevelSet:
         """Re-express A at stage J >= A.stage.  One level l of stage j maps
         to {o_i + l} over the stage-j columns; measure is preserved."""
@@ -347,13 +380,31 @@ class Tower:
         if J < A.stage:
             raise ValueError("cannot lift to a shallower stage")
         self.stage(J)
-        ranges = A.ranges
-        for j in range(A.stage, J):
-            offs = self.stage(j).offsets
-            ranges = _normalize_ranges(
-                (o + a, o + b) for (a, b) in ranges for o in offs
-            )
-        return LevelSet._normalized(J, ranges)
+        return LevelSet.from_arrays(J, *self.range_arrays(A, J))
+
+    def escape_enclosure(self, J: int, t: int, ranges, hits, epsilon) -> MeasureEnclosure:
+        """Resolve the source range arrays ``ranges`` (at stage J) below
+        h_J - t, count their hits, lift the escaped top to J + 1 and repeat
+        until the escaped mass is zero, at most ``epsilon`` or the tower's
+        top is reached.  ``hits(J, s, e)`` counts the hits of the resolved
+        ranges [s, e); the enclosure is [hit mass, hit + escaped mass]."""
+        s, e = ranges
+        lo = Fraction(0)
+        while True:
+            w = self.stages[J - 1].base_measure
+            cut = self._h[J] - t
+            rs, re = np.minimum(s, cut), np.minimum(e, cut)
+            keep = re > rs
+            if keep.any():
+                lo += hits(J, rs[keep], re[keep]) * w
+            s = np.maximum(s, cut)
+            keep = e > s
+            s, e = s[keep], e[keep]
+            esc_mass = int((e - s).sum()) * w
+            if esc_mass == 0 or esc_mass <= epsilon or J == self.depth:
+                return MeasureEnclosure(lo, lo + esc_mass)
+            s, e = self.lift_ranges(s, e, J)
+            J += 1
 
     def full_tower(self, j: int) -> LevelSet:
         return LevelSet(j, ((0, self.stage(j).h),))

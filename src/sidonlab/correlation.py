@@ -25,42 +25,19 @@ def default_epsilon(tower: Tower, A: LevelSet) -> Fraction:
 
 # -- array-backed escape engine -------------------------------------------
 #
-# A level set at stage J is a pair of arrays (starts, ends) of half-open
-# ranges.  Lifting one stage is one outer sum with the column offsets: the
-# column copies are disjoint and ordered, so sorted disjoint input stays
-# sorted and disjoint, and nothing needs merging because only counts are
-# read.  Ranges are int64 while every value stays below 2 * h_depth < 2^63,
-# and exact Python ints (dtype=object, same code) beyond.
+# Sets are read as the tower's range arrays (see Tower.range_arrays), lifted
+# one stage at a time by one outer sum with the column offsets.  Nothing
+# needs merging because only counts are read.
 
 
-def _dtype(tower: Tower):
-    return np.int64 if 2 * tower.stage(tower.depth).h < 2**63 else object
-
-
-def _lifted(tower: Tower, X: LevelSet, J: int, cache: dict, dtype):
-    """(starts, ends) of X lifted to stage J >= X.stage, cached per stage."""
-    key = ("ranges", X, J, dtype)
-    got = cache.get(key)
-    if got is None:
-        if J == X.stage:
-            r = np.array(X.ranges, dtype=dtype).reshape(-1, 2)
-            got = (r[:, 0].copy(), r[:, 1].copy())
-        else:
-            s, e = _lifted(tower, X, J - 1, cache, dtype)
-            offs = np.array(tower.stage(J - 1).offsets, dtype=dtype)
-            got = (np.add.outer(offs, s).ravel(), np.add.outer(offs, e).ravel())
-        cache[key] = got
-    return got
-
-
-def _prefix(tower: Tower, X: LevelSet, J: int, cache: dict, dtype):
+def _prefix(tower: Tower, X: LevelSet, J: int, cache: dict):
     """Prefix-count tables of X at stage J: its starts, and its ends and
     cumulative lengths each with a leading 0."""
-    key = ("prefix", X, J, dtype)
+    key = ("prefix", X, J)
     got = cache.get(key)
     if got is None:
-        s, e = _lifted(tower, X, J, cache, dtype)
-        zero = np.zeros(1, dtype=dtype)
+        s, e = tower.range_arrays(X, J, cache)
+        zero = np.zeros(1, dtype=tower.dtype)
         got = cache[key] = (s, np.concatenate((zero, e)),
                             np.concatenate((zero, np.cumsum(e - s))))
     return got
@@ -91,31 +68,6 @@ def _intersection(s1, e1, s2, e2):
     return pos[:-1][both], pos[1:][both]
 
 
-def _escape_enclosure(tower, J, t, esc, hits, epsilon) -> MeasureEnclosure:
-    """Resolve the source ranges ``esc`` (at stage J) below h_J - t, count
-    their hits, lift the escaped top to J + 1 and repeat until the escaped
-    mass is zero, at most ``epsilon`` or the tower's top is reached.
-    ``hits(J, s, e)`` counts the hits of the resolved ranges [s, e)."""
-    s, e = esc
-    lo = Fraction(0)
-    while True:
-        st = tower.stage(J)
-        cut = st.h - t
-        rs, re = np.minimum(s, cut), np.minimum(e, cut)
-        keep = re > rs
-        if keep.any():
-            lo += hits(J, rs[keep], re[keep]) * st.base_measure
-        s = np.maximum(s, cut)
-        keep = e > s
-        s, e = s[keep], e[keep]
-        esc_mass = int((e - s).sum()) * st.base_measure
-        if esc_mass == 0 or esc_mass <= epsilon or J == tower.depth:
-            return MeasureEnclosure(lo, lo + esc_mass)
-        offs = np.array(st.offsets, dtype=s.dtype)
-        s, e = np.add.outer(offs, s).ravel(), np.add.outer(offs, e).ravel()
-        J += 1
-
-
 def pair_enclosure(
     A: LevelSet,
     B: LevelSet,
@@ -133,14 +85,12 @@ def pair_enclosure(
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
     cache = {} if cache is None else cache
-    dtype = _dtype(tower)
     J = tower.resolving_stage(max(A.stage, B.stage), m)
 
     def hits(J, s, e):
-        return _count_in(_prefix(tower, A, J, cache, dtype), s + m, e + m)
+        return _count_in(_prefix(tower, A, J, cache), s + m, e + m)
 
-    return _escape_enclosure(tower, J, m, _lifted(tower, B, J, cache, dtype),
-                             hits, epsilon)
+    return tower.escape_enclosure(J, m, tower.range_arrays(B, J, cache), hits, epsilon)
 
 
 # -- whole-grid pair correlations -----------------------------------------
@@ -161,11 +111,11 @@ DENSE_MAX = 1 << 20
 CHUNK = 1 << 16
 
 
-def _stage_table(tower, A, B, K, d, cache, dtype):
+def _stage_table(tower, A, B, K, d, cache):
     """X_K(d) for each d of the int64 array d, |d| < h_K, by counting A's
     levels under each shifted range of B; for a few scattered points."""
-    s, e = _lifted(tower, B, K, cache, dtype)
-    prefix = _prefix(tower, A, K, cache, dtype)
+    s, e = tower.range_arrays(B, K, cache)
+    prefix = _prefix(tower, A, K, cache)
     h = tower.stage(K).h
     out = np.zeros(len(d), dtype=np.int64)
     step = max(1, CHUNK // max(1, len(s)))
@@ -176,15 +126,15 @@ def _stage_table(tower, A, B, K, d, cache, dtype):
     return out
 
 
-def _dense_table(tower, A, B, K, cache, dtype):
+def _dense_table(tower, A, B, K, cache):
     """X_K(d) for every -h_K < d < h_K: for each range [s, e) of B, the
     levels of A in [s + d, e + d) are a difference of two slices of A's
     prefix counts, padded by h_K on both sides.  It loops over the set with
     fewer ranges, since X for (B, A) is X for (A, B) reversed."""
-    s, e = _lifted(tower, B, K, cache, dtype)
-    a_s, a_e = _lifted(tower, A, K, cache, dtype)
+    s, e = tower.range_arrays(B, K, cache)
+    a_s, a_e = tower.range_arrays(A, K, cache)
     if len(a_s) < len(s):
-        return _dense_table(tower, B, A, K, cache, dtype)[::-1]
+        return _dense_table(tower, B, A, K, cache)[::-1]
     h = tower.stage(K).h
     steps = np.zeros(3 * h + 1, dtype=np.int64)
     np.add.at(steps, a_s + h + 1, 1)
@@ -249,9 +199,8 @@ def pair_enclosure_grid(
         return []
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
-    dtype = _dtype(tower)
     cache: dict = {}
-    if dtype is object:
+    if tower.dtype is object:
         return [pair_enclosure(A, B, m, tower, epsilon, cache) for m in ms]
     js = max(A.stage, B.stage)
     shifts, where = np.unique(np.array(ms, dtype=np.int64), return_inverse=True)
@@ -267,7 +216,7 @@ def pair_enclosure_grid(
         if not len(at):
             continue
         st = tower.stage(J)
-        prefix = _prefix(tower, B, J, cache, dtype)
+        prefix = _prefix(tower, B, J, cache)
         esc[at] = prefix[2][-1] - _count_below(prefix, st.h - shifts[at])
         most = max(min(math.floor(epsilon / st.base_measure), st.h), -1)
         go_on = (esc[at] > 0) & (esc[at] > most) & (J < tower.depth)
@@ -280,7 +229,7 @@ def pair_enclosure_grid(
     X = np.zeros(len(shifts), dtype=np.int64)
     K, table = js, None
     if size(js) <= DENSE_MAX:
-        table = _dense_table(tower, A, B, js, cache, dtype)
+        table = _dense_table(tower, A, B, js, cache)
     for J in np.unique(stop).tolist():
         while table is not None and K < J and size(K + 1) <= DENSE_MAX:
             table = _lift_table(tower, table, K)
@@ -290,7 +239,7 @@ def pair_enclosure_grid(
         for i in range(0, len(at), step):
             rows, d = _descend(tower, shifts[at[i:i + step]], J, K)
             vals = (table[d + tower.stage(K).h - 1] if table is not None
-                    else _stage_table(tower, A, B, K, d, cache, dtype))
+                    else _stage_table(tower, A, B, K, d, cache))
             np.add.at(X, at[i:i + step][rows], vals)
 
     made: dict = {}  # many shifts share one (stage, count, escape count)
@@ -320,17 +269,15 @@ def triple_enclosure(
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
     cache = {} if cache is None else cache
-    dtype = _dtype(tower)
     t = m + n
     J = tower.resolving_stage(max(A.stage, B.stage, C.stage), t)
 
     def hits(J, s, e):
-        bs, be = _lifted(tower, B, J, cache, dtype)
+        bs, be = tower.range_arrays(B, J, cache)
         s1, e1 = _intersection(s + n, e + n, bs, be)
-        return _count_in(_prefix(tower, A, J, cache, dtype), s1 + m, e1 + m)
+        return _count_in(_prefix(tower, A, J, cache), s1 + m, e1 + m)
 
-    return _escape_enclosure(tower, J, t, _lifted(tower, C, J, cache, dtype),
-                             hits, epsilon)
+    return tower.escape_enclosure(J, t, tower.range_arrays(C, J, cache), hits, epsilon)
 
 
 def mc_correlation(

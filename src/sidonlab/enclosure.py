@@ -18,29 +18,9 @@ class MeasureEnclosure:
         if self.lo < 0 or self.lo > self.hi:
             raise ValueError(f"bad enclosure [{self.lo}, {self.hi}]")
 
-    @classmethod
-    def exact(cls, v: Fraction) -> "MeasureEnclosure":
-        v = Fraction(v)
-        return cls(v, v)
-
     @property
     def slack(self) -> Fraction:
         return self.hi - self.lo
 
     def is_exact(self) -> bool:
         return self.lo == self.hi
-
-    def contains(self, v) -> bool:
-        return self.lo <= v <= self.hi
-
-    def __add__(self, other: "MeasureEnclosure") -> "MeasureEnclosure":
-        return MeasureEnclosure(self.lo + other.lo, self.hi + other.hi)
-
-    def scaled(self, c: Fraction) -> "MeasureEnclosure":
-        c = Fraction(c)
-        if c < 0:
-            raise ValueError("negative scaling of a measure enclosure")
-        return MeasureEnclosure(self.lo * c, self.hi * c)
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2

@@ -407,20 +407,14 @@ def lemma61_defect(
         parts, _ = s_schedule(tower)
     E = LevelSet.from_ranges(j, [(0, 1)])
     J = tower.resolving_stage(j, t)
-    esc = tower.lift(E, J)
     resolved = []  # (stage, image LevelSet)
-    residual = Fraction(0)
-    while True:
-        st = tower.stage(J)
-        inside = esc.clip(0, st.h - t)
-        if not inside.is_empty():
-            resolved.append((J, inside.shift(t)))
-        out = esc.clip(st.h - t, st.h)
-        residual = out.count() * st.base_measure
-        if residual == 0 or residual <= epsilon or J == tower.depth:
-            break
-        esc = tower.lift(out, J + 1)
-        J += 1
+
+    def record(J, s, e):  # keeps the pieces and counts no hits
+        resolved.append((J, LevelSet.from_arrays(J, s + t, e + t)))
+        return 0
+
+    # with no hits counted the enclosure is [0, escaped mass]
+    residual = tower.escape_enclosure(J, t, tower.range_arrays(E, J), record, epsilon).hi
     # classify the resolved levels by birth block, widths in units of
     # mu(E_depth): a level that descends to stage j lies in a copy of X_j.
     # The pieces are disjoint (T^t of disjoint parts of E_j), so the levels

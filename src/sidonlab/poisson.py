@@ -50,12 +50,6 @@ class ProbEnclosure:
     hi: float
     clamped: bool = False  # negative atom mass was clamped during propagation
 
-    def contains(self, v: float) -> bool:
-        return self.lo - 1e-15 <= v <= self.hi + 1e-15
-
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def poisson_pmf(mean: float, k: int) -> float:
     if mean == 0.0:
@@ -280,16 +274,20 @@ def shifted_level_set(A: LevelSet, n: int, tower: Tower) -> LevelSet:
     stage deep enough that no level escapes the top."""
     if n < 0:
         raise ValueError("only forward shifts are represented exactly")
-    for J in range(A.stage, tower.depth + 1):
-        lifted = tower.lift(A, J)
-        if lifted.ranges and lifted.ranges[-1][1] + n <= tower.stage(J).h:
-            return lifted.shift(n)
-        if not lifted.ranges:
-            return lifted
-    raise NeedsMoreStages(
-        f"cannot represent shift {n} of a stage-{A.stage} set at depth {tower.depth}",
-        required_depth=tower.depth + 1,
-    )
+    tower.validate_set(A)
+    if A.is_empty():
+        return tower.lift(A, A.stage)
+    # A's top at stage J + 1 is its top at J plus the last column offset
+    J, top = A.stage, A.ranges[-1][1]
+    while top + n > tower.stage(J).h:
+        if J == tower.depth:
+            raise NeedsMoreStages(
+                f"cannot represent shift {n} of a stage-{A.stage} set at depth {tower.depth}",
+                required_depth=tower.depth + 1,
+            )
+        top += tower.stage(J).offsets[-1]
+        J += 1
+    return tower.lift(A, J).shift(n)
 
 
 def mc_joint(events: list[CountEvent], samples: int, seed: int, tower: Tower):

@@ -604,17 +604,16 @@ def sidon_property_check(
     units = tower.units  # w_J = units[J] / units[1]
     report = SidonCheckReport(j=j, depth=depth, m_stride=m_stride,
                               bound=st_j.h * tower.stage(j + 1).base_measure)
-    dtype = correlation._dtype(tower)
     cache: dict = {}
     xj = tower.full_tower(j)
     widest = max(len(tower.stage(J).offsets) for J in range(j, top))
     shifts = range(st_j.h + 1, h_j1 + 1, m_stride)
     step = max(1, correlation.CHUNK // (r * widest))
     # the source columns [o_i, o_i + h_j) of X_j at stage j+1
-    cols_s, cols_e = correlation._lifted(tower, xj, j + 1, cache, dtype)
+    cols_s, cols_e = tower.range_arrays(xj, j + 1, cache)
     for c in range(0, len(shifts), step):
         ms = shifts[c:c + step]
-        grid = np.array(ms, dtype=dtype)
+        grid = np.array(ms, dtype=tower.dtype)
         # one group g = row * r + i per (shift, column), ranges sorted by
         # group and then level
         s, e = np.tile(cols_s, len(ms)), np.tile(cols_e, len(ms))
@@ -622,15 +621,14 @@ def sidon_property_check(
         found = []  # per stage: (J, group, target column, run)
         for J in range(j + 1, top + 1):
             if J > j + 1:  # lift the escaped ranges, keeping group order
-                offs = np.array(tower.stage(J - 1).offsets, dtype=dtype)
-                s, e = np.add.outer(offs, s).ravel(), np.add.outer(offs, e).ravel()
-                g = np.tile(g, len(offs))
+                s, e = tower.lift_ranges(s, e, J - 1)
+                g = np.tile(g, len(tower.stage(J - 1).offsets))
                 order = np.argsort(g, kind="stable")
                 s, e, g = s[order], e[order], g[order]
             m = grid[g // r]
             cut = tower.stage(J).h - m
             a, b = s + m, np.minimum(e, cut) + m
-            xs, xe = correlation._lifted(tower, xj, J, cache, dtype)
+            xs, xe = tower.range_arrays(xj, J, cache)
             k = np.searchsorted(xs, b)[:, None] - np.array([2, 1])
             kk = np.maximum(k, 0)
             run = np.minimum(b[:, None], xe[kk]) - np.maximum(a[:, None], xs[kk])
@@ -642,7 +640,7 @@ def sidon_property_check(
             s, e, g = s[keep], e[keep], g[keep]
             if not len(s):
                 break
-        slack = np.zeros(len(ms), dtype=dtype)  # left at the last stage, J
+        slack = np.zeros(len(ms), dtype=tower.dtype)  # left at the last stage, J
         np.add.at(slack, g // r, (e - s) * units[J])
         pairs, extra = [[] for _ in ms], [[] for _ in ms]
         seen, mass = [set() for _ in ms], [0] * len(ms)

@@ -38,6 +38,48 @@ def read_report(path):
     return comments, rows[0], rows[1:]
 
 
+def assert_exit_contract(cmd: str, cfg: dict, report: str, *flags: str):
+    """Run one config: it exits 0, 2 or 3 and writes its report only on
+    exit 0; a failure prints one JSON diagnostic with its exit code, and a
+    success prints nothing on stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = Path(tmp) / "o"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli([cmd, "--config", str(path), "--out", str(out), *flags])
+        assert (out / report).exists() == (code == 0)
+    assert code in (0, 2, 3)
+    if code:
+        (line,) = err.getvalue().splitlines()
+        assert json.loads(line)["code"] == code
+    else:
+        assert err.getvalue() == ""
+
+
+# Field values for the exit-contract fuzz.  A field that sets the cost of a
+# run (sample counts, grid lengths, zmax) is drawn from small values or
+# wrong types only, so that no draw runs long.
+WRONG = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none())
+ANY = st.one_of(st.integers(-1, 40), st.sampled_from([2**63, 10**30]), WRONG)
+SMALL = st.one_of(st.integers(-1, 20), WRONG)
+GRID = st.one_of(WRONG, st.lists(ANY, max_size=3))
+EPSILON = st.builds(lambda a, b: {"num": a, "den": b}, st.integers(0, 3), st.integers(1, 3))
+# sets of the running tower (heights 1, 3, 30)
+LEVEL_SET = st.sampled_from([{"stage": 1, "ranges": [[0, 1]]},
+                             {"stage": 2, "ranges": [[0, 1], [2, 3]]},
+                             {"stage": 3, "ranges": [[0, 6], [12, 15], [29, 30]]}])
+
+
+def replaced(values: dict):
+    """Up to two fields of a config replaced, each by a draw from its
+    strategy in ``values``."""
+    field = st.sampled_from(sorted(values))
+    return st.lists(field.flatmap(lambda k: st.tuples(st.just(k), values[k])),
+                    max_size=2).map(dict)
+
+
 @pytest.fixture()
 def running_config(tmp_path):
     p = tmp_path / "running.json"
@@ -149,20 +191,51 @@ class TestErrors:
         assert err["code"] == 2 and "height 3" in err["message"]
         assert not out.exists()
 
+    # (subcommand, config keys) of the runs a flag case can name first;
+    # a case that names none runs corr
+    FLAG_RUNS = {
+        "corr": ("corr", {"A": {"stage": 2, "ranges": [[0, 3]]},
+                          "B": {"stage": 2, "ranges": [[0, 3]]}, "m": 3}),
+        "build": ("build", {}),
+        "check-sidon": ("check-sidon", {"stage": 1}),
+        "flow": ("flow", {"samples": 10}),
+        "wandering": ("homoclinic", {"mode": "wandering", "zmax": 2}),
+        "retention": ("homoclinic", {"mode": "retention"}),
+    }
+
     @pytest.mark.parametrize("flag", [["--epsilon-num", "1", "--epsilon-den", "0"],
-                                      ["--depth", "0"]])
+                                      ["--depth", "0"],
+                                      ["--epsilon-den", "7"],
+                                      ["build", "--epsilon-num", "1"],
+                                      ["check-sidon", "--epsilon-num", "1"],
+                                      ["flow", "--seed", "0", "--epsilon-den", "2"],
+                                      ["wandering", "--epsilon-num", "1"],
+                                      ["retention", "--epsilon-num", "0",
+                                       "--epsilon-den", "3"]])
     def test_bad_flag(self, tmp_path, capsys, flag):
-        cfg = tmp_path / "corr.json"
-        cfg.write_text(json.dumps({
-            "construction": RUNNING_SPEC.to_dict(),
-            "A": {"stage": 2, "ranges": [[0, 3]]},
-            "B": {"stage": 2, "ranges": [[0, 3]]},
-            "m": 3,
-        }))
-        assert run_cli(["corr", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                        *flag]) == 2
+        name, flags = (flag[0], flag[1:]) if flag[0] in self.FLAG_RUNS else ("corr", flag)
+        cmd, keys = self.FLAG_RUNS[name]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": RUNNING_SPEC.to_dict(), **keys}))
+        out = tmp_path / "o"
+        assert run_cli([cmd, "--config", str(cfg), "--out", str(out), *flags]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["code"] == 2 and flag[-2] in err["message"]
+        assert err["context"]["field"] == flag[-2][2:].split("-")[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("psi", [{"kind": "power", "alpha": [1, 0]},
+                                     {"kind": "power", "alpha": [1, 2, 3]},
+                                     {"kind": "power", "alpha": [1, 2]},
+                                     {"kind": "power"}, {"kind": "table"},
+                                     {"kind": "bogus"}])
+    def test_bad_psi(self, tmp_path, capsys, psi):
+        cfg = tmp_path / "decay.json"
+        cfg.write_text(json.dumps({"construction": RUNNING_SPEC.to_dict(), "psi": psi,
+                                   "m_grid": [1]}))
+        assert run_cli(["decay", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["context"]["field"] == "psi"
 
     def test_config_epsilon_den_zero(self, tmp_path, capsys):
         cfg = tmp_path / "corr.json"
@@ -379,6 +452,25 @@ class TestCorr:
         _, header, rows = read_report(out / "corr.csv")
         assert header[0] == "m" and rows == []
 
+    # Pair and triple configs on the running tower with up to two fields
+    # replaced or an unknown key added: the exit contract holds.
+    BASE = st.tuples(
+        st.fixed_dictionaries({"A": LEVEL_SET, "B": LEVEL_SET},
+                              optional={"mc_samples": st.integers(0, 20), "epsilon": EPSILON}),
+        st.one_of(st.fixed_dictionaries({"m": st.integers(0, 35)}),
+                  st.fixed_dictionaries({"m_grid": st.lists(st.integers(0, 35), max_size=5)})),
+        st.one_of(st.just({}),
+                  st.fixed_dictionaries({"C": LEVEL_SET}, optional={"n": st.integers(0, 10)})),
+    ).map(lambda parts: {k: v for part in parts for k, v in part.items()})
+    CHANGES = replaced({"A": ANY, "B": ANY, "C": ANY, "m": ANY, "m_grid": GRID, "n": ANY,
+                        "mc_samples": SMALL, "epsilon": ANY, "bogus": ANY})
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(fields=st.builds(lambda a, b: {**a, **b}, BASE, CHANGES))
+    def test_fuzz_exit_contract(self, fields):
+        assert_exit_contract("corr", {"construction": RUNNING_SPEC.to_dict(), **fields},
+                             "corr.csv", "--seed", "0")
+
 
 class TestCheckSidon:
     def test_stage_required(self, running_config, tmp_path, capsys):
@@ -437,20 +529,8 @@ class TestCheckSidon:
         if is_int(j) and is_int(stride) and 1 <= j < demo_tower.depth and stride >= 1:
             rows = (demo_tower.stage(j + 1).h - demo_tower.stage(j).h) // stride
             assume(rows <= 10**4 and (j < 4 or stride >= 500))
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = Path(tmp) / "cs.json"
-            cfg.write_text(json.dumps({**json.loads(demo_config.read_text()), **fields}))
-            out = Path(tmp) / "o"
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = run_cli(["check-sidon", "--config", str(cfg), "--out", str(out)])
-            assert (out / "check_sidon.csv").exists() == (code == 0)
-        assert code in (0, 2, 3)
-        if code:
-            (line,) = err.getvalue().splitlines()
-            assert json.loads(line)["code"] == code
-        else:
-            assert err.getvalue() == ""
+        assert_exit_contract("check-sidon", {**json.loads(demo_config.read_text()), **fields},
+                             "check_sidon.csv")
 
 
 class TestDecay:
@@ -468,6 +548,43 @@ class TestDecay:
         _, header, rows = read_report(out / "decay.csv")
         assert header[-1] == "warning"
         assert all(r[-1] for r in rows)
+
+    # Decay configs on the running tower with up to two fields replaced or
+    # an unknown key added; a replaced psi may be one PsiSpec refuses.
+    BAD_PSI = st.sampled_from([{"kind": "power", "alpha": [1, 0]}, {"kind": "power"},
+                               {"kind": "power", "alpha": "x"}, {"kind": "table"}])
+    BASE = st.fixed_dictionaries(
+        {"psi": st.sampled_from([{"kind": "power", "alpha": [1, 4]}, {"kind": "log"}]),
+         "m_grid": st.lists(st.integers(1, 35), min_size=1, max_size=5)},
+        optional={"A": LEVEL_SET, "epsilon": EPSILON})
+    CHANGES = replaced({"psi": st.one_of(ANY, BAD_PSI), "A": ANY, "m_grid": GRID,
+                        "epsilon": ANY, "bogus": ANY})
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(fields=st.builds(lambda a, b: {**a, **b}, BASE, CHANGES))
+    def test_fuzz_exit_contract(self, fields):
+        assert_exit_contract("decay", {"construction": RUNNING_SPEC.to_dict(), **fields},
+                             "decay.csv")
+
+
+class TestHomoclinic:
+    # A config of each mode on the running tower with up to two fields
+    # replaced or an unknown key added.
+    BASE = st.one_of(
+        st.fixed_dictionaries(
+            {"mode": st.just("sweep"), "j_range": st.sampled_from([[1, 1], [1, 2], [2, 2]])},
+            optional={"samples_per_stage": st.integers(0, 4), "epsilon": EPSILON}),
+        st.fixed_dictionaries({"mode": st.just("wandering")},
+                              optional={"zmax": st.integers(0, 5)}),
+        st.fixed_dictionaries({"mode": st.just("retention")}))
+    CHANGES = replaced({"mode": ANY, "j_range": GRID, "samples_per_stage": SMALL,
+                        "zmax": SMALL, "epsilon": ANY, "bogus": ANY})
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(fields=st.builds(lambda a, b: {**a, **b}, BASE, CHANGES))
+    def test_fuzz_exit_contract(self, fields):
+        assert_exit_contract("homoclinic", {"construction": RUNNING_SPEC.to_dict(), **fields},
+                             "homoclinic.csv", "--seed", "0")
 
 
 class TestDeterminism:

@@ -171,6 +171,71 @@ class TestLevelSet:
         assert a.shift(3).clip(0, 5).ranges == ((3, 5),)
 
 
+def reference_lift(tower, A, J):
+    """The Python lift that Tower.lift replaced: at each stage every range
+    is copied once per column offset, then sorted and merged."""
+    ranges = A.ranges
+    for j in range(A.stage, J):
+        offs = tower.stage(j).offsets
+        ranges = LevelSet.from_ranges(
+            j + 1, ((o + a, o + b) for (a, b) in ranges for o in offs)).ranges
+    return LevelSet(J, ranges)
+
+
+def random_spec(rng):
+    """Two to four stages of two to four columns; about half the spacers
+    are zero, so column copies touch and must merge."""
+    stages = []
+    for _ in range(rng.randint(2, 4)):
+        r = rng.randint(2, 4)
+        stages.append(StageParams(r, tuple(rng.choice((0, 0, 1, 3)) for _ in range(r))))
+    return ConstructionSpec(rng.randint(1, 5), tuple(stages))
+
+
+def random_set(rng, tower, stage):
+    """Up to three ranges of the stage, often none."""
+    h = tower.stage(stage).h
+    cuts = sorted({rng.randrange(h + 1) for _ in range(2 * rng.randint(0, 3))})
+    return LevelSet.from_ranges(stage, zip(cuts[0::2], cuts[1::2]))
+
+
+def assert_lifts_as_reference(rng, tower):
+    for stage in range(1, tower.depth + 1):
+        A = random_set(rng, tower, stage)
+        for J in range(stage, tower.depth + 1):
+            assert tower.lift(A, J) == reference_lift(tower, A, J)
+
+
+class TestLiftAgainstReference:
+    def test_random_specs(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            spec = random_spec(rng)
+            assert_lifts_as_reference(rng, Tower(spec, len(spec.stages) + 1))
+
+    def test_touching_copies_merge(self):
+        # h = 2, 6, 13: stage 1 has no spacers, stage 2 none after column 0
+        tower = Tower(ConstructionSpec(2, (StageParams(3, (0, 0, 0)),
+                                           StageParams(2, (0, 1)))), 3)
+        assert tower.lift(LevelSet.from_ranges(1, [(0, 2)]), 3).ranges == ((0, 12),)
+        assert tower.lift(LevelSet.from_levels(2, [0, 5]), 3).ranges == (
+            (0, 1), (5, 7), (11, 12))
+
+    def test_empty_set(self, demo_tower):
+        for stage in range(1, demo_tower.depth + 1):
+            empty = LevelSet.from_ranges(stage, [])
+            assert demo_tower.lift(empty, demo_tower.depth) == LevelSet(demo_tower.depth, ())
+
+    def test_beyond_int64(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            spec = random_spec(rng)
+            spec = ConstructionSpec(spec.h1, spec.stages + (StageParams(2, (0, 2**63)),))
+            tower = Tower(spec, len(spec.stages) + 1)
+            assert tower.dtype is object
+            assert_lifts_as_reference(rng, tower)
+
+
 class TestLift:
     def test_single_level(self, running_tower):
         base = LevelSet.from_levels(2, [0])

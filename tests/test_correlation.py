@@ -17,7 +17,7 @@ from sidonlab import (
     triple_enclosure,
 )
 from sidonlab import correlation
-from sidonlab.correlation import DENSE_MAX, _dtype, decay_report, default_epsilon
+from sidonlab.correlation import DENSE_MAX, decay_report, default_epsilon
 from sidonlab.enclosure import MeasureEnclosure
 from sidonlab.sidon import PsiSpec, build_from_psi
 
@@ -227,7 +227,7 @@ class TestAgainstReferenceLoop:
         rng = random.Random(7)
         for _ in range(100):
             tower = Tower(huge_spec(rng), depth=3)
-            assert _dtype(tower) is object
+            assert tower.dtype is object
             A, B, C = (random_ranges(rng, tower, rng.randint(1, 2), 3) for _ in range(3))
             h = tower.stage(3).h
             m, n = rng.randrange(h // 2), rng.randrange(h // 2)
@@ -313,7 +313,7 @@ class TestGridAgainstPerShift:
         rng = random.Random(43)
         for i in range(30):
             tower = Tower(huge_spec(rng), depth=3)
-            assert _dtype(tower) is object
+            assert tower.dtype is object
             A, B = (random_ranges(rng, tower, rng.randint(1, 2), 3) for _ in range(2))
             eps = (None, Fraction(0), Fraction(1, 3))[i % 3]
             self.assert_grid(A, B, self.edge_grid(rng, tower, 5), tower, eps)

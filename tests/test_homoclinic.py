@@ -101,6 +101,29 @@ def reference_classify(tower, j, pieces, parts):
     return full_blocks, full_defect, copy_slack, partial_slack
 
 
+def reference_pieces(tower, j, k, n, epsilon=None):
+    """The LevelSet escape loop that lemma61_defect replaced: the resolved
+    pieces (stage, T^{n+k} of the part of E_j resolved there) and the
+    escaped residual mass."""
+    t = n + k
+    if epsilon is None:
+        epsilon = tower.stage(j).base_measure / 1000
+    J = tower.resolving_stage(j, t)
+    esc = tower.lift(LevelSet.from_ranges(j, [(0, 1)]), J)
+    resolved = []
+    while True:
+        st = tower.stage(J)
+        inside = esc.clip(0, st.h - t)
+        if not inside.is_empty():
+            resolved.append((J, inside.shift(t)))
+        out = esc.clip(st.h - t, st.h)
+        residual = out.count() * st.base_measure
+        if residual == 0 or residual <= epsilon or J == tower.depth:
+            return resolved, residual
+        esc = tower.lift(out, J + 1)
+        J += 1
+
+
 @pytest.fixture(scope="module")
 def dmap(demo_tower):
     return DissipativeMap(demo_tower)
@@ -261,6 +284,19 @@ class TestDefect:
                    info["partial_slack"])
             assert got == reference_classify(demo_tower, j, info["pieces"], parts)
 
+    @pytest.mark.parametrize("epsilon", [None, Fraction(0), Fraction(1, 3)])
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_pieces_vs_reference(self, demo_tower, j, epsilon):
+        parts, _ = s_schedule(demo_tower)
+        rng = random.Random(j)  # the pairs of test_classification_vs_reference
+        h_j, h_next = demo_tower.stage(j).h, demo_tower.stage(j + 1).h
+        pairs = [(0, h_j), (0, h_next), (h_j, h_next)]
+        pairs += [(rng.randint(0, h_j), rng.randint(h_j, h_next)) for _ in range(12)]
+        for k, n in pairs:
+            _, info = lemma61_defect(demo_tower, j, k, n, epsilon=epsilon, parts=parts)
+            want = reference_pieces(demo_tower, j, k, n, epsilon)
+            assert (info["pieces"], info["residual"]) == want
+
     def test_full_block_defect_bounded(self, demo_tower):
         parts, _ = s_schedule(demo_tower)
         _, info = lemma61_defect(demo_tower, 2, 3, 40, parts=parts)
@@ -322,6 +358,21 @@ class TestFlow:
         h4 = demo_tower.stage(4).h
         d1, e1 = flow_defect(demo_tower, params, h4, 8000, 11)
         assert d1 <= d0 + 2 * (e0 + e1)
+
+
+    # On the unit square with t = 1 a point escapes exactly when its x lies
+    # above 1 - phi(y + s), s = n mu(E_depth): the escape probability is
+    # p = int_0^1 phi(y + s) dy and the defect sqrt(2p).
+    CLOSED_FORM = {"reciprocal": lambda s: math.log((2 + s) / (1 + s)),
+                   "exp": lambda s: math.exp(-s) * (1 - math.exp(-1))}
+
+    @pytest.mark.parametrize("phi", sorted(CLOSED_FORM))
+    def test_closed_form_on_stage_heights(self, demo_tower, phi):
+        # criterion 10's grid n = 0, h_2, h_3, h_4, and h_5
+        w = demo_tower.stage(demo_tower.depth).base_measure
+        for n in (0, *(demo_tower.stage(j).h for j in (2, 3, 4, 5))):
+            d, e = flow_defect(demo_tower, FlowParams(phi, 1.0), n, 20_000, 3)
+            assert abs(d - math.sqrt(2 * self.CLOSED_FORM[phi](float(n * w)))) <= 4 * e
 
 
 class TestFlowAgainstReference:

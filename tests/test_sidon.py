@@ -23,7 +23,6 @@ from sidonlab import (
 )
 from sidonlab import correlation
 from sidonlab.construction import LevelSet
-from sidonlab.correlation import _dtype
 from sidonlab.sidon import (
     SidonCheckReport,
     SidonCheckRow,
@@ -424,7 +423,7 @@ class TestPropertyCheck:
         spec = ConstructionSpec(3, (StageParams(3, (0, 5, 1)),
                                     StageParams(2, (7, 2**63 + 12345))))
         tower = Tower(spec, depth=3)
-        assert _dtype(tower) is object
+        assert tower.dtype is object
         new = sidon_property_check(tower, 1)
         assert new == reference_property_check(tower, 1)
         assert any(row.resolved_extra for row in new.rows)
