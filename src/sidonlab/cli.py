@@ -8,6 +8,7 @@ harness.  Errors are reported as one JSON object on stderr:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -193,9 +194,7 @@ def cmd_corr(cfg, digest, args):
     if C is None:
         encs = pair_enclosure_grid(A, B, ms, tower, epsilon=eps)
     else:
-        cache: dict = {}
-        encs = (triple_enclosure(A, B, C, m, n, tower, epsilon=eps, cache=cache)
-                for m in ms)
+        encs = (triple_enclosure(A, B, C, m, n, tower, epsilon=eps) for m in ms)
     rows = []
     for m, enc in zip(ms, encs):
         row = [m, *frac_vals(enc.lo), *frac_vals(enc.hi), *frac_vals(enc.slack)]
@@ -394,6 +393,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built on the first call, once per process
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sidonlab",

@@ -10,6 +10,7 @@ offset coordinate, which makes the transformation pointwise deterministic.
 from __future__ import annotations
 
 import bisect
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -169,15 +170,7 @@ class LevelSet:
 
     @classmethod
     def from_ranges(cls, stage: int, ranges: Iterable[tuple[int, int]]) -> "LevelSet":
-        return cls._normalized(stage, _normalize_ranges(ranges))
-
-    @classmethod
-    def _normalized(cls, stage: int, ranges: tuple[tuple[int, int], ...]) -> "LevelSet":
-        """A set whose ranges are known to be sorted, disjoint and nonempty,
-        so that ``is_normalized`` never rechecks them."""
-        out = cls(stage, ranges)
-        out.__dict__["is_normalized"] = True
-        return out
+        return cls(stage, _normalize_ranges(ranges))
 
     @classmethod
     def from_arrays(cls, stage: int, starts, ends) -> "LevelSet":
@@ -186,7 +179,7 @@ class LevelSet:
         gap = starts[1:] != ends[:-1]
         if not gap.all():
             starts, ends = starts[np.r_[True, gap]], ends[np.r_[gap, True]]
-        return cls._normalized(stage, tuple(zip(starts.tolist(), ends.tolist())))
+        return cls(stage, tuple(zip(starts.tolist(), ends.tolist())))
 
     @classmethod
     def from_levels(cls, stage: int, levels: Iterable[int]) -> "LevelSet":
@@ -197,7 +190,7 @@ class LevelSet:
         """Level counts of the ranges before each range, and in total last."""
         return list(accumulate((b - a for a, b in self.ranges), initial=0))
 
-    @cached_property
+    @property
     def is_normalized(self) -> bool:
         """Whether the ranges are nonempty, sorted and disjoint, as
         ``from_ranges`` makes them; the plain constructor does not check."""
@@ -220,10 +213,7 @@ class LevelSet:
         return i >= 0 and self.ranges[i][0] <= level < self.ranges[i][1]
 
     def shift(self, n: int) -> "LevelSet":
-        out = LevelSet(self.stage, tuple((a + n, b + n) for a, b in self.ranges))
-        if "is_normalized" in self.__dict__:  # a shift keeps the order
-            out.__dict__["is_normalized"] = self.is_normalized
-        return out
+        return LevelSet(self.stage, tuple((a + n, b + n) for a, b in self.ranges))
 
     def clip(self, lo: int, hi: int) -> "LevelSet":
         out = []
@@ -299,7 +289,11 @@ class Tower:
     Set work runs on range arrays: a level set at stage J is a pair of
     arrays (starts, ends) of sorted disjoint half-open ranges, of the
     tower's ``dtype``.  That is int64 while every value stays below
-    2 * h_depth < 2^63, and exact Python ints (object, same code) beyond."""
+    2 * h_depth < 2^63, and exact Python ints (object, same code) beyond.
+
+    The tower owns everything derived from a set: one memo per set (equal
+    sets share it) keeps its range arrays, prefix-count tables and merged
+    lifts per stage, and lives no longer than the set."""
 
     def __init__(self, spec: ConstructionSpec, depth: int):
         self.spec = spec
@@ -314,6 +308,7 @@ class Tower:
         self.units = [0] + [R // st.base_measure.denominator for st in self.stages]
         self.dtype = np.int64 if 2 * self._h[-1] < 2**63 else object
         self._offset_arrays = [np.array(o, dtype=self.dtype) for o in self._offsets]
+        self._memo: weakref.WeakKeyDictionary[LevelSet, dict] = weakref.WeakKeyDictionary()
 
     def stage(self, j: int) -> TowerStage:
         if not 1 <= j <= self.depth:
@@ -334,10 +329,18 @@ class Tower:
 
     # -- level-set lifting ------------------------------------------------
 
-    def validate_set(self, A: LevelSet) -> None:
+    def validate_set(self, A: LevelSet) -> dict:
         """Raise ValueError unless A is a set of this tower: its stage in
         1..depth and its ranges sorted, disjoint and inside [0, h_stage).
-        The order is checked once per set, so the bounds are O(1)."""
+        Returns A's memo, a dict keyed by (kind, stage); A is checked the
+        first time the memo sees it."""
+        try:
+            memo = self._memo.get(A)
+        except TypeError:  # unhashable, as with a list of ranges
+            raise ValueError("level set ranges must be a tuple of (start, end) "
+                             "tuples; build the set with LevelSet.from_ranges") from None
+        if memo is not None:
+            return memo
         if not 1 <= A.stage <= self.depth:
             raise ValueError(f"level set stage {A.stage} outside 1..{self.depth}")
         if not A.is_normalized:
@@ -350,6 +353,8 @@ class Tower:
                 f"level set ranges {A.ranges[0]}..{A.ranges[-1]} leave "
                 f"[0, {self._h[A.stage]}) of stage {A.stage}"
             )
+        memo = self._memo[A] = {}
+        return memo
 
     def lift_ranges(self, starts, ends, j: int):
         """Range arrays of stage j lifted to stage j + 1: copy i of [s, e) is
@@ -358,28 +363,41 @@ class Tower:
         copies that touch (a zero spacer) are not merged."""
         return tuple(np.add.outer(self._offset_arrays[j], x).ravel() for x in (starts, ends))
 
-    def range_arrays(self, A: LevelSet, J: int, cache: dict | None = None):
-        """(starts, ends) of A lifted to stage J >= A.stage; ``cache`` keeps
-        them per stage."""
-        key = ("ranges", A, J)
-        got = None if cache is None else cache.get(key)
+    def range_arrays(self, A: LevelSet, J: int):
+        """(starts, ends) of A lifted to stage J >= A.stage."""
+        memo = self.validate_set(A)
+        got = memo.get(("ranges", J))
         if got is None:
+            if J < A.stage:
+                raise ValueError("cannot lift to a shallower stage")
+            self.stage(J)  # NeedsMoreStages past the top
             if J == A.stage:
                 r = np.array(A.ranges, dtype=self.dtype).reshape(-1, 2)
                 got = r[:, 0].copy(), r[:, 1].copy()
             else:
-                got = self.lift_ranges(*self.range_arrays(A, J - 1, cache), J - 1)
-            if cache is not None:
-                cache[key] = got
+                got = self.lift_ranges(*self.range_arrays(A, J - 1), J - 1)
+            for x in got:  # shared by every caller while A lives
+                x.flags.writeable = False
+            memo["ranges", J] = got
+        return got
+
+    def prefix_counts(self, A: LevelSet, J: int):
+        """Prefix-count tables of A at stage J: its starts, and its ends and
+        cumulative lengths each with a leading 0."""
+        memo = self.validate_set(A)
+        got = memo.get(("prefix", J))
+        if got is None:
+            s, e = self.range_arrays(A, J)
+            zero = np.zeros(1, dtype=self.dtype)
+            got = memo["prefix", J] = (s, np.concatenate((zero, e)),
+                                       np.concatenate((zero, np.cumsum(e - s))))
+            for x in got:
+                x.flags.writeable = False
         return got
 
     def lift(self, A: LevelSet, J: int) -> LevelSet:
         """Re-express A at stage J >= A.stage.  One level l of stage j maps
         to {o_i + l} over the stage-j columns; measure is preserved."""
-        self.validate_set(A)
-        if J < A.stage:
-            raise ValueError("cannot lift to a shallower stage")
-        self.stage(J)
         return LevelSet.from_arrays(J, *self.range_arrays(A, J))
 
     def escape_enclosure(self, J: int, t: int, ranges, hits, epsilon) -> MeasureEnclosure:
@@ -461,15 +479,14 @@ class Tower:
             required_depth=self.depth + 1,
         )
 
-    def in_set(self, J: int, level: int, N: int, d: int, A: LevelSet, cache: dict) -> bool:
-        """Whether the point (J, level, N/d) lies in A; ``cache`` keeps the
-        lifts of A per stage."""
+    def in_set(self, J: int, level: int, N: int, d: int, A: LevelSet) -> bool:
+        """Whether the point (J, level, N/d) lies in A."""
+        memo = self.validate_set(A)
         if J < A.stage:
             return A.contains(self.ascend(J, level, N, d, A.stage)[0])
-        key = ("lift", A, J)
-        lifted = cache.get(key)
+        lifted = memo.get(("lift", J))
         if lifted is None:
-            lifted = cache[key] = self.lift(A, J)
+            lifted = memo["lift", J] = self.lift(A, J)
         return lifted.contains(level)
 
     def draw(self, A: LevelSet, rng, cells: int | None = None) -> tuple[int, int]:
@@ -515,12 +532,10 @@ class Tower:
         b, level, u = self.descend(J, level)
         return PointState(b, level, Fraction(N + u * d, d * self.units[1]))
 
-    def membership(self, p: PointState, A: LevelSet, cache: dict | None = None) -> bool:
-        """Whether p lies in A.  A caller testing many points against the
-        same sets passes its own ``cache`` dict, which keeps the lifts of A."""
-        self.validate_set(A)
+    def membership(self, p: PointState, A: LevelSet) -> bool:
+        """Whether p lies in A."""
         N, d = self._integer_offset(p.offset)
-        return self.in_set(p.stage, p.level, N, d, A, {} if cache is None else cache)
+        return self.in_set(p.stage, p.level, N, d, A)
 
     # -- sampling ---------------------------------------------------------
 
@@ -529,6 +544,7 @@ class Tower:
         rational grid; the default grid mu(E_depth)/2^10 subdivides every
         column path of every built stage, so deep membership frequencies
         are unbiased."""
+        self.validate_set(A)
         base = self.stage(A.stage).base_measure
         if resolution is None:
             level, N = self.draw(A, rng)

@@ -25,22 +25,10 @@ def default_epsilon(tower: Tower, A: LevelSet) -> Fraction:
 
 # -- array-backed escape engine -------------------------------------------
 #
-# Sets are read as the tower's range arrays (see Tower.range_arrays), lifted
-# one stage at a time by one outer sum with the column offsets.  Nothing
-# needs merging because only counts are read.
-
-
-def _prefix(tower: Tower, X: LevelSet, J: int, cache: dict):
-    """Prefix-count tables of X at stage J: its starts, and its ends and
-    cumulative lengths each with a leading 0."""
-    key = ("prefix", X, J)
-    got = cache.get(key)
-    if got is None:
-        s, e = tower.range_arrays(X, J, cache)
-        zero = np.zeros(1, dtype=tower.dtype)
-        got = cache[key] = (s, np.concatenate((zero, e)),
-                            np.concatenate((zero, np.cumsum(e - s))))
-    return got
+# Sets are read as the tower's range arrays and prefix-count tables (see
+# Tower.range_arrays and Tower.prefix_counts), lifted one stage at a time by
+# one outer sum with the column offsets.  Nothing needs merging because only
+# counts are read.
 
 
 def _count_below(prefix, x):
@@ -74,7 +62,6 @@ def pair_enclosure(
     m: int,
     tower: Tower,
     epsilon: Fraction | None = None,
-    cache: dict | None = None,
 ) -> MeasureEnclosure:
     """Enclosure of mu(A intersect T^m B) for one shift; a grid of shifts
     is cheaper through ``pair_enclosure_grid``."""
@@ -84,13 +71,12 @@ def pair_enclosure(
     tower.validate_set(B)
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
-    cache = {} if cache is None else cache
     J = tower.resolving_stage(max(A.stage, B.stage), m)
 
     def hits(J, s, e):
-        return _count_in(_prefix(tower, A, J, cache), s + m, e + m)
+        return _count_in(tower.prefix_counts(A, J), s + m, e + m)
 
-    return tower.escape_enclosure(J, m, tower.range_arrays(B, J, cache), hits, epsilon)
+    return tower.escape_enclosure(J, m, tower.range_arrays(B, J), hits, epsilon)
 
 
 # -- whole-grid pair correlations -----------------------------------------
@@ -111,11 +97,11 @@ DENSE_MAX = 1 << 20
 CHUNK = 1 << 16
 
 
-def _stage_table(tower, A, B, K, d, cache):
+def _stage_table(tower, A, B, K, d):
     """X_K(d) for each d of the int64 array d, |d| < h_K, by counting A's
     levels under each shifted range of B; for a few scattered points."""
-    s, e = tower.range_arrays(B, K, cache)
-    prefix = _prefix(tower, A, K, cache)
+    s, e = tower.range_arrays(B, K)
+    prefix = tower.prefix_counts(A, K)
     h = tower.stage(K).h
     out = np.zeros(len(d), dtype=np.int64)
     step = max(1, CHUNK // max(1, len(s)))
@@ -126,15 +112,15 @@ def _stage_table(tower, A, B, K, d, cache):
     return out
 
 
-def _dense_table(tower, A, B, K, cache):
+def _dense_table(tower, A, B, K):
     """X_K(d) for every -h_K < d < h_K: for each range [s, e) of B, the
     levels of A in [s + d, e + d) are a difference of two slices of A's
     prefix counts, padded by h_K on both sides.  It loops over the set with
     fewer ranges, since X for (B, A) is X for (A, B) reversed."""
-    s, e = tower.range_arrays(B, K, cache)
-    a_s, a_e = tower.range_arrays(A, K, cache)
+    s, e = tower.range_arrays(B, K)
+    a_s, a_e = tower.range_arrays(A, K)
     if len(a_s) < len(s):
-        return _dense_table(tower, B, A, K, cache)[::-1]
+        return _dense_table(tower, B, A, K)[::-1]
     h = tower.stage(K).h
     steps = np.zeros(3 * h + 1, dtype=np.int64)
     np.add.at(steps, a_s + h + 1, 1)
@@ -199,9 +185,8 @@ def pair_enclosure_grid(
         return []
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
-    cache: dict = {}
     if tower.dtype is object:
-        return [pair_enclosure(A, B, m, tower, epsilon, cache) for m in ms]
+        return [pair_enclosure(A, B, m, tower, epsilon) for m in ms]
     js = max(A.stage, B.stage)
     shifts, where = np.unique(np.array(ms, dtype=np.int64), return_inverse=True)
 
@@ -216,7 +201,7 @@ def pair_enclosure_grid(
         if not len(at):
             continue
         st = tower.stage(J)
-        prefix = _prefix(tower, B, J, cache)
+        prefix = tower.prefix_counts(B, J)
         esc[at] = prefix[2][-1] - _count_below(prefix, st.h - shifts[at])
         most = max(min(math.floor(epsilon / st.base_measure), st.h), -1)
         go_on = (esc[at] > 0) & (esc[at] > most) & (J < tower.depth)
@@ -229,7 +214,7 @@ def pair_enclosure_grid(
     X = np.zeros(len(shifts), dtype=np.int64)
     K, table = js, None
     if size(js) <= DENSE_MAX:
-        table = _dense_table(tower, A, B, js, cache)
+        table = _dense_table(tower, A, B, js)
     for J in np.unique(stop).tolist():
         while table is not None and K < J and size(K + 1) <= DENSE_MAX:
             table = _lift_table(tower, table, K)
@@ -239,7 +224,7 @@ def pair_enclosure_grid(
         for i in range(0, len(at), step):
             rows, d = _descend(tower, shifts[at[i:i + step]], J, K)
             vals = (table[d + tower.stage(K).h - 1] if table is not None
-                    else _stage_table(tower, A, B, K, d, cache))
+                    else _stage_table(tower, A, B, K, d))
             np.add.at(X, at[i:i + step][rows], vals)
 
     made: dict = {}  # many shifts share one (stage, count, escape count)
@@ -261,23 +246,23 @@ def triple_enclosure(
     n: int,
     tower: Tower,
     epsilon: Fraction | None = None,
-    cache: dict | None = None,
 ) -> MeasureEnclosure:
     """Enclosure of mu(A intersect T^m B intersect T^{m+n} C)."""
     if m < 0 or n < 0:
         raise ValueError("shifts must be >= 0")
+    for X in (A, B, C):
+        tower.validate_set(X)
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
-    cache = {} if cache is None else cache
     t = m + n
     J = tower.resolving_stage(max(A.stage, B.stage, C.stage), t)
 
     def hits(J, s, e):
-        bs, be = tower.range_arrays(B, J, cache)
+        bs, be = tower.range_arrays(B, J)
         s1, e1 = _intersection(s + n, e + n, bs, be)
-        return _count_in(_prefix(tower, A, J, cache), s1 + m, e1 + m)
+        return _count_in(tower.prefix_counts(A, J), s1 + m, e1 + m)
 
-    return tower.escape_enclosure(J, t, tower.range_arrays(C, J, cache), hits, epsilon)
+    return tower.escape_enclosure(J, t, tower.range_arrays(C, J), hits, epsilon)
 
 
 def mc_correlation(
@@ -287,12 +272,11 @@ def mc_correlation(
     iterate m steps forward, test membership in A.  Deterministic per seed."""
     rng = random.Random(seed)
     mu_b = tower.set_measure(B)
-    lifts: dict = {}
     hits = 0
     for _ in range(samples):
         level, N = tower.draw(B, rng)
         J, level, N = tower.advance(B.stage, level, N, GRID, m)
-        hits += tower.in_set(J, level, N, GRID, A, lifts)
+        hits += tower.in_set(J, level, N, GRID, A)
     f = hits / samples
     est = float(mu_b) * f
     stderr = float(mu_b) * math.sqrt(f * (1.0 - f) / samples)

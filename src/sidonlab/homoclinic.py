@@ -472,7 +472,6 @@ def mc_defect(
     enc, info = lemma61_defect(tower, j, k, n, parts=dmap.parts)
     E = LevelSet.from_ranges(j, [(0, 1)])
     rng = random.Random(seed)
-    lifts: dict = {}
     left = 0
     skipped = 0
     for _ in range(samples):
@@ -483,7 +482,7 @@ def mc_defect(
         except NeedsMoreBlocks:
             skipped += 1
             continue
-        if not any(tower.membership(q2, ls, lifts) for _, ls in info["pieces"]):
+        if not any(tower.membership(q2, ls) for _, ls in info["pieces"]):
             left += 1
     done = samples - skipped
     f = left / done if done else 0.0

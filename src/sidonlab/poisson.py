@@ -165,7 +165,7 @@ def _interval_grid(enc: MeasureEnclosure, points: int = 3) -> list[float]:
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
 
 
-def overlap_enclosures(events: list[CountEvent], tower: Tower, epsilon=None, cache=None):
+def overlap_enclosures(events: list[CountEvent], tower: Tower, epsilon=None):
     """Pairwise (and for 3 events the triple) intersection enclosures of the
     shifted sets, reduced to nonnegative relative shifts."""
     evs = sorted(events, key=lambda e: e.shift)
@@ -175,15 +175,13 @@ def overlap_enclosures(events: list[CountEvent], tower: Tower, epsilon=None, cac
             lo_e, hi_e = evs[i], evs[k]
             m = hi_e.shift - lo_e.shift
             # mu(T^a A cap T^b B) = mu(A cap T^{b-a} B), b >= a
-            out_pairs[(i, k)] = pair_enclosure(
-                lo_e.set, hi_e.set, m, tower, epsilon=epsilon, cache=cache
-            )
+            out_pairs[(i, k)] = pair_enclosure(lo_e.set, hi_e.set, m, tower, epsilon=epsilon)
     triple = None
     if len(evs) == 3:
         m = evs[1].shift - evs[0].shift
         n = evs[2].shift - evs[1].shift
         triple = triple_enclosure(
-            evs[0].set, evs[1].set, evs[2].set, m, n, tower, epsilon=epsilon, cache=cache
+            evs[0].set, evs[1].set, evs[2].set, m, n, tower, epsilon=epsilon
         )
     return evs, out_pairs, triple
 
@@ -192,7 +190,6 @@ def joint_prob(
     events: list[CountEvent],
     tower: Tower,
     epsilon: Fraction | None = None,
-    cache: dict | None = None,
 ) -> ProbEnclosure:
     """Probability of the joint count event for up to three shifted sets.
 
@@ -205,7 +202,7 @@ def joint_prob(
     if len(events) == 1:
         v = marginal_prob(events[0], tower).value()
         return ProbEnclosure(v, v)
-    evs, pairs, triple = overlap_enclosures(events, tower, epsilon=epsilon, cache=cache)
+    evs, pairs, triple = overlap_enclosures(events, tower, epsilon=epsilon)
     mus = [float(tower.set_measure(e.set)) for e in evs]
     counts = tuple(e.count for e in evs)
     clamped = False
@@ -343,11 +340,10 @@ def mixing_report(
     """Rows of the suspension correlation P(V and T_*^{-n} W) against the
     product of marginals, per shift n."""
     rows = []
-    cache: dict = {}
     prod = marginal_prob(V, tower).value() * marginal_prob(W, tower).value()
     for n in n_grid:
         evs = [CountEvent(V.set, V.count, n), CountEvent(W.set, W.count, 0)]
-        joint = joint_prob(evs, tower, epsilon=epsilon, cache=cache)
+        joint = joint_prob(evs, tower, epsilon=epsilon)
         dev_lo, dev_hi = _deviation_interval(joint, prod)
         row = {
             "n": n,
@@ -378,7 +374,6 @@ def triple_mixing_report(
     """Rows over an (m, n) grid of P(U and T_*^m V and T_*^{m+n} W) against
     the triple product of marginals."""
     rows = []
-    cache: dict = {}
     prod = (
         marginal_prob(U, tower).value()
         * marginal_prob(V, tower).value()
@@ -390,7 +385,7 @@ def triple_mixing_report(
             CountEvent(V.set, V.count, m),
             CountEvent(W.set, W.count, m + n),
         ]
-        joint = joint_prob(evs, tower, epsilon=epsilon, cache=cache)
+        joint = joint_prob(evs, tower, epsilon=epsilon)
         dev_lo, dev_hi = _deviation_interval(joint, prod)
         row = {
             "m": m,

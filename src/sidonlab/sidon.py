@@ -555,7 +555,8 @@ def build_from_psi(
 class SidonCheckRow:
     m: int
     pairs: list  # (source column, target column, mass) with mass > 0
-    resolved_extra: list  # escape returns attributed to (source, target)
+    # escape returns, one (source, target, level mass w_J, level count) per hit run
+    resolved_extra: list
     slack: Fraction
     total_mass: Fraction
     strict_ok: bool
@@ -604,13 +605,12 @@ def sidon_property_check(
     units = tower.units  # w_J = units[J] / units[1]
     report = SidonCheckReport(j=j, depth=depth, m_stride=m_stride,
                               bound=st_j.h * tower.stage(j + 1).base_measure)
-    cache: dict = {}
     xj = tower.full_tower(j)
     widest = max(len(tower.stage(J).offsets) for J in range(j, top))
     shifts = range(st_j.h + 1, h_j1 + 1, m_stride)
     step = max(1, correlation.CHUNK // (r * widest))
     # the source columns [o_i, o_i + h_j) of X_j at stage j+1
-    cols_s, cols_e = tower.range_arrays(xj, j + 1, cache)
+    cols_s, cols_e = tower.range_arrays(xj, j + 1)
     for c in range(0, len(shifts), step):
         ms = shifts[c:c + step]
         grid = np.array(ms, dtype=tower.dtype)
@@ -628,7 +628,7 @@ def sidon_property_check(
             m = grid[g // r]
             cut = tower.stage(J).h - m
             a, b = s + m, np.minimum(e, cut) + m
-            xs, xe = tower.range_arrays(xj, J, cache)
+            xs, xe = tower.range_arrays(xj, J)
             k = np.searchsorted(xs, b)[:, None] - np.array([2, 1])
             kk = np.maximum(k, 0)
             run = np.minimum(b[:, None], xe[kk]) - np.maximum(a[:, None], xs[kk])
@@ -653,7 +653,7 @@ def sidon_property_check(
             if J == j + 1:
                 pairs[row].append((src, t, n * w))
             else:
-                extra[row] += [(src, t, w)] * n
+                extra[row].append((src, t, w, n))
             seen[row].add((src, t))
             mass[row] += n * units[J]
         for row, m in enumerate(ms):

@@ -1,4 +1,5 @@
 import bisect
+import gc
 import random
 from fractions import Fraction
 
@@ -252,8 +253,17 @@ class TestLift:
         assert running_tower.set_measure(lifted) == Fraction(3, 2)
 
     def test_needs_more_stages(self, running_tower):
+        A = LevelSet.from_levels(2, [0])
         with pytest.raises(NeedsMoreStages):
-            running_tower.lift(LevelSet.from_levels(2, [0]), 4)
+            running_tower.lift(A, 4)
+        with pytest.raises(NeedsMoreStages):  # not an empty stage-4 set
+            running_tower.range_arrays(A, 4)
+        with pytest.raises(NeedsMoreStages):
+            running_tower.prefix_counts(A, 4)
+        with pytest.raises(ValueError):
+            running_tower.lift(A, 1)
+        with pytest.raises(ValueError):  # not an endless recursion
+            running_tower.range_arrays(A, 1)
 
     @pytest.mark.parametrize("bad", [
         LevelSet.from_ranges(2, [(5, 20)]),   # past h_2 = 7
@@ -264,8 +274,9 @@ class TestLift:
         LevelSet(2, ((0, 1), (10, 12), (3, 4))),  # unsorted, past h_2
         LevelSet(2, ((0, 3), (2, 4))),        # overlapping
         LevelSet(2, ((1, 1),)),               # an empty range
+        LevelSet(2, [(0, 1)]),                # a list, not a tuple
     ], ids=["past-top", "negative", "one-past", "stage-0", "stage-past-depth",
-            "unsorted", "overlapping", "empty-range"])
+            "unsorted", "overlapping", "empty-range", "list-ranges"])
     def test_set_outside_its_stage_rejected(self, demo_tower, bad):
         with pytest.raises(ValueError):
             demo_tower.set_measure(bad)
@@ -273,6 +284,8 @@ class TestLift:
             demo_tower.lift(bad, 6)
         with pytest.raises(ValueError):
             demo_tower.membership(PointState(3, 0, Fraction(0)), bad)
+        with pytest.raises(ValueError):
+            demo_tower.sample_uniform(bad, random.Random(0))
 
     def test_set_filling_its_stage_accepted(self, demo_tower):
         full = LevelSet.from_ranges(2, [(0, 7)])
@@ -280,6 +293,40 @@ class TestLift:
         assert demo_tower.lift(full, 3).count() == 4 * 7
         touching = LevelSet(2, ((0, 2), (2, 3)))  # as intersect can leave them
         assert demo_tower.set_measure(touching) == 3 * demo_tower.stage(2).base_measure
+
+
+class TestSetMemo:
+    """The tower keeps one memo per set: equal sets share it, and it goes
+    when the set does."""
+
+    def test_equal_sets_share_one_entry(self, demo_spec):
+        tower = Tower(demo_spec, depth=6)
+        A = LevelSet.from_ranges(3, [(0, 5), (9, 12)])
+        B = LevelSet.from_levels(3, [0, 1, 2, 3, 4, 9, 10, 11])
+        assert A == B and A is not B
+        starts, _ = tower.range_arrays(A, 5)
+        assert tower.range_arrays(B, 5)[0] is starts
+        with pytest.raises(ValueError):  # shared, so read-only
+            starts[0] = 1
+        assert tower.prefix_counts(B, 6) is tower.prefix_counts(A, 6)
+        p = PointState(6, 0, Fraction(0))
+        assert tower.membership(p, A) == tower.membership(p, B)
+        assert len(tower._memo) == 1
+
+    def test_dropped_sets_release_their_lifts(self, demo_spec):
+        tower = Tower(demo_spec, depth=6)
+        keep = LevelSet.from_ranges(2, [(0, 1)])
+        p = PointState(6, 0, Fraction(0))
+        tower.membership(p, keep)
+        for i in range(50):
+            A = LevelSet.from_ranges(3, [(i, i + 1)])
+            tower.range_arrays(A, 6)
+            tower.prefix_counts(A, 5)
+            tower.membership(p, A)
+        assert len(tower._memo) == 2
+        del A
+        gc.collect()
+        assert list(tower._memo.keys()) == [keep]
 
 
 class TestPointDynamics:
@@ -380,14 +427,17 @@ class TestSamplingAgainstReference:
             for j in (2, 3, 5, 6)
         ]
         sources = [demo_tower.full_tower(j) for j in (1, 3, 4, 6)]
-        cache: dict = {}
+        want: dict = {}  # (set, stage) -> reference lift
         hits = 0
         for _ in range(150):
             p = demo_tower.sample_uniform(rng.choice(sources), rng)
             for A in sets:
-                cached = demo_tower.membership(p, A, cache)
-                assert cached == demo_tower.membership(p, A)
-                hits += cached
+                q = reference_point_to_stage(demo_tower, p, max(p.stage, A.stage))
+                if (A, q.stage) not in want:
+                    want[A, q.stage] = reference_lift(demo_tower, A, q.stage)
+                got = demo_tower.membership(p, A)  # the tower's memo keeps A's lifts
+                assert got == want[A, q.stage].contains(q.level)
+                hits += got
         assert 0 < hits < 150 * len(sets)
 
 
@@ -434,12 +484,12 @@ class TestIntegerPointsAgainstReference:
         rng = random.Random(23)
         sets = [LevelSet.from_levels(j, rng.sample(range(demo_tower.stage(j).h), 3))
                 for j in (2, 3, 4, 5)]
-        cache: dict = {}
+        fresh = Tower(demo_tower.spec, demo_tower.depth)  # lifts from another memo
         lifts: dict = {}
         for p in self._points(demo_tower, rng):
             for A in sets:
                 q = reference_point_to_stage(demo_tower, p, max(p.stage, A.stage))
                 if (A, q.stage) not in lifts:
-                    lifts[A, q.stage] = demo_tower.lift(A, q.stage)
+                    lifts[A, q.stage] = fresh.lift(A, q.stage)
                 want = lifts[A, q.stage].contains(q.level)
-                assert demo_tower.membership(p, A, cache) == want
+                assert demo_tower.membership(p, A) == want

@@ -191,37 +191,36 @@ class TestAgainstReferenceLoop:
         rng = random.Random(4)
         A = random_level_set(rng, demo_tower, 3)
         B = random_level_set(rng, demo_tower, 3)
-        cache: dict = {}
+        fresh = Tower(demo_tower.spec, demo_tower.depth)  # the oracle's own memo
         for m in range(1463, 59983 + 1, 613):
-            assert_same(pair_enclosure(one, one, m, demo_tower, cache=cache),
-                        reference_pair(one, one, m, demo_tower))
-            assert_same(pair_enclosure(A, B, m, demo_tower, cache=cache),
-                        reference_pair(A, B, m, demo_tower))
+            assert_same(pair_enclosure(one, one, m, demo_tower),
+                        reference_pair(one, one, m, fresh))
+            assert_same(pair_enclosure(A, B, m, demo_tower),
+                        reference_pair(A, B, m, fresh))
 
     def test_stage5_escape_slack(self, demo_tower):
         rng = random.Random(5)
         A = LevelSet.from_levels(3, [rng.randrange(77) for _ in range(20)])
         B = LevelSet.from_levels(3, [rng.randrange(77) for _ in range(20)])
-        cache: dict = {}
+        fresh = Tower(demo_tower.spec, demo_tower.depth)
         slack = 0
         for m in range(59983, 3059133, 97_001):
-            got = pair_enclosure(A, B, m, demo_tower, cache=cache)
-            assert_same(got, reference_pair(A, B, m, demo_tower))
+            got = pair_enclosure(A, B, m, demo_tower)
+            assert_same(got, reference_pair(A, B, m, fresh))
             slack += not got.is_exact()
         assert slack > 0
 
     def test_triple(self, demo_tower):
         rng = random.Random(6)
-        cache: dict = {}
+        fresh = Tower(demo_tower.spec, demo_tower.depth)
         for i in range(60):
             stage = rng.randint(2, 3)
             A, B, C = (random_level_set(rng, demo_tower, stage) for _ in range(3))
             m = rng.randint(0, 1463 if i % 2 else 59982)
             n = rng.randint(0, 77 if i % 3 else 1463)
             eps = rng.choice((None, Fraction(0)))
-            assert_same(triple_enclosure(A, B, C, m, n, demo_tower, epsilon=eps,
-                                         cache=cache),
-                        reference_triple(A, B, C, m, n, demo_tower, epsilon=eps))
+            assert_same(triple_enclosure(A, B, C, m, n, demo_tower, epsilon=eps),
+                        reference_triple(A, B, C, m, n, fresh, epsilon=eps))
 
     def test_heights_beyond_int64(self):
         rng = random.Random(7)
@@ -261,9 +260,9 @@ class TestGridAgainstPerShift:
     def assert_grid(self, A, B, ms, tower, eps):
         got = pair_enclosure_grid(A, B, ms, tower, epsilon=eps)
         assert len(got) == len(ms)
-        cache: dict = {}
+        fresh = Tower(tower.spec, tower.depth)  # per-shift answers from another memo
         for m, enc in zip(ms, got):
-            assert_same(enc, pair_enclosure(A, B, m, tower, epsilon=eps, cache=cache))
+            assert_same(enc, pair_enclosure(A, B, m, fresh, epsilon=eps))
 
     # The table of X is dense and lifted while it has at most DENSE_MAX
     # entries; a smaller ceiling makes the small random towers stop lifting
@@ -350,6 +349,9 @@ class TestGridAgainstPerShift:
                 pair_enclosure_grid(bad, a, [3], demo_tower, epsilon=Fraction(0))
             with pytest.raises(ValueError):
                 pair_enclosure(bad, a, 3, demo_tower, epsilon=Fraction(0))
+            for sets in ((bad, a, a), (a, bad, a), (a, a, bad)):
+                with pytest.raises(ValueError):
+                    triple_enclosure(*sets, 3, 2, demo_tower, epsilon=Fraction(0))
 
 
 class TestMonteCarlo:
