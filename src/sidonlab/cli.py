@@ -38,7 +38,8 @@ from .construction import (
     Tower,
     measure_growth,
 )
-from .correlation import decay_report, mc_correlation, pair_enclosure_grid, triple_enclosure
+from .correlation import (decay_report, mc_correlation, pair_enclosure_grid,
+                          triple_enclosure_grid)
 from .homoclinic import (
     PHI_CATALOG,
     DissipativeMap,
@@ -187,14 +188,14 @@ def cmd_corr(cfg, digest, args):
         ms = [parse_int(cfg["m"], "m", 0)]
     else:
         raise ConfigError("corr config needs 'm' or 'm_grid'", "m")
-    n = parse_int(cfg.get("n", 0), "n")
+    n = parse_int(cfg.get("n", 0), "n", 0)
     mc = parse_int(cfg.get("mc_samples", 0), "mc_samples", 0)
     if mc:
         _require_seed(args, "corr with mc_samples")
     if C is None:
         encs = pair_enclosure_grid(A, B, ms, tower, epsilon=eps)
     else:
-        encs = (triple_enclosure(A, B, C, m, n, tower, epsilon=eps) for m in ms)
+        encs = triple_enclosure_grid(A, B, C, n, ms, tower, epsilon=eps)
     rows = []
     for m, enc in zip(ms, encs):
         row = [m, *frac_vals(enc.lo), *frac_vals(enc.hi), *frac_vals(enc.slack)]

@@ -38,11 +38,6 @@ def _count_below(prefix, x):
     return cum[k] - np.maximum(ends[k] - x, 0)
 
 
-def _count_in(prefix, lo, hi) -> int:
-    """Sum over k of |X intersect [lo_k, hi_k)|, for 0 <= lo <= hi."""
-    return int(_count_below(prefix, hi).sum() - _count_below(prefix, lo).sum())
-
-
 def _intersection(s1, e1, s2, e2):
     """Ranges of the intersection of two unions of disjoint ranges, by an
     endpoint sweep: covered twice means inside both.  Events tied at one
@@ -74,9 +69,62 @@ def pair_enclosure(
     J = tower.resolving_stage(max(A.stage, B.stage), m)
 
     def hits(J, s, e):
-        return _count_in(tower.prefix_counts(A, J), s + m, e + m)
+        prefix = tower.prefix_counts(A, J)
+        return int((_count_below(prefix, e + m) - _count_below(prefix, s + m)).sum())
 
     return tower.escape_enclosure(J, m, tower.range_arrays(B, J), hits, epsilon)
+
+
+# -- shift grids: the per-shift loop's checks and stopping rule -----------
+
+
+def _checked_shifts(tower, ms, n=0):
+    """``ms`` as a list, after raising the per-shift loop's first error: a
+    negative m, or an m + n no built stage is taller than."""
+    ms = list(ms)
+    top = tower.stage(tower.depth).h
+    for m in ms:
+        if m < 0:
+            raise ValueError("shift m must be >= 0")
+        if m + n >= top:
+            tower.resolving_stage(tower.depth, m + n)
+    return ms
+
+
+def _stopping_stages(tower, X, js, shifts, epsilon):
+    """For each sorted shift t, the stage J where the escape loop over X
+    stops and its escape count |X_J intersect [h_J - t, h_J)| there: from
+    the first J >= js with h_J > t, where the count is 0, at most
+    epsilon / w_J (exact in integers), or J is the top stage."""
+    heights = np.array([tower.stage(j).h for j in range(js, tower.depth + 1)],
+                       dtype=tower.dtype)
+    stop = js + np.searchsorted(heights, shifts, side="right")
+    esc = np.zeros(len(shifts), dtype=tower.dtype)
+    for J in range(int(stop.min()), tower.depth + 1):
+        at = np.flatnonzero(stop == J)
+        if not len(at):
+            continue
+        st = tower.stage(J)
+        prefix = tower.prefix_counts(X, J)
+        esc[at] = prefix[2][-1] - _count_below(prefix, st.h - shifts[at])
+        most = max(min(math.floor(epsilon / st.base_measure), st.h), -1)
+        go_on = (esc[at] > 0) & (esc[at] > most) & (J < tower.depth)
+        stop[at[go_on]] = J + 1
+    return stop, esc
+
+
+def _enclosures(tower, stop, hits, esc, where):
+    """[w_J hits, w_J (hits + esc)] per shift, in the order ``where`` picks;
+    many shifts share one (stage, hits, escape count)."""
+    made: dict = {}
+    encs = []
+    for key in zip(stop.tolist(), hits.tolist(), esc.tolist()):
+        if key not in made:
+            J, x, e = key
+            w = tower.stage(J).base_measure
+            made[key] = MeasureEnclosure(x * w, (x + e) * w)
+        encs.append(made[key])
+    return [encs[i] for i in where.tolist()]
 
 
 # -- whole-grid pair correlations -----------------------------------------
@@ -97,13 +145,12 @@ DENSE_MAX = 1 << 20
 CHUNK = 1 << 16
 
 
-def _stage_table(tower, A, B, K, d):
-    """X_K(d) for each d of the int64 array d, |d| < h_K, by counting A's
-    levels under each shifted range of B; for a few scattered points."""
-    s, e = tower.range_arrays(B, K)
+def _range_counts(tower, A, s, e, K, d):
+    """The sum over the ranges [s, e) of |A_K intersect [s + d, e + d)|, for
+    each d of the array d, |d| < h_K; CHUNK shifts times ranges per step."""
     prefix = tower.prefix_counts(A, K)
     h = tower.stage(K).h
-    out = np.zeros(len(d), dtype=np.int64)
+    out = np.zeros(len(d), dtype=tower.dtype)
     step = max(1, CHUNK // max(1, len(s)))
     for i in range(0, len(d) if len(s) else 0, step):
         dd = d[i:i + step, None]
@@ -174,13 +221,7 @@ def pair_enclosure_grid(
     (see above)."""
     tower.validate_set(A)
     tower.validate_set(B)
-    ms = list(ms)
-    top = tower.stage(tower.depth).h
-    for m in ms:  # the error the per-shift loop meets first
-        if m < 0:
-            raise ValueError("shift m must be >= 0")
-        if m >= top:
-            tower.resolving_stage(tower.depth, m)
+    ms = _checked_shifts(tower, ms)
     if not ms:
         return []
     if epsilon is None:
@@ -189,23 +230,7 @@ def pair_enclosure_grid(
         return [pair_enclosure(A, B, m, tower, epsilon) for m in ms]
     js = max(A.stage, B.stage)
     shifts, where = np.unique(np.array(ms, dtype=np.int64), return_inverse=True)
-
-    # the per-shift stopping rule, one stage at a time: from the resolving
-    # stage, stop where the escape count is 0, at most epsilon / w_J, or J
-    # is the top stage
-    heights = np.array([tower.stage(j).h for j in range(js, tower.depth + 1)])
-    stop = js + np.searchsorted(heights, shifts, side="right")
-    esc = np.zeros(len(shifts), dtype=np.int64)
-    for J in range(int(stop.min()), tower.depth + 1):
-        at = np.flatnonzero(stop == J)
-        if not len(at):
-            continue
-        st = tower.stage(J)
-        prefix = tower.prefix_counts(B, J)
-        esc[at] = prefix[2][-1] - _count_below(prefix, st.h - shifts[at])
-        most = max(min(math.floor(epsilon / st.base_measure), st.h), -1)
-        go_on = (esc[at] > 0) & (esc[at] > most) & (J < tower.depth)
-        stop[at[go_on]] = J + 1
+    stop, esc = _stopping_stages(tower, B, js, shifts, epsilon)
 
     # X at each stopping stage, read from the table of X_K: dense and lifted
     # stage by stage while it has at most DENSE_MAX entries; counted at just
@@ -224,18 +249,49 @@ def pair_enclosure_grid(
         for i in range(0, len(at), step):
             rows, d = _descend(tower, shifts[at[i:i + step]], J, K)
             vals = (table[d + tower.stage(K).h - 1] if table is not None
-                    else _stage_table(tower, A, B, K, d))
+                    else _range_counts(tower, A, *tower.range_arrays(B, K), K, d))
             np.add.at(X, at[i:i + step][rows], vals)
+    return _enclosures(tower, stop, X, esc, where)
 
-    made: dict = {}  # many shifts share one (stage, count, escape count)
-    encs = []
-    for key in zip(stop.tolist(), X.tolist(), esc.tolist()):
-        if key not in made:
-            J, x, e = key
-            w = tower.stage(J).base_measure
-            made[key] = MeasureEnclosure(x * w, (x + e) * w)
-        encs.append(made[key])
-    return [encs[i] for i in where.tolist()]
+
+# -- whole-grid triple correlations ---------------------------------------
+#
+# With t = m + n and stopped at stage J, as for pairs, the triple loop has
+# lo = w_J |A_J intersect (D_J + m)| for D_J = B_J intersect (C_J + n), and
+# slack w_J |C_J intersect [h_J - t, h_J)|.  D_J does not depend on m, so a
+# grid of m with one n needs one intersection per stopping stage.
+
+
+def triple_enclosure_grid(
+    A: LevelSet,
+    B: LevelSet,
+    C: LevelSet,
+    n: int,
+    ms,
+    tower: Tower,
+    epsilon: Fraction | None = None,
+) -> list[MeasureEnclosure]:
+    """Enclosures of mu(A intersect T^m B intersect T^{m+n} C) for every m
+    of ``ms``, in order, from one D_J per stopping stage (see above)."""
+    if n < 0:
+        raise ValueError("shift n must be >= 0")
+    for X in (A, B, C):
+        tower.validate_set(X)
+    ms = _checked_shifts(tower, ms, n)
+    if not ms:
+        return []
+    if epsilon is None:
+        epsilon = default_epsilon(tower, A)
+    shifts, where = np.unique(np.array(ms, dtype=tower.dtype), return_inverse=True)
+    stop, esc = _stopping_stages(tower, C, max(A.stage, B.stage, C.stage),
+                                 shifts + n, epsilon)
+    hits = np.zeros(len(shifts), dtype=tower.dtype)
+    for J in np.unique(stop).tolist():
+        cs, ce = tower.range_arrays(C, J)
+        D = _intersection(cs + n, ce + n, *tower.range_arrays(B, J))
+        at = np.flatnonzero(stop == J)
+        hits[at] = _range_counts(tower, A, *D, J, shifts[at])
+    return _enclosures(tower, stop, hits, esc, where)
 
 
 def triple_enclosure(
@@ -247,22 +303,9 @@ def triple_enclosure(
     tower: Tower,
     epsilon: Fraction | None = None,
 ) -> MeasureEnclosure:
-    """Enclosure of mu(A intersect T^m B intersect T^{m+n} C)."""
-    if m < 0 or n < 0:
-        raise ValueError("shifts must be >= 0")
-    for X in (A, B, C):
-        tower.validate_set(X)
-    if epsilon is None:
-        epsilon = default_epsilon(tower, A)
-    t = m + n
-    J = tower.resolving_stage(max(A.stage, B.stage, C.stage), t)
-
-    def hits(J, s, e):
-        bs, be = tower.range_arrays(B, J)
-        s1, e1 = _intersection(s + n, e + n, bs, be)
-        return _count_in(tower.prefix_counts(A, J), s1 + m, e1 + m)
-
-    return tower.escape_enclosure(J, t, tower.range_arrays(C, J), hits, epsilon)
+    """Enclosure of mu(A intersect T^m B intersect T^{m+n} C): the
+    one-shift call of ``triple_enclosure_grid``."""
+    return triple_enclosure_grid(A, B, C, n, [m], tower, epsilon)[0]
 
 
 def mc_correlation(

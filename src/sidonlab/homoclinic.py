@@ -458,38 +458,6 @@ def lemma61_defect(
     return MeasureEnclosure(Fraction(0), hi), info
 
 
-def mc_defect(
-    tower: Tower,
-    dmap: DissipativeMap,
-    j: int,
-    k: int,
-    n: int,
-    samples: int,
-    seed: int,
-):
-    """Monte-Carlo oracle: frequency of points of T^{n+k} E_j whose S-image
-    leaves the resolved part of the set."""
-    enc, info = lemma61_defect(tower, j, k, n, parts=dmap.parts)
-    E = LevelSet.from_ranges(j, [(0, 1)])
-    rng = random.Random(seed)
-    left = 0
-    skipped = 0
-    for _ in range(samples):
-        p = tower.sample_uniform(E, rng)
-        q = tower.iterate(p, n + k)
-        try:
-            q2 = dmap.apply(q)
-        except NeedsMoreBlocks:
-            skipped += 1
-            continue
-        if not any(tower.membership(q2, ls) for _, ls in info["pieces"]):
-            left += 1
-    done = samples - skipped
-    f = left / done if done else 0.0
-    err = math.sqrt(max(f * (1 - f), 1.0 / max(done, 1)) / max(done, 1))
-    return f, err, enc, skipped
-
-
 def homoclinic_sweep(
     tower: Tower,
     j_range,

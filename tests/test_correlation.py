@@ -15,9 +15,10 @@ from sidonlab import (
     sidon_bound_report,
     support_decay_report,
     triple_enclosure,
+    triple_enclosure_grid,
 )
 from sidonlab import correlation
-from sidonlab.correlation import DENSE_MAX, decay_report, default_epsilon
+from sidonlab.correlation import CHUNK, DENSE_MAX, decay_report, default_epsilon
 from sidonlab.enclosure import MeasureEnclosure
 from sidonlab.sidon import PsiSpec, build_from_psi
 
@@ -352,6 +353,104 @@ class TestGridAgainstPerShift:
             for sets in ((bad, a, a), (a, bad, a), (a, a, bad)):
                 with pytest.raises(ValueError):
                     triple_enclosure(*sets, 3, 2, demo_tower, epsilon=Fraction(0))
+
+
+class TestTripleGridAgainstPerShift:
+    """triple_enclosure_grid must give the LevelSet reference loop's and
+    per-shift triple_enclosure's lo and hi, in grid order, and the
+    per-shift loop's first error."""
+
+    @staticmethod
+    def edge_grid(rng, tower, n, count):
+        """The pair grid's edge shifts t, as m = t - n (t = m + n meets the
+        edges) and as m = t, kept where m >= 0 and m + n is below the top."""
+        top = tower.stage(tower.depth).h
+        ts = TestGridAgainstPerShift.edge_grid(rng, tower, count)
+        return [t - n for t in ts if t >= n] + [t for t in ts if t + n < top]
+
+    def assert_grid(self, A, B, C, n, ms, tower, eps):
+        got = triple_enclosure_grid(A, B, C, n, ms, tower, epsilon=eps)
+        assert len(got) == len(ms)
+        fresh = Tower(tower.spec, tower.depth)  # oracles from other memos
+        per_shift = Tower(tower.spec, tower.depth)
+        for m, enc in zip(ms, got):
+            assert_same(enc, reference_triple(A, B, C, m, n, fresh, epsilon=eps))
+            assert_same(enc, triple_enclosure(A, B, C, m, n, per_shift, epsilon=eps))
+
+    # Shifts times D_J ranges are counted CHUNK at a time; smaller chunks
+    # split the shifts of one stage down to one per step.
+    @pytest.mark.parametrize("chunk", [CHUNK, 400, 1], ids=["default", "400", "1"])
+    def test_random_specs_mixed_stages(self, monkeypatch, chunk):
+        monkeypatch.setattr(correlation, "CHUNK", chunk)
+        rng = random.Random(51)
+        for i in range(60):
+            spec = random_spec(rng)
+            tower = Tower(spec, depth=rng.randint(2, len(spec.stages) + 1))
+            A, B, C = (random_level_set(rng, tower, rng.randint(1, tower.depth))
+                       for _ in range(3))
+            n = rng.randrange(tower.stage(tower.depth).h)
+            eps = (None, Fraction(0), Fraction(1, 3))[i % 3]
+            self.assert_grid(A, B, C, n, self.edge_grid(rng, tower, n, 10), tower, eps)
+
+    def test_copies_edge_to_edge(self):
+        # No spacers: column copies touch, so D_J and the escaped tops meet
+        # at copy boundaries for every t that is a multiple of h_2.
+        tower = Tower(ConstructionSpec(1, (StageParams(3, (0, 0, 0)),) * 3), depth=4)
+        full = LevelSet.from_ranges(2, [(0, 3)])
+        part = LevelSet.from_ranges(3, [(1, 4), (6, 9)])
+        for n in (0, 1, 3, 8):
+            ms = list(range(27 - n))
+            for eps in (None, Fraction(0), Fraction(1, 3)):
+                self.assert_grid(full, part, full, n, ms, tower, eps)
+                self.assert_grid(part, full, part, n, ms[::-1], tower, eps)
+
+    def test_demo_tower(self, demo_tower):
+        # as corr's triple job: sets of 20 levels, n in [h_3, h_4), a stride
+        # over [h_4, h_5), plus random m with m + n below h_5
+        rng = random.Random(52)
+        for i in range(3):
+            A, B, C = (LevelSet.from_levels(3, rng.sample(range(77), 20)) for _ in range(3))
+            n = rng.randrange(77, 1463)
+            ms = list(range(1463 + rng.randrange(3600), 59983, 3600))
+            ms += [rng.randrange(59983 - n) for _ in range(10)]
+            ms += rng.sample(ms, 5)
+            rng.shuffle(ms)
+            eps = (None, Fraction(0), Fraction(1, 3))[i]
+            self.assert_grid(A, B, C, n, ms, demo_tower, eps)
+
+    def test_heights_beyond_int64(self):
+        rng = random.Random(53)
+        for i in range(30):
+            tower = Tower(huge_spec(rng), depth=3)
+            assert tower.dtype is object
+            A, B, C = (random_ranges(rng, tower, rng.randint(1, 2), 3) for _ in range(3))
+            n = rng.randrange(tower.stage(3).h // 2)
+            eps = (None, Fraction(0), Fraction(1, 3))[i % 3]
+            self.assert_grid(A, B, C, n, self.edge_grid(rng, tower, n, 5), tower, eps)
+
+    def test_empty_grid(self, demo_tower):
+        a = LevelSet.from_ranges(2, [(0, 1)])
+        assert triple_enclosure_grid(a, a, a, 5, [], demo_tower) == []
+
+    def test_shift_past_top_same_error(self, demo_tower):
+        a = LevelSet.from_ranges(2, [(0, 1)])
+        n = 40
+        top = demo_tower.stage(demo_tower.depth).h
+        ms = [5, top - n + 7, 80, top - n, top - n - 1]
+        with pytest.raises(NeedsMoreStages) as per_shift:
+            for m in ms:
+                triple_enclosure(a, a, a, m, n, demo_tower)
+        with pytest.raises(NeedsMoreStages) as grid:
+            triple_enclosure_grid(a, a, a, n, ms, demo_tower)
+        assert str(grid.value) == str(per_shift.value)
+        assert grid.value.required_depth == per_shift.value.required_depth
+
+    def test_negative_shift_rejected(self, demo_tower):
+        a = LevelSet.from_ranges(2, [(0, 1)])
+        with pytest.raises(ValueError):
+            triple_enclosure_grid(a, a, a, 2, [3, -1, 5], demo_tower)
+        with pytest.raises(ValueError):
+            triple_enclosure_grid(a, a, a, -1, [3], demo_tower)
 
 
 class TestMonteCarlo:

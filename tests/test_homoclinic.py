@@ -21,7 +21,7 @@ from sidonlab import (
     s_schedule,
     wandering_check,
 )
-from sidonlab.homoclinic import PHI_CATALOG, mc_defect, stage_new_ranges
+from sidonlab.homoclinic import PHI_CATALOG, stage_new_ranges
 
 
 def reference_flow_defect(tower, params, n, samples, seed):
@@ -122,6 +122,30 @@ def reference_pieces(tower, j, k, n, epsilon=None):
             return resolved, residual
         esc = tower.lift(out, J + 1)
         J += 1
+
+
+def mc_defect(tower, dmap, j, k, n, samples, seed):
+    """Monte-Carlo oracle: frequency of points of T^{n+k} E_j whose S-image
+    leaves the resolved part of the set."""
+    enc, info = lemma61_defect(tower, j, k, n, parts=dmap.parts)
+    E = LevelSet.from_ranges(j, [(0, 1)])
+    rng = random.Random(seed)
+    left = 0
+    skipped = 0
+    for _ in range(samples):
+        p = tower.sample_uniform(E, rng)
+        q = tower.iterate(p, n + k)
+        try:
+            q2 = dmap.apply(q)
+        except NeedsMoreBlocks:
+            skipped += 1
+            continue
+        if not any(tower.membership(q2, ls) for _, ls in info["pieces"]):
+            left += 1
+    done = samples - skipped
+    f = left / done if done else 0.0
+    err = math.sqrt(max(f * (1 - f), 1.0 / max(done, 1)) / max(done, 1))
+    return f, err, enc, skipped
 
 
 @pytest.fixture(scope="module")
