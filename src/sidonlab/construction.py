@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import le, lt
+from operator import lt
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .enclosure import MeasureEnclosure
 
 
 class SpecValidationError(ValueError):
@@ -192,11 +190,10 @@ class LevelSet:
 
     @property
     def is_normalized(self) -> bool:
-        """Whether the ranges are nonempty, sorted and disjoint, as
-        ``from_ranges`` makes them; the plain constructor does not check."""
+        """Whether the ranges are nonempty, sorted and apart (no two touch),
+        as ``from_ranges`` makes them; the plain constructor does not check."""
         flat = list(chain.from_iterable(self.ranges))
-        return (all(map(lt, flat[::2], flat[1::2]))
-                and all(map(le, flat[1:-1:2], flat[2::2])))
+        return all(map(lt, flat[:-1], flat[1:]))
 
     def count(self) -> int:
         return self._prefix_lengths[-1]
@@ -331,7 +328,7 @@ class Tower:
 
     def validate_set(self, A: LevelSet) -> dict:
         """Raise ValueError unless A is a set of this tower: its stage in
-        1..depth and its ranges sorted, disjoint and inside [0, h_stage).
+        1..depth and its ranges sorted, apart and inside [0, h_stage).
         Returns A's memo, a dict keyed by (kind, stage); A is checked the
         first time the memo sees it."""
         try:
@@ -345,7 +342,7 @@ class Tower:
             raise ValueError(f"level set stage {A.stage} outside 1..{self.depth}")
         if not A.is_normalized:
             raise ValueError(
-                "level set ranges are not sorted, disjoint and nonempty; "
+                "level set ranges are not sorted, apart and nonempty; "
                 "build the set with LevelSet.from_ranges"
             )
         if A.ranges and (A.ranges[0][0] < 0 or A.ranges[-1][1] > self._h[A.stage]):
@@ -399,30 +396,6 @@ class Tower:
         """Re-express A at stage J >= A.stage.  One level l of stage j maps
         to {o_i + l} over the stage-j columns; measure is preserved."""
         return LevelSet.from_arrays(J, *self.range_arrays(A, J))
-
-    def escape_enclosure(self, J: int, t: int, ranges, hits, epsilon) -> MeasureEnclosure:
-        """Resolve the source range arrays ``ranges`` (at stage J) below
-        h_J - t, count their hits, lift the escaped top to J + 1 and repeat
-        until the escaped mass is zero, at most ``epsilon`` or the tower's
-        top is reached.  ``hits(J, s, e)`` counts the hits of the resolved
-        ranges [s, e); the enclosure is [hit mass, hit + escaped mass]."""
-        s, e = ranges
-        lo = Fraction(0)
-        while True:
-            w = self.stages[J - 1].base_measure
-            cut = self._h[J] - t
-            rs, re = np.minimum(s, cut), np.minimum(e, cut)
-            keep = re > rs
-            if keep.any():
-                lo += hits(J, rs[keep], re[keep]) * w
-            s = np.maximum(s, cut)
-            keep = e > s
-            s, e = s[keep], e[keep]
-            esc_mass = int((e - s).sum()) * w
-            if esc_mass == 0 or esc_mass <= epsilon or J == self.depth:
-                return MeasureEnclosure(lo, lo + esc_mass)
-            s, e = self.lift_ranges(s, e, J)
-            J += 1
 
     def full_tower(self, j: int) -> LevelSet:
         return LevelSet(j, ((0, self.stage(j).h),))

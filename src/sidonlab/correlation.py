@@ -51,30 +51,6 @@ def _intersection(s1, e1, s2, e2):
     return pos[:-1][both], pos[1:][both]
 
 
-def pair_enclosure(
-    A: LevelSet,
-    B: LevelSet,
-    m: int,
-    tower: Tower,
-    epsilon: Fraction | None = None,
-) -> MeasureEnclosure:
-    """Enclosure of mu(A intersect T^m B) for one shift; a grid of shifts
-    is cheaper through ``pair_enclosure_grid``."""
-    if m < 0:
-        raise ValueError("shift m must be >= 0")
-    tower.validate_set(A)
-    tower.validate_set(B)
-    if epsilon is None:
-        epsilon = default_epsilon(tower, A)
-    J = tower.resolving_stage(max(A.stage, B.stage), m)
-
-    def hits(J, s, e):
-        prefix = tower.prefix_counts(A, J)
-        return int((_count_below(prefix, e + m) - _count_below(prefix, s + m)).sum())
-
-    return tower.escape_enclosure(J, m, tower.range_arrays(B, J), hits, epsilon)
-
-
 # -- shift grids: the per-shift loop's checks and stopping rule -----------
 
 
@@ -129,15 +105,17 @@ def _enclosures(tower, stop, hits, esc, where):
 
 # -- whole-grid pair correlations -----------------------------------------
 #
-# Stopped at stage J, the escape loop of pair_enclosure has lo = w_J X_J(m)
-# and hi - lo = w_J |B_J intersect [h_J - m, h_J)|, where
+# Stopped at stage J, the per-shift escape loop (resolve B below h_J - m,
+# lift the escaped top, repeat) has lo = w_J X_J(m) and
+# hi - lo = w_J |B_J intersect [h_J - m, h_J)|, where
 # X_J(d) = |(B_J + d) intersect A_J| for -h_J < d < h_J and 0 beyond: a hit
 # resolved at an earlier stage lifts to hits at J, and what is still in the
 # top m levels at J is exactly what the loop has not resolved.  Lifting both
 # sets one stage gives X_{J+1}(d) = sum over column pairs (i, t) of
 # X_J(d + o_i - o_t).  So one table of X serves every shift: it is counted
 # at the sets' stage, lifted densely while small, and read through that
-# recursion at the stages above.
+# recursion at the stages above.  A dense table and its indices lie below
+# 2 h_K <= DENSE_MAX + 1, so they are int64 on object-dtype towers too.
 
 # The largest table of X (entries, 8 MiB of int64) that is kept dense.
 DENSE_MAX = 1 << 20
@@ -165,7 +143,7 @@ def _dense_table(tower, A, B, K):
     prefix counts, padded by h_K on both sides.  It loops over the set with
     fewer ranges, since X for (B, A) is X for (A, B) reversed."""
     s, e = tower.range_arrays(B, K)
-    a_s, a_e = tower.range_arrays(A, K)
+    a_s, a_e = (x.astype(np.int64, copy=False) for x in tower.range_arrays(A, K))
     if len(a_s) < len(s):
         return _dense_table(tower, B, A, K)[::-1]
     h = tower.stage(K).h
@@ -199,7 +177,7 @@ def _descend(tower, d, J, K):
     rows = np.arange(len(d))
     for k in range(J - 1, K - 1, -1):
         h = tower.stage(k).h
-        offs = np.array(tower.stage(k).offsets, dtype=np.int64)
+        offs = np.array(tower.stage(k).offsets, dtype=tower.dtype)
         u = d[:, None] + offs
         t = np.searchsorted(offs, u - h, side="right")[..., None] + np.arange(2)
         v = u[..., None] - offs[np.minimum(t, len(offs) - 1)]
@@ -217,8 +195,7 @@ def pair_enclosure_grid(
     epsilon: Fraction | None = None,
 ) -> list[MeasureEnclosure]:
     """Enclosures of mu(A intersect T^m B) for every m of ``ms``, in order,
-    each equal to ``pair_enclosure(A, B, m, ...)``, from one table of X
-    (see above)."""
+    from one table of X (see above)."""
     tower.validate_set(A)
     tower.validate_set(B)
     ms = _checked_shifts(tower, ms)
@@ -226,17 +203,15 @@ def pair_enclosure_grid(
         return []
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
-    if tower.dtype is object:
-        return [pair_enclosure(A, B, m, tower, epsilon) for m in ms]
     js = max(A.stage, B.stage)
-    shifts, where = np.unique(np.array(ms, dtype=np.int64), return_inverse=True)
+    shifts, where = np.unique(np.array(ms, dtype=tower.dtype), return_inverse=True)
     stop, esc = _stopping_stages(tower, B, js, shifts, epsilon)
 
     # X at each stopping stage, read from the table of X_K: dense and lifted
     # stage by stage while it has at most DENSE_MAX entries; counted at just
     # the points read when the sets' own stage is already taller
     size = lambda k: 2 * tower.stage(k).h - 1
-    X = np.zeros(len(shifts), dtype=np.int64)
+    X = np.zeros(len(shifts), dtype=tower.dtype)
     K, table = js, None
     if size(js) <= DENSE_MAX:
         table = _dense_table(tower, A, B, js)
@@ -248,10 +223,23 @@ def pair_enclosure_grid(
         step = max(1, CHUNK // math.prod(2 * tower.spec.stages[i - 1].r for i in range(K, J)))
         for i in range(0, len(at), step):
             rows, d = _descend(tower, shifts[at[i:i + step]], J, K)
-            vals = (table[d + tower.stage(K).h - 1] if table is not None
+            vals = (table[(d + tower.stage(K).h - 1).astype(np.int64, copy=False)]
+                    if table is not None
                     else _range_counts(tower, A, *tower.range_arrays(B, K), K, d))
             np.add.at(X, at[i:i + step][rows], vals)
     return _enclosures(tower, stop, X, esc, where)
+
+
+def pair_enclosure(
+    A: LevelSet,
+    B: LevelSet,
+    m: int,
+    tower: Tower,
+    epsilon: Fraction | None = None,
+) -> MeasureEnclosure:
+    """Enclosure of mu(A intersect T^m B): the one-shift call of
+    ``pair_enclosure_grid``."""
+    return pair_enclosure_grid(A, B, [m], tower, epsilon)[0]
 
 
 # -- whole-grid triple correlations ---------------------------------------

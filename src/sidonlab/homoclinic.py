@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .construction import LevelSet, NeedsMoreStages, PointState, Tower
 from .enclosure import MeasureEnclosure
 
@@ -407,14 +409,24 @@ def lemma61_defect(
         parts, _ = s_schedule(tower)
     E = LevelSet.from_ranges(j, [(0, 1)])
     J = tower.resolving_stage(j, t)
+    s, e = tower.range_arrays(E, J)
     resolved = []  # (stage, image LevelSet)
-
-    def record(J, s, e):  # keeps the pieces and counts no hits
-        resolved.append((J, LevelSet.from_arrays(J, s + t, e + t)))
-        return 0
-
-    # with no hits counted the enclosure is [0, escaped mass]
-    residual = tower.escape_enclosure(J, t, tower.range_arrays(E, J), record, epsilon).hi
+    # keep E's ranges below h_J - t as image pieces, lift the escaped top to
+    # J + 1 and repeat until its mass is 0, at most epsilon or at the top
+    while True:
+        cut = tower.stage(J).h - t
+        rs, re = np.minimum(s, cut), np.minimum(e, cut)
+        keep = re > rs
+        if keep.any():
+            resolved.append((J, LevelSet.from_arrays(J, rs[keep] + t, re[keep] + t)))
+        s = np.maximum(s, cut)
+        keep = e > s
+        s, e = s[keep], e[keep]
+        residual = int((e - s).sum()) * tower.stage(J).base_measure
+        if residual == 0 or residual <= epsilon or J == tower.depth:
+            break
+        s, e = tower.lift_ranges(s, e, J)
+        J += 1
     # classify the resolved levels by birth block, widths in units of
     # mu(E_depth): a level that descends to stage j lies in a copy of X_j.
     # The pieces are disjoint (T^t of disjoint parts of E_j), so the levels

@@ -12,10 +12,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .construction import LevelSet, NeedsMoreStages, Tower
-from .correlation import pair_enclosure, triple_enclosure
+from .correlation import pair_enclosure_grid, triple_enclosure_grid
 from .enclosure import MeasureEnclosure
 
 
@@ -165,25 +165,34 @@ def _interval_grid(enc: MeasureEnclosure, points: int = 3) -> list[float]:
     return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
 
 
-def overlap_enclosures(events: list[CountEvent], tower: Tower, epsilon=None):
-    """Pairwise (and for 3 events the triple) intersection enclosures of the
-    shifted sets, reduced to nonnegative relative shifts."""
-    evs = sorted(events, key=lambda e: e.shift)
-    out_pairs = {}
-    for i in range(len(evs)):
-        for k in range(i + 1, len(evs)):
-            lo_e, hi_e = evs[i], evs[k]
-            m = hi_e.shift - lo_e.shift
+def overlap_enclosures(rows, tower: Tower, epsilon=None):
+    """For each row of events: the events sorted by shift, the intersection
+    enclosures of their shifted sets keyed by event pair (i, k), and for 3
+    events the triple one, reduced to nonnegative relative shifts.  All rows
+    share one pair grid per ordered pair of sets and one triple grid per
+    (sets, n)."""
+    rows = [sorted(events, key=lambda e: e.shift) for events in rows]
+    shifts = {}  # (grid, its sets and n) -> the shifts asked of it, in row order
+    asked = []
+    for evs in rows:
+        keys = {}
+        for i, k in combinations(range(len(evs)), 2):
             # mu(T^a A cap T^b B) = mu(A cap T^{b-a} B), b >= a
-            out_pairs[(i, k)] = pair_enclosure(lo_e.set, hi_e.set, m, tower, epsilon=epsilon)
-    triple = None
-    if len(evs) == 3:
-        m = evs[1].shift - evs[0].shift
-        n = evs[2].shift - evs[1].shift
-        triple = triple_enclosure(
-            evs[0].set, evs[1].set, evs[2].set, m, n, tower, epsilon=epsilon
-        )
-    return evs, out_pairs, triple
+            m = evs[k].shift - evs[i].shift
+            tower.resolving_stage(1, m)  # the first shift error, in row order
+            keys[i, k] = (pair_enclosure_grid, evs[i].set, evs[k].set)
+            shifts.setdefault(keys[i, k], []).append(m)
+        if len(evs) == 3:
+            keys["triple"] = (triple_enclosure_grid, *(e.set for e in evs),
+                              evs[2].shift - evs[1].shift)
+            shifts.setdefault(keys["triple"], []).append(evs[1].shift - evs[0].shift)
+        asked.append(keys)
+    encs = {key: iter(key[0](*key[1:], ms, tower, epsilon)) for key, ms in shifts.items()}
+    out = []
+    for evs, keys in zip(rows, asked):
+        got = {q: next(encs[key]) for q, key in keys.items()}
+        out.append((evs, got, got.pop("triple", None)))
+    return out
 
 
 def joint_prob(
@@ -202,7 +211,12 @@ def joint_prob(
     if len(events) == 1:
         v = marginal_prob(events[0], tower).value()
         return ProbEnclosure(v, v)
-    evs, pairs, triple = overlap_enclosures(events, tower, epsilon=epsilon)
+    return _joint_law(tower, *overlap_enclosures([events], tower, epsilon)[0])
+
+
+def _joint_law(tower: Tower, evs, pairs, triple) -> ProbEnclosure:
+    """``joint_prob`` of 2 or 3 events sorted by shift, from their overlap
+    enclosures."""
     mus = [float(tower.set_measure(e.set)) for e in evs]
     counts = tuple(e.count for e in evs)
     clamped = False
@@ -341,9 +355,12 @@ def mixing_report(
     product of marginals, per shift n."""
     rows = []
     prod = marginal_prob(V, tower).value() * marginal_prob(W, tower).value()
-    for n in n_grid:
-        evs = [CountEvent(V.set, V.count, n), CountEvent(W.set, W.count, 0)]
-        joint = joint_prob(evs, tower, epsilon=epsilon)
+    n_grid = list(n_grid)
+    events = [[CountEvent(V.set, V.count, n), CountEvent(W.set, W.count, 0)]
+              for n in n_grid]
+    overlaps = overlap_enclosures(events, tower, epsilon)
+    for n, evs, overlap in zip(n_grid, events, overlaps):
+        joint = _joint_law(tower, *overlap)
         dev_lo, dev_hi = _deviation_interval(joint, prod)
         row = {
             "n": n,
@@ -379,13 +396,12 @@ def triple_mixing_report(
         * marginal_prob(V, tower).value()
         * marginal_prob(W, tower).value()
     )
-    for m, n in mn_grid:
-        evs = [
-            CountEvent(U.set, U.count, 0),
-            CountEvent(V.set, V.count, m),
-            CountEvent(W.set, W.count, m + n),
-        ]
-        joint = joint_prob(evs, tower, epsilon=epsilon)
+    mn_grid = list(mn_grid)
+    events = [[CountEvent(U.set, U.count, 0), CountEvent(V.set, V.count, m),
+               CountEvent(W.set, W.count, m + n)] for m, n in mn_grid]
+    overlaps = overlap_enclosures(events, tower, epsilon)
+    for (m, n), evs, overlap in zip(mn_grid, events, overlaps):
+        joint = _joint_law(tower, *overlap)
         dev_lo, dev_hi = _deviation_interval(joint, prod)
         row = {
             "m": m,

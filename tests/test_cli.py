@@ -586,6 +586,37 @@ class TestHomoclinic:
                              "homoclinic.csv", "--seed", "0")
 
 
+class TestPoisson:
+    # A config of each mode on the running tower with up to two fields
+    # replaced or an unknown key added.  Event counts stay at most 3: the
+    # triple law's cost grows as the fourth power of the counts.
+    SHIFT = st.integers(-35, 35)
+    EVENT = st.fixed_dictionaries({"set": LEVEL_SET, "count": st.integers(0, 3)},
+                                  optional={"shift": SHIFT})
+    ANY_EVENT = st.fixed_dictionaries(
+        {"set": st.one_of(LEVEL_SET, ANY), "count": st.one_of(st.integers(-1, 3), WRONG)},
+        optional={"shift": ANY, "bogus": ANY})
+    OPTIONAL = {"mc_samples": st.integers(0, 20), "epsilon": EPSILON}
+    BASE = st.one_of(
+        st.fixed_dictionaries({"mode": st.just("mixing"),
+                               "events": st.lists(EVENT, min_size=2, max_size=2),
+                               "n_grid": st.lists(SHIFT, max_size=4)}, optional=OPTIONAL),
+        st.fixed_dictionaries({"mode": st.just("triple"),
+                               "events": st.lists(EVENT, min_size=3, max_size=3),
+                               "mn_grid": st.lists(st.lists(SHIFT, min_size=2, max_size=2),
+                                                   max_size=3)}, optional=OPTIONAL))
+    CHANGES = replaced({"mode": ANY, "events": st.one_of(WRONG, st.lists(ANY_EVENT, max_size=4)),
+                        "n_grid": GRID,
+                        "mn_grid": st.one_of(GRID, st.lists(st.lists(ANY, max_size=3), max_size=3)),
+                        "mc_samples": SMALL, "epsilon": ANY, "bogus": ANY})
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(fields=st.builds(lambda a, b: {**a, **b}, BASE, CHANGES))
+    def test_fuzz_exit_contract(self, fields):
+        assert_exit_contract("poisson", {"construction": RUNNING_SPEC.to_dict(), **fields},
+                             "poisson.csv", "--seed", "0")
+
+
 class TestDeterminism:
     def _twice(self, argv_base, out1, out2, name):
         assert run_cli(argv_base + ["--out", str(out1)]) == 0

@@ -291,8 +291,9 @@ class TestLift:
         full = LevelSet.from_ranges(2, [(0, 7)])
         assert demo_tower.set_measure(full) == 7 * demo_tower.stage(2).base_measure
         assert demo_tower.lift(full, 3).count() == 4 * 7
-        touching = LevelSet(2, ((0, 2), (2, 3)))  # as intersect can leave them
-        assert demo_tower.set_measure(touching) == 3 * demo_tower.stage(2).base_measure
+        touching = LevelSet(2, ((0, 2), (2, 3)))  # from_ranges would merge them
+        with pytest.raises(ValueError, match="LevelSet.from_ranges"):
+            demo_tower.set_measure(touching)
 
 
 class TestSetMemo:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sidonlab import (
@@ -42,6 +43,37 @@ def reference_pair(A, B, m, tower, epsilon=None):
         if esc_mass == 0 or esc_mass <= epsilon or J == tower.depth:
             return MeasureEnclosure(lo, lo + esc_mass)
         esc = tower.lift(escaped, J + 1)
+        J += 1
+
+
+def escape_pair(A, B, m, tower, epsilon=None):
+    """The per-shift array escape loop that pair_enclosure ran before it
+    became the grid's one-shift call: resolve B's range arrays below
+    h_J - m, count A's levels under their image, lift the escaped top to
+    J + 1 and repeat until the escaped mass is 0, at most epsilon or at the
+    top stage."""
+    if epsilon is None:
+        epsilon = default_epsilon(tower, A)
+    J = tower.resolving_stage(max(A.stage, B.stage), m)
+    s, e = tower.range_arrays(B, J)
+    lo = Fraction(0)
+    while True:
+        w = tower.stage(J).base_measure
+        cut = tower.stage(J).h - m
+        rs, re = np.minimum(s, cut), np.minimum(e, cut)
+        keep = re > rs
+        if keep.any():
+            prefix = tower.prefix_counts(A, J)
+            hits = (correlation._count_below(prefix, re[keep] + m)
+                    - correlation._count_below(prefix, rs[keep] + m))
+            lo += int(hits.sum()) * w
+        s = np.maximum(s, cut)
+        keep = e > s
+        s, e = s[keep], e[keep]
+        esc_mass = int((e - s).sum()) * w
+        if esc_mass == 0 or esc_mass <= epsilon or J == tower.depth:
+            return MeasureEnclosure(lo, lo + esc_mass)
+        s, e = tower.lift_ranges(s, e, J)
         J += 1
 
 
@@ -239,8 +271,8 @@ class TestAgainstReferenceLoop:
 
 
 class TestGridAgainstPerShift:
-    """pair_enclosure_grid must give per-shift pair_enclosure's lo and hi,
-    in grid order, and the per-shift loop's first error."""
+    """pair_enclosure_grid must give the per-shift escape loop's lo and hi,
+    in grid order, and its first error."""
 
     @staticmethod
     def edge_grid(rng, tower, count):
@@ -263,7 +295,7 @@ class TestGridAgainstPerShift:
         assert len(got) == len(ms)
         fresh = Tower(tower.spec, tower.depth)  # per-shift answers from another memo
         for m, enc in zip(ms, got):
-            assert_same(enc, pair_enclosure(A, B, m, fresh, epsilon=eps))
+            assert_same(enc, escape_pair(A, B, m, fresh, epsilon=eps))
 
     # The table of X is dense and lifted while it has at most DENSE_MAX
     # entries; a smaller ceiling makes the small random towers stop lifting
@@ -309,14 +341,29 @@ class TestGridAgainstPerShift:
         full = LevelSet.from_ranges(2, [(0, 3)])
         self.assert_grid(full, full, [3], tower, None)
 
-    def test_heights_beyond_int64(self):
+    def huge_towers(self):
+        """Check the grid on 30 object-dtype towers; returns how many of
+        them count X in a dense table."""
         rng = random.Random(43)
+        tables = 0
         for i in range(30):
             tower = Tower(huge_spec(rng), depth=3)
             assert tower.dtype is object
             A, B = (random_ranges(rng, tower, rng.randint(1, 2), 3) for _ in range(2))
+            tables += 2 * tower.stage(max(A.stage, B.stage)).h - 1 <= correlation.DENSE_MAX
             eps = (None, Fraction(0), Fraction(1, 3))[i % 3]
             self.assert_grid(A, B, self.edge_grid(rng, tower, 5), tower, eps)
+        return tables
+
+    # The grid runs its own code on object-dtype towers: the dense table
+    # wherever the sets' stage is short enough, and with a ceiling of 0 the
+    # counts at the points read everywhere.
+    def test_heights_beyond_int64(self):
+        assert self.huge_towers() > 0
+
+    def test_heights_beyond_int64_scattered(self, monkeypatch):
+        monkeypatch.setattr(correlation, "DENSE_MAX", 0)
+        assert self.huge_towers() == 0
 
     def test_empty_grid(self, demo_tower):
         a = LevelSet.from_ranges(2, [(0, 1)])
@@ -328,7 +375,7 @@ class TestGridAgainstPerShift:
         ms = [5, top + 7, 80, top, top - 1]
         with pytest.raises(NeedsMoreStages) as per_shift:
             for m in ms:
-                pair_enclosure(a, a, m, demo_tower)
+                escape_pair(a, a, m, demo_tower)
         with pytest.raises(NeedsMoreStages) as grid:
             pair_enclosure_grid(a, a, ms, demo_tower)
         assert str(grid.value) == str(per_shift.value)

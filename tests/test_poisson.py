@@ -17,10 +17,13 @@ from sidonlab import (
     mc_joint,
     mixing_report,
     normalization_check,
+    pair_enclosure,
     sample_configuration,
+    triple_enclosure,
     triple_mixing_report,
 )
-from sidonlab.poisson import poisson_pmf, sample_poisson_count, shifted_level_set
+from sidonlab.poisson import (overlap_enclosures, poisson_pmf, sample_poisson_count,
+                              shifted_level_set)
 
 
 class TestCylinder:
@@ -215,6 +218,58 @@ class TestMixing:
         for r in rows:
             err = max(r["mc_stderr"], 1e-9)
             assert r["joint_lo"] - 4 * err <= r["mc"] <= r["joint_hi"] + 4 * err
+
+    # The reports ask every row's overlaps at once: one pair grid per ordered
+    # pair of sets (a negative n puts V's set first) and one triple grid per
+    # (sets, n).  Each row must still get its own joint_prob.
+    @staticmethod
+    def events(demo_spec):
+        rng = random.Random(9)
+        return [CountEvent(LevelSet.from_levels(stage, rng.sample(range(h), k)), count)
+                for stage, h, k, count in ((3, 77, 20, 1), (2, 7, 3, 0), (3, 77, 20, 2))]
+
+    def test_overlaps_put_the_earlier_event_first(self, demo_spec):
+        # mu(T^a A cap T^b B) = mu(A cap T^(b - a) B) for a <= b
+        U, V, W = self.events(demo_spec)
+        tower = Tower(demo_spec, depth=6)
+        rows = [[CountEvent(V.set, 0, 40), CountEvent(W.set, 0, 0)],
+                [CountEvent(V.set, 0, -40), CountEvent(W.set, 0, 0)],
+                [CountEvent(U.set, 0, 0), CountEvent(V.set, 0, -30), CountEvent(W.set, 0, -10)]]
+        got = overlap_enclosures(rows, tower)
+        assert got[0][1] == {(0, 1): pair_enclosure(W.set, V.set, 40, tower)}
+        assert got[1][1] == {(0, 1): pair_enclosure(V.set, W.set, 40, tower)}
+        assert got[0][1] != got[1][1]
+        evs, pairs, triple = got[2]
+        assert [e.set for e in evs] == [V.set, W.set, U.set]
+        assert pairs == {(0, 1): pair_enclosure(V.set, W.set, 20, tower),
+                         (0, 2): pair_enclosure(V.set, U.set, 30, tower),
+                         (1, 2): pair_enclosure(W.set, U.set, 10, tower)}
+        assert triple == triple_enclosure(V.set, W.set, U.set, 20, 10, tower)
+
+    @pytest.mark.parametrize("eps", [None, Fraction(0), Fraction(1, 3)])
+    def test_grouped_mixing_rows_equal_joint_prob(self, demo_spec, eps):
+        _, V, W = self.events(demo_spec)
+        tower, fresh = Tower(demo_spec, depth=6), Tower(demo_spec, depth=6)
+        n_grid = [0, 5, -5, 40, -40, 1500, -1500, 5, 60_000, -60_000]
+        rows = mixing_report(V, W, n_grid, tower, epsilon=eps)
+        assert [r["n"] for r in rows] == n_grid
+        for n, r in zip(n_grid, rows):
+            want = joint_prob([CountEvent(V.set, V.count, n), CountEvent(W.set, W.count, 0)],
+                              fresh, epsilon=eps)
+            assert (r["joint_lo"], r["joint_hi"]) == (want.lo, want.hi)
+
+    @pytest.mark.parametrize("eps", [None, Fraction(0), Fraction(1, 3)])
+    def test_grouped_triple_rows_equal_joint_prob(self, demo_spec, eps):
+        U, V, W = self.events(demo_spec)
+        tower, fresh = Tower(demo_spec, depth=6), Tower(demo_spec, depth=6)
+        mn_grid = [(0, 0), (10, 20), (-10, 20), (10, -20), (-30, -10), (10, 20),
+                   (700, -1400), (-700, 1400), (30_000, 30_000), (-10, 20)]
+        rows = triple_mixing_report(U, V, W, mn_grid, tower, epsilon=eps)
+        assert [(r["m"], r["n"]) for r in rows] == mn_grid
+        for (m, n), r in zip(mn_grid, rows):
+            want = joint_prob([CountEvent(U.set, U.count, 0), CountEvent(V.set, V.count, m),
+                               CountEvent(W.set, W.count, m + n)], fresh, epsilon=eps)
+            assert (r["joint_lo"], r["joint_hi"]) == (want.lo, want.hi)
 
     def test_triple_rows(self, demo_tower):
         a = LevelSet.from_ranges(2, [(0, 2)])
