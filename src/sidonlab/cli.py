@@ -359,7 +359,7 @@ def cmd_flow(cfg, digest, args):
     tower, _, _ = _tower(cfg, args)
     seed = _require_seed(args, "flow")
     phi = cfg.get("phi", "reciprocal")
-    if phi not in PHI_CATALOG:
+    if not (isinstance(phi, str) and phi in PHI_CATALOG):
         raise ConfigError(f"unknown phi {phi!r}; catalog: {sorted(PHI_CATALOG)}", "phi")
     rect = cfg.get("rect", [0.0, 1.0, 0.0, 1.0])
     if not (isinstance(rect, list) and len(rect) == 4):

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -94,9 +95,17 @@ def parse_construction(d: dict):
         return spec, ledger, psi
     _require_keys(d, {"h1", "stages"}, set(), "construction")
     parse_int(d["h1"], "construction.h1", 1)
+    if not isinstance(d["stages"], list):
+        raise ConfigError("construction.stages must be a list", "construction.stages")
+    for i, st in enumerate(d["stages"]):
+        where = f"construction.stages[{i}]"
+        _require_keys(st, {"r", "s"}, set(), where)
+        r = parse_int(st["r"], where + ".r", 2)
+        if len(parse_int_grid(st["s"], where + ".s", minimum=0)) != r:
+            raise ConfigError(f"{where}.s must hold r={r} spacer counts", where + ".s")
     try:
         spec = ConstructionSpec.from_dict(d)
-    except (SpecValidationError, TypeError, KeyError) as e:
+    except SpecValidationError as e:  # an empty stage list
         raise ConfigError(f"invalid construction: {e}", "construction") from e
     return spec, None, None
 
@@ -114,8 +123,10 @@ def parse_int(x, where: str, minimum: int | None = None) -> int:
 
 
 def parse_real(x, where: str):
-    """A finite config number: an int (not a bool) or a finite float."""
-    if not (_is_int(x) or isinstance(x, float) and math.isfinite(x)):
+    """A config number that is a finite float: an int (not a bool) inside
+    the float range, or a finite float."""
+    if not (_is_int(x) and abs(x) <= sys.float_info.max
+            or isinstance(x, float) and math.isfinite(x)):
         raise ConfigError(f"{where} must be a finite number, got {x!r}", where)
     return x
 

@@ -406,22 +406,26 @@ class Tower:
 
     # -- integer points ---------------------------------------------------
 
-    def descend(self, J: int, level: int, stop: int = 1) -> tuple[int, int, int]:
-        """Trace a stage-J level down the column copies to stage ``stop``, or
-        to the stage where it is born as a spacer level if that is deeper.
-        Returns (stage, level, u): the level there occupies [u, u + units_J)
-        of that level's offset coordinate, in units of mu(E_depth)."""
-        h, offsets, units = self._h, self._offsets, self.units
-        u = 0
-        while J > stop:
-            offs = offsets[J - 1]
-            i = bisect.bisect_right(offs, level) - 1
-            if i < 0 or level >= offs[i] + h[J - 1]:
-                break  # spacer level: born at stage J
-            level -= offs[i]
-            u += i * units[J]
-            J -= 1
-        return J, level, u
+    def descend(self, J: int, levels, stop: int = 1):
+        """Trace stage-J levels down the column copies to stage ``stop``, or
+        each to the stage where it is born as a spacer level if that is
+        deeper.  Returns arrays (stage, level, u): a level lands in that
+        level of that stage and occupies [u, u + units_J) of its offset
+        coordinate, in units of mu(E_depth)."""
+        level = np.array(levels, dtype=self.dtype)
+        stage = np.full(len(level), J)
+        u = np.zeros(len(level), dtype=self.dtype)
+        live = np.arange(len(level))
+        for k in range(J - 1, stop - 1, -1):
+            offs = self._offset_arrays[k]
+            x = level[live]
+            i = np.searchsorted(offs, x, side="right") - 1
+            inside = (i >= 0) & (x < offs[i] + self._h[k])  # else born at k + 1
+            live, i = live[inside], i[inside]
+            level[live] -= offs[i]
+            u[live] += i.astype(self.dtype) * self.units[k + 1]
+            stage[live] = k
+        return stage, level, u
 
     def ascend(self, stage: int, level: int, N: int, d: int, J: int) -> tuple[int, int]:
         """(level, N) of the point (stage, level, N/d) at a deeper stage J:
@@ -489,7 +493,7 @@ class Tower:
 
     def normalize_point(self, p: PointState) -> PointState:
         """Descend to the minimal-stage representation."""
-        b, level, u = self.descend(p.stage, p.level)
+        b, level, u = (int(x[0]) for x in self.descend(p.stage, [p.level]))
         return PointState(b, level, p.offset + Fraction(u, self.units[1]))
 
     def step(self, p: PointState, direction: int = 1) -> PointState:
@@ -502,7 +506,7 @@ class Tower:
         """Exact n-fold composition of the step map, via level arithmetic."""
         N, d = self._integer_offset(p.offset)
         J, level, N = self.advance(p.stage, p.level, N, d, n)
-        b, level, u = self.descend(J, level)
+        b, level, u = (int(x[0]) for x in self.descend(J, [level]))
         return PointState(b, level, Fraction(N + u * d, d * self.units[1]))
 
     def membership(self, p: PointState, A: LevelSet) -> bool:

@@ -19,7 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import correlation
 from .construction import LevelSet, NeedsMoreStages, PointState, Tower
+from .correlation import _checked_shifts, _stopping_stages, default_epsilon
 from .enclosure import MeasureEnclosure
 
 
@@ -378,96 +380,99 @@ def retention_audit(dmap: DissipativeMap, piece_samples_per_stage: int = 3):
 
 # ---------------------------------------------------------------------------
 # Lemma-style homoclinicity defect
+#
+# The escape loop over E_j with shift t = k + n (keep E_j's levels below
+# h_J - t, lift the escaped top, repeat) stops at the stage J and escape
+# count that correlation._stopping_stages gives for t, as for the pair
+# grid.  A piece kept at an earlier stage lifts to copies kept at J, so the
+# image is (E_j at J, below h_J - t) + t, and each copy of E_j at J is one
+# level.  The image depends on t alone, and one array descent classifies
+# the levels of every image of a stopping stage at once.
 
 
-def lemma61_defect(
-    tower: Tower,
-    j: int,
-    k: int,
-    n: int,
-    epsilon: Fraction | None = None,
-    parts: dict[int, int] | None = None,
-):
-    """Enclosure of the conditional defect 1 - mu(S T^{n+k} E_j | T^{n+k} E_j).
+def lemma61_defect_grid(tower: Tower, j: int, pairs, epsilon: Fraction | None = None):
+    """(enclosure, info) of ``lemma61_defect`` for every (k, n) of
+    ``pairs``, in order, from one escape grid over E_j (see above)."""
+    h_j = tower.stage(j).h
+    ts = []
+    for k, n in pairs:  # the first bad pair raises
+        if not 0 <= k <= h_j:
+            raise ValueError(f"k={k} outside [0, {h_j}]")
+        h_next = tower.stage(j + 1).h
+        if not h_j <= n <= h_next:
+            raise ValueError(f"n={n} outside [{h_j}, {h_next}]")
+        ts += _checked_shifts(tower, [k + n])
+    if not ts:
+        return []
+    E = LevelSet(j, ((0, 1),))
+    if epsilon is None:
+        epsilon = default_epsilon(tower, E)
+    shifts, where = np.unique(np.array(ts, dtype=tower.dtype), return_inverse=True)
+    stop, esc = _stopping_stages(tower, E, j, shifts, epsilon)
+    # per shift: its image's levels, those in copies of X_j and in partial
+    # new blocks, and its full new blocks per birth stage
+    kept, copies, partial = (np.zeros(len(shifts), dtype=np.int64) for _ in range(3))
+    full = np.zeros((len(shifts), tower.depth + 1), dtype=np.int64)
+    for J in np.unique(stop).tolist():
+        at = np.flatnonzero(stop == J)
+        levels = tower.range_arrays(E, J)[0]
+        kept[at] = np.searchsorted(levels, tower.stage(J).h - shifts[at])
+        per_block = np.array(tower.units) // tower.units[J]  # stage-J levels
+        step = max(1, correlation.CHUNK // len(levels))
+        for i in range(0, len(at), step):
+            c = kept[at[i:i + step]]
+            row = np.repeat(at[i:i + step], c)
+            img = levels[np.arange(len(row)) - np.repeat(np.cumsum(c) - c, c)] + shifts[row]
+            # A level that descends to stage j lies in a copy of X_j.  The
+            # others group by (shift, birth stage, birth level); the images
+            # are disjoint, so a group fills its new block exactly when it
+            # has as many levels as the block has at stage J.
+            b, l0, _ = tower.descend(J, img, j)
+            np.add.at(copies, row[b == j], 1)
+            new = b > j
+            order = np.lexsort((l0[new], b[new], row[new]))
+            row, b, l0 = (x[new][order] for x in (row, b, l0))
+            first = np.ones(len(row), dtype=bool)
+            first[1:] = (row[1:] != row[:-1]) | (b[1:] != b[:-1]) | (l0[1:] != l0[:-1])
+            size = np.diff(np.r_[np.flatnonzero(first), len(row)])
+            row, b = row[first], b[first]
+            whole = size == per_block[b]
+            np.add.at(full, (row[whole], b[whole]), 1)
+            np.add.at(partial, row[~whole], size[~whole])
+    parts, _ = s_schedule(tower)
+    block_defect = [0] + [min(1, Fraction(2, c)) * tower.stage(b).base_measure
+                          for b, c in parts.items()]
+    made = []
+    for t, J, e, kk, cp, pa, fu in zip(shifts.tolist(), stop.tolist(), esc.tolist(),
+                                        kept.tolist(), copies.tolist(), partial.tolist(),
+                                        full.tolist()):
+        w = tower.stage(J).base_measure
+        image = tower.range_arrays(E, J)[0][:kk] + t
+        info = {
+            "pieces": [(J, LevelSet.from_arrays(J, image, image + 1))] if kk else [],
+            "residual": e * w,
+            "full_blocks": sum(fu),
+            "full_defect": sum((x * d for x, d in zip(fu, block_defect) if x), Fraction(0)),
+            "copy_slack": cp * w,
+            "partial_slack": pa * w,
+        }
+        raw = (info["full_defect"] + info["copy_slack"] + info["partial_slack"]
+               + info["residual"]) / tower.stage(j).base_measure
+        made.append((MeasureEnclosure(Fraction(0), min(Fraction(1), raw)), info))
+    return [made[i] for i in where.tolist()]
+
+
+def lemma61_defect(tower: Tower, j: int, k: int, n: int, epsilon: Fraction | None = None):
+    """Enclosure of the conditional defect 1 - mu(S T^{n+k} E_j | T^{n+k} E_j),
+    and an info dict: the one-pair call of ``lemma61_defect_grid``.
 
     The image level set is resolved with escape enclosures, then each level
     is classified by birth block: levels tiling a full new block born after
     stage j contribute at most 2/s(D) of the block (one sub-block leaves
     under P, one enters); levels inside copies of X_j, partial-block slices
-    and escaped residual count wholly as slack."""
-    st_j = tower.stage(j)
-    if not 0 <= k <= st_j.h:
-        raise ValueError(f"k={k} outside [0, {st_j.h}]")
-    h_next = tower.stage(j + 1).h
-    if not st_j.h <= n <= h_next:
-        raise ValueError(f"n={n} outside [{st_j.h}, {h_next}]")
-    t = n + k
-    mu_total = st_j.base_measure
-    if epsilon is None:
-        epsilon = mu_total / 1000
-    if parts is None:
-        parts, _ = s_schedule(tower)
-    E = LevelSet.from_ranges(j, [(0, 1)])
-    J = tower.resolving_stage(j, t)
-    s, e = tower.range_arrays(E, J)
-    resolved = []  # (stage, image LevelSet)
-    # keep E's ranges below h_J - t as image pieces, lift the escaped top to
-    # J + 1 and repeat until its mass is 0, at most epsilon or at the top
-    while True:
-        cut = tower.stage(J).h - t
-        rs, re = np.minimum(s, cut), np.minimum(e, cut)
-        keep = re > rs
-        if keep.any():
-            resolved.append((J, LevelSet.from_arrays(J, rs[keep] + t, re[keep] + t)))
-        s = np.maximum(s, cut)
-        keep = e > s
-        s, e = s[keep], e[keep]
-        residual = int((e - s).sum()) * tower.stage(J).base_measure
-        if residual == 0 or residual <= epsilon or J == tower.depth:
-            break
-        s, e = tower.lift_ranges(s, e, J)
-        J += 1
-    # classify the resolved levels by birth block, widths in units of
-    # mu(E_depth): a level that descends to stage j lies in a copy of X_j.
-    # The pieces are disjoint (T^t of disjoint parts of E_j), so the levels
-    # in one block cover it exactly when their widths add up to its width.
-    units = tower.units
-    covered: dict[tuple[int, int], int] = {}
-    copy_units = 0
-    for J2, ls in resolved:
-        width = units[J2]
-        for a, e in ls.ranges:
-            for lvl in range(a, e):
-                b, l0, _ = tower.descend(J2, lvl, j)
-                if b == j:
-                    copy_units += width
-                else:
-                    covered[b, l0] = covered.get((b, l0), 0) + width
-    full_count: dict[int, int] = {}
-    partial_units = 0
-    for (b, _), width in covered.items():
-        if width == units[b]:
-            full_count[b] = full_count.get(b, 0) + 1
-        else:
-            partial_units += width
-    full_defect = Fraction(0)
-    for b, count in full_count.items():
-        mu_b = tower.stage(b).base_measure
-        full_defect += count * min(mu_b, 2 * mu_b / parts[b])
-    unit = tower.stage(tower.depth).base_measure
-    hi = min(
-        Fraction(1),
-        (full_defect + (copy_units + partial_units) * unit + residual) / mu_total,
-    )
-    info = {
-        "pieces": resolved,
-        "residual": residual,
-        "full_blocks": sum(full_count.values()),
-        "full_defect": full_defect,
-        "copy_slack": copy_units * unit,
-        "partial_slack": partial_units * unit,
-    }
-    return MeasureEnclosure(Fraction(0), hi), info
+    and escaped residual count wholly as slack.  ``info["pieces"]`` holds
+    the resolved image as at most one (stage, LevelSet)."""
+    return lemma61_defect_grid(tower, j, [(k, n)], epsilon)[0]
 
 
 def homoclinic_sweep(
@@ -476,12 +481,10 @@ def homoclinic_sweep(
     samples_per_stage: int,
     seed: int = 0,
     epsilon: Fraction | None = None,
-    parts: dict[int, int] | None = None,
 ):
     """Defect enclosures over sampled (k, n) per stage, stage boundary
-    n = h_j always included.  Returns (rows, per-stage max hi)."""
-    if parts is None:
-        parts, _ = s_schedule(tower)
+    n = h_j always included, one grid per stage.  Returns (rows, per-stage
+    max hi)."""
     rng = random.Random(seed)
     rows = []
     stage_max: dict[int, Fraction] = {}
@@ -491,8 +494,7 @@ def homoclinic_sweep(
         pairs = [(0, h_j), (0, h_next)]
         while len(pairs) < max(2, samples_per_stage):
             pairs.append((rng.randint(0, h_j), rng.randint(h_j, h_next)))
-        for kk, nn in pairs:
-            enc, info = lemma61_defect(tower, j, kk, nn, epsilon=epsilon, parts=parts)
+        for (kk, nn), (enc, info) in zip(pairs, lemma61_defect_grid(tower, j, pairs, epsilon)):
             rows.append(
                 {
                     "j": j,
@@ -554,6 +556,10 @@ def flow_defect(
         raise ValueError("rectangle must have positive area")
     if params.t == 0:
         return 0.0, 0.0
+    try:
+        area = float((b - a) * (d - c))
+    except OverflowError:
+        raise ValueError("rectangle area exceeds the float range") from None
     phi = params.phi_fn()
     # embed and evaluate in the same concatenation coordinate: the deepest
     # built stage, so coord(R^0 y) = y exactly
@@ -587,7 +593,6 @@ def flow_defect(
         if not fa <= x2 <= fb:
             out += 1
     p_hat = out / samples
-    area = float((b - a) * (d - c))
     defect = math.sqrt(2.0 * area * p_hat)
     sigma_p = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
     stderr = area * sigma_p / defect if defect > 0 else math.sqrt(2.0 * area * sigma_p)

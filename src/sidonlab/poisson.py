@@ -109,18 +109,6 @@ def normalization_check(mu: Fraction, tol: float = 1e-12) -> tuple[float, int]:
 # joint probabilities via disjoint-atom decomposition
 
 
-def _pair_joint(mu_a: float, mu_b: float, c: float, na: int, nb: int) -> float:
-    a, b = mu_a - c, mu_b - c
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError("negative atom mass")
-    total = 0.0
-    for k in range(0, min(na, nb) + 1):
-        total += (
-            poisson_pmf(c, k) * poisson_pmf(a, na - k) * poisson_pmf(b, nb - k)
-        )
-    return total
-
-
 def _triple_joint(
     mu, pairs, t: float, counts: tuple[int, int, int]
 ) -> float:
@@ -216,41 +204,26 @@ def joint_prob(
 
 def _joint_law(tower: Tower, evs, pairs, triple) -> ProbEnclosure:
     """``joint_prob`` of 2 or 3 events sorted by shift, from their overlap
-    enclosures."""
-    mus = [float(tower.set_measure(e.set)) for e in evs]
-    counts = tuple(e.count for e in evs)
+    enclosures.  Two events are three with an empty third set, whose
+    overlaps are exact zeros: each factor they add is poisson_pmf(0.0, 0)."""
+    pad = 3 - len(evs)
+    mus = [float(tower.set_measure(e.set)) for e in evs] + [0.0] * pad
+    counts = tuple(e.count for e in evs) + (0,) * pad
+    zero = MeasureEnclosure(Fraction(0), Fraction(0))
+    grids = [_interval_grid(x or zero) for x in (pairs[0, 1], pairs.get((0, 2)),
+                                                 pairs.get((1, 2)), triple)]
     clamped = False
     values = []
-    if len(evs) == 2:
-        for c in _interval_grid(pairs[(0, 1)]):
-            c2 = min(c, mus[0], mus[1])
-            clamped |= c2 != c
-            values.append(_pair_joint(mus[0], mus[1], c2, counts[0], counts[1]))
-    else:
-        grids = [
-            _interval_grid(pairs[(0, 1)]),
-            _interval_grid(pairs[(0, 2)]),
-            _interval_grid(pairs[(1, 2)]),
-            _interval_grid(triple),
-        ]
-        for cab, cac, cbc, t in product(*grids):
-            t2 = min(t, cab, cac, cbc)
-            # clamp to a consistent atom system
-            vals = {
-                "cab": min(cab, mus[0], mus[1]),
-                "cac": min(cac, mus[0], mus[2]),
-                "cbc": min(cbc, mus[1], mus[2]),
-            }
-            t2 = min(t2, vals["cab"], vals["cac"], vals["cbc"])
-            try:
-                v = _triple_joint(
-                    tuple(mus), (vals["cab"], vals["cac"], vals["cbc"]), t2, counts
-                )
-            except ValueError:
-                clamped = True
-                continue
-            clamped |= (vals["cab"], vals["cac"], vals["cbc"], t2) != (cab, cac, cbc, t)
-            values.append(v)
+    for cab, cac, cbc, t in product(*grids):
+        # clamp to a consistent atom system
+        c = (min(cab, mus[0], mus[1]), min(cac, mus[0], mus[2]), min(cbc, mus[1], mus[2]))
+        t2 = min(t, *c)
+        try:
+            values.append(_triple_joint(tuple(mus), c, t2, counts))
+        except ValueError:
+            clamped = True
+            continue
+        clamped |= (*c, t2) != (cab, cac, cbc, t)
     if not values:
         return ProbEnclosure(0.0, 1.0, clamped=True)
     return ProbEnclosure(min(values), max(values), clamped=clamped)

@@ -28,6 +28,19 @@ def demo_singer_spec() -> ConstructionSpec:
     return ConstructionSpec(1, tuple(stages))
 
 
+def huge_spec(rng):
+    """Spacer counts up to 2^64; the last one is at least 2^63, so the
+    deepest height exceeds 2^63."""
+    stages = []
+    for _ in range(2):
+        r = rng.randint(2, 3)
+        stages.append(StageParams(r, tuple(rng.choice((0, rng.randint(1, 9), rng.randrange(2**64)))
+                                           for _ in range(r))))
+    last = stages[-1]
+    stages[-1] = StageParams(last.r, last.s[:-1] + (2**63 + rng.randrange(2**63),))
+    return ConstructionSpec(rng.randint(1, 3), tuple(stages))
+
+
 @pytest.fixture(scope="session")
 def running_tower() -> Tower:
     return Tower(RUNNING_SPEC, depth=3)

@@ -126,6 +126,24 @@ class TestBuild:
         assert len(rows) == 2
 
 
+    # The running construction with up to two fields replaced: h1, or the
+    # stage list by one whose stages may have r, s or an unknown key replaced.
+    STAGE = st.integers(2, 3).flatmap(lambda r: st.fixed_dictionaries(
+        {"r": st.just(r), "s": st.lists(st.integers(0, 9), min_size=r, max_size=r)}))
+    ANY_STAGE = st.builds(lambda a, b: {**a, **b}, STAGE,
+                          replaced({"r": ANY, "s": st.one_of(ANY, st.lists(ANY, max_size=4)),
+                                    "bogus": ANY}))
+    BASE = st.fixed_dictionaries({"h1": st.integers(1, 3),
+                                  "stages": st.lists(STAGE, min_size=1, max_size=3)})
+    CHANGES = replaced({"h1": ANY, "stages": st.one_of(WRONG, st.lists(ANY_STAGE, max_size=3)),
+                        "bogus": ANY})
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(construction=st.builds(lambda a, b: {**a, **b}, BASE, CHANGES))
+    def test_fuzz_exit_contract(self, construction):
+        assert_exit_contract("build", {"construction": construction}, "stages.csv")
+
+
 class TestErrors:
     def test_malformed_json_no_partial_output(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -365,6 +383,29 @@ class TestErrors:
         ("corr", {"m": 3, "n": 5}, "n"),
         ("decay", {"m_grid": [0, 5]}, "m_grid[0]"),
         ("corr", {"m": 3, "n": -1, "C": {"stage": 2, "ranges": [[0, 3]]}}, "n"),
+        ("flow", {"phi": []}, "phi"),
+        ("flow", {"t": 10**400}, "t"),
+        ("flow", {"rect": [0, 10**400, 0, 1]}, "rect"),
+        ("build", {"construction": {"h1": 1, "stages": {"r": 2, "s": [0, 1]}}},
+         "construction.stages"),
+        ("build", {"construction": {"h1": 1, "stages": [{"r": "3", "s": [1.9, 0, "3"]}]}},
+         "construction.stages[0].r"),
+        ("build", {"construction": {"h1": 1, "stages": [{"r": 3, "s": [1.9, 0, "3"]}]}},
+         "construction.stages[0].s[0]"),
+        ("build", {"construction": {"h1": 1, "stages": [{"r": 2, "s": [0, 1e300]}]}},
+         "construction.stages[0].s[1]"),
+        ("build", {"construction": {"h1": 1, "stages": [{"r": 2, "s": [0, "x"]}]}},
+         "construction.stages[0].s[1]"),
+        ("build", {"construction": {"h1": 1, "stages": [{"r": 2, "s": [0, float("nan")]}]}},
+         "construction.stages[0].s[1]"),
+        ("build", {"construction": {"h1": 1, "stages": [{"r": 2, "s": [0, -1]}]}},
+         "construction.stages[0].s[1]"),
+        ("build", {"construction": {"h1": 1, "stages": [{"r": 2, "s": [0]}]}},
+         "construction.stages[0].s"),
+        ("build", {"construction": {"h1": 1, "stages": [{"r": 1, "s": [0]}]}},
+         "construction.stages[0].r"),
+        ("build", {"construction": {"h1": 1, "stages": [{"r": 2, "s": [0, 1], "extra": 1}]}},
+         "construction.stages[0]"),
     ])
     def test_bad_grid_or_sample_type(self, tmp_path, capsys, cmd, extra, field):
         path = self._write_config(tmp_path, cmd, extra)
@@ -375,6 +416,14 @@ class TestErrors:
         assert err["code"] == 2 and err["context"]["field"] == field
         assert not out.exists()
 
+
+    def test_flow_area_beyond_float_range(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, "flow", {"rect": [-1e308, 1e308, 0.0, 1.0]})
+        out = tmp_path / "o"
+        assert run_cli(["flow", "--config", str(path), "--out", str(out), "--seed", "1"]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "float range" in json.loads(line)["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("cmd, extra, key", [
         ("build", {"extra": 1}, "extra"),
@@ -615,6 +664,25 @@ class TestPoisson:
     def test_fuzz_exit_contract(self, fields):
         assert_exit_contract("poisson", {"construction": RUNNING_SPEC.to_dict(), **fields},
                              "poisson.csv", "--seed", "0")
+
+
+class TestFlow:
+    # Flow configs on the running tower (height 30 at stage 3) with up to
+    # two fields replaced or an unknown key added.  Sample counts stay at
+    # most 20.
+    BASE = st.fixed_dictionaries(
+        {"samples": st.integers(1, 20)},
+        optional={"phi": st.sampled_from(["reciprocal", "exp"]), "t": st.floats(-2, 2),
+                  "rect": st.sampled_from([[0.0, 1.0, 0.0, 1.0], [-1, 2, 0.5, 4.5]]),
+                  "n_grid": st.lists(st.integers(0, 29), max_size=3)})
+    CHANGES = replaced({"phi": ANY, "rect": st.one_of(WRONG, st.lists(ANY, max_size=5)),
+                        "t": ANY, "samples": SMALL, "n_grid": GRID, "bogus": ANY})
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(fields=st.builds(lambda a, b: {**a, **b}, BASE, CHANGES))
+    def test_fuzz_exit_contract(self, fields):
+        assert_exit_contract("flow", {"construction": RUNNING_SPEC.to_dict(), **fields},
+                             "flow.csv", "--seed", "0")
 
 
 class TestDeterminism:

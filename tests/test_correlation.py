@@ -22,6 +22,7 @@ from sidonlab import correlation
 from sidonlab.correlation import CHUNK, DENSE_MAX, decay_report, default_epsilon
 from sidonlab.enclosure import MeasureEnclosure
 from sidonlab.sidon import PsiSpec, build_from_psi
+from tests.conftest import huge_spec
 
 
 def reference_pair(A, B, m, tower, epsilon=None):
@@ -132,19 +133,6 @@ def random_ranges(rng, tower, stage, k):
     h = tower.stage(stage).h
     cuts = sorted(rng.randrange(h + 1) for _ in range(2 * k))
     return LevelSet.from_ranges(stage, zip(cuts[::2], cuts[1::2]))
-
-
-def huge_spec(rng):
-    """Spacer counts up to 2^64; the last one is at least 2^63, so the
-    deepest height exceeds 2^63."""
-    stages = []
-    for _ in range(2):
-        r = rng.randint(2, 3)
-        stages.append(StageParams(r, tuple(rng.choice((0, rng.randint(1, 9), rng.randrange(2**64)))
-                                           for _ in range(r))))
-    last = stages[-1]
-    stages[-1] = StageParams(last.r, last.s[:-1] + (2**63 + rng.randrange(2**63),))
-    return ConstructionSpec(rng.randint(1, 3), tuple(stages))
 
 
 def assert_same(got, want):

@@ -17,11 +17,14 @@ from sidonlab import (
     flow_defect,
     homoclinic_sweep,
     lemma61_defect,
+    lemma61_defect_grid,
     retention_audit,
     s_schedule,
     wandering_check,
 )
+from sidonlab import correlation
 from sidonlab.homoclinic import PHI_CATALOG, stage_new_ranges
+from tests.conftest import huge_spec
 
 
 def reference_flow_defect(tower, params, n, samples, seed):
@@ -103,8 +106,8 @@ def reference_classify(tower, j, pieces, parts):
 
 def reference_pieces(tower, j, k, n, epsilon=None):
     """The LevelSet escape loop that lemma61_defect replaced: the resolved
-    pieces (stage, T^{n+k} of the part of E_j resolved there) and the
-    escaped residual mass."""
+    pieces (stage, T^{n+k} of the part of E_j resolved there), the escaped
+    residual mass and the stage the loop stopped at."""
     t = n + k
     if epsilon is None:
         epsilon = tower.stage(j).base_measure / 1000
@@ -119,15 +122,46 @@ def reference_pieces(tower, j, k, n, epsilon=None):
         out = esc.clip(st.h - t, st.h)
         residual = out.count() * st.base_measure
         if residual == 0 or residual <= epsilon or J == tower.depth:
-            return resolved, residual
+            return resolved, residual, J
         esc = tower.lift(out, J + 1)
         J += 1
+
+
+def merged_at(tower, pieces, J):
+    """Reference pieces lifted to stage J and merged: the one (J, image)
+    piece, or none, that lemma61_defect reports."""
+    image = [r for _, ls in pieces for r in tower.lift(ls, J).ranges]
+    return [(J, LevelSet.from_ranges(J, image))] if image else []
+
+
+def sample_pairs(rng, tower, j, count):
+    """The stage-interval corners and `count` random (k, n) of stage j."""
+    h_j, h_next = tower.stage(j).h, tower.stage(j + 1).h
+    return [(0, h_j), (0, h_next), (h_j, h_next)] + [
+        (rng.randint(0, h_j), rng.randint(h_j, h_next)) for _ in range(count)]
+
+
+def assert_grid_vs_reference(tower, j, pairs, epsilon=None):
+    """lemma61_defect_grid, pair by pair, against reference_pieces and
+    reference_classify."""
+    parts, _ = s_schedule(tower)
+    mu = tower.stage(j).base_measure
+    got = lemma61_defect_grid(tower, j, pairs, epsilon)
+    assert len(got) == len(pairs)
+    for (k, n), (enc, info) in zip(pairs, got):
+        pieces, residual, J = reference_pieces(tower, j, k, n, epsilon)
+        classes = reference_classify(tower, j, pieces, parts)
+        assert info["pieces"] == merged_at(tower, pieces, J)
+        assert info["residual"] == residual
+        assert (info["full_blocks"], info["full_defect"], info["copy_slack"],
+                info["partial_slack"]) == classes
+        assert (enc.lo, enc.hi) == (0, min(Fraction(1), (sum(classes[1:]) + residual) / mu))
 
 
 def mc_defect(tower, dmap, j, k, n, samples, seed):
     """Monte-Carlo oracle: frequency of points of T^{n+k} E_j whose S-image
     leaves the resolved part of the set."""
-    enc, info = lemma61_defect(tower, j, k, n, parts=dmap.parts)
+    enc, info = lemma61_defect(tower, j, k, n)
     E = LevelSet.from_ranges(j, [(0, 1)])
     rng = random.Random(seed)
     left = 0
@@ -291,39 +325,32 @@ class TestDefect:
         unit = demo_tower.stage(demo_tower.depth).base_measure
         for J in range(1, demo_tower.depth + 1):
             h = demo_tower.stage(J).h
-            for level in (range(h) if h < 2000 else rng.sample(range(h), 2000)):
-                b, l0, u = demo_tower.descend(J, level)
-                assert (b, l0, u * unit) == reference_descend(demo_tower, J, level)
+            levels = list(range(h)) if h < 2000 else rng.sample(range(h), 2000)
+            got = zip(*(x.tolist() for x in demo_tower.descend(J, levels)))
+            assert [(b, l0, u * unit) for b, l0, u in got] == [
+                reference_descend(demo_tower, J, level) for level in levels]
 
     @pytest.mark.parametrize("j", [2, 3, 4])
     def test_classification_vs_reference(self, demo_tower, j):
         parts, _ = s_schedule(demo_tower)
-        rng = random.Random(j)
-        h_j, h_next = demo_tower.stage(j).h, demo_tower.stage(j + 1).h
-        pairs = [(0, h_j), (0, h_next), (h_j, h_next)]
-        pairs += [(rng.randint(0, h_j), rng.randint(h_j, h_next)) for _ in range(12)]
-        for k, n in pairs:
-            _, info = lemma61_defect(demo_tower, j, k, n, parts=parts)
+        for k, n in sample_pairs(random.Random(j), demo_tower, j, 12):
+            _, info = lemma61_defect(demo_tower, j, k, n)
             got = (info["full_blocks"], info["full_defect"], info["copy_slack"],
                    info["partial_slack"])
             assert got == reference_classify(demo_tower, j, info["pieces"], parts)
 
+    # The grid over these pairs at once, against the LevelSet escape loop:
+    # its one piece is the loop's pieces lifted to the stopping stage and
+    # merged, and residual, classification and enclosure are the loop's.
     @pytest.mark.parametrize("epsilon", [None, Fraction(0), Fraction(1, 3)])
-    @pytest.mark.parametrize("j", [2, 3, 4])
+    @pytest.mark.parametrize("j", [2, 3, 4, 1])
     def test_pieces_vs_reference(self, demo_tower, j, epsilon):
-        parts, _ = s_schedule(demo_tower)
-        rng = random.Random(j)  # the pairs of test_classification_vs_reference
-        h_j, h_next = demo_tower.stage(j).h, demo_tower.stage(j + 1).h
-        pairs = [(0, h_j), (0, h_next), (h_j, h_next)]
-        pairs += [(rng.randint(0, h_j), rng.randint(h_j, h_next)) for _ in range(12)]
-        for k, n in pairs:
-            _, info = lemma61_defect(demo_tower, j, k, n, epsilon=epsilon, parts=parts)
-            want = reference_pieces(demo_tower, j, k, n, epsilon)
-            assert (info["pieces"], info["residual"]) == want
+        pairs = sample_pairs(random.Random(j), demo_tower, j, 12)
+        assert_grid_vs_reference(demo_tower, j, pairs, epsilon)
 
     def test_full_block_defect_bounded(self, demo_tower):
         parts, _ = s_schedule(demo_tower)
-        _, info = lemma61_defect(demo_tower, 2, 3, 40, parts=parts)
+        _, info = lemma61_defect(demo_tower, 2, 3, 40)
         # each full block contributes at most 2/parts of its own measure
         max_per = max(
             2 * demo_tower.stage(b).base_measure / parts[b]
@@ -337,6 +364,54 @@ class TestDefect:
             err = max(err, 1e-9)
             assert f <= float(enc.hi) + 4 * err
             assert skipped < 400
+
+
+class TestDefectGrid:
+    # Levels and shifts past 2^63 on object-dtype towers; the group keys
+    # are sorted as they are, never packed into one integer.
+    def test_heights_beyond_int64(self):
+        rng = random.Random(61)
+        for i in range(20):
+            tower = Tower(huge_spec(rng), depth=3)
+            assert tower.dtype is object
+            j = rng.randint(1, 2)
+            top = tower.stage(3).h
+            pairs = [(k, n) for k, n in sample_pairs(rng, tower, j, 6) if k + n < top]
+            assert_grid_vs_reference(tower, j, pairs, (None, Fraction(0), Fraction(1, 3))[i % 3])
+
+    def test_duplicate_and_unsorted_pairs(self, demo_tower):
+        pairs = [(5, 77), (0, 7), (5, 77), (7, 70), (0, 7), (3, 40)]
+        got = lemma61_defect_grid(demo_tower, 2, pairs)
+        assert got == [lemma61_defect(demo_tower, 2, k, n) for k, n in pairs]
+        assert_grid_vs_reference(demo_tower, 2, pairs)
+
+    # Shifts times image levels are classified CHUNK at a time.
+    @pytest.mark.parametrize("chunk", [400, 1])
+    def test_small_chunks(self, demo_tower, monkeypatch, chunk):
+        pairs = sample_pairs(random.Random(9), demo_tower, 2, 30)
+        want = lemma61_defect_grid(demo_tower, 2, pairs)
+        monkeypatch.setattr(correlation, "CHUNK", chunk)
+        assert lemma61_defect_grid(demo_tower, 2, pairs) == want
+
+    def test_empty_grid(self, demo_tower):
+        assert lemma61_defect_grid(demo_tower, 2, []) == []
+
+    def test_first_bad_pair_raises(self, demo_tower):
+        with pytest.raises(ValueError, match="k=8"):
+            lemma61_defect_grid(demo_tower, 2, [(0, 7), (8, 10), (0, 6)])
+        with pytest.raises(ValueError, match="n=6"):
+            lemma61_defect_grid(demo_tower, 2, [(0, 7), (0, 6), (8, 10)])
+
+    def test_shift_past_top_same_error(self, demo_tower):
+        j = demo_tower.depth - 1
+        h_j, top = demo_tower.stage(j).h, demo_tower.stage(j + 1).h
+        with pytest.raises(NeedsMoreStages) as want:
+            reference_pieces(demo_tower, j, h_j, top)
+        for pairs in ([(h_j, top)], [(0, h_j), (h_j, top), (-1, top)]):
+            with pytest.raises(NeedsMoreStages) as got:
+                lemma61_defect_grid(demo_tower, j, pairs)
+            assert str(got.value) == str(want.value)
+            assert got.value.required_depth == want.value.required_depth
 
 
 class TestSweep:

@@ -398,12 +398,12 @@ class TestPropertyCheck:
         rng = random.Random(8)
         for J in range(1, demo_tower.depth + 1):
             h = demo_tower.stage(J).h
-            levels = range(h) if h < 2000 else rng.sample(range(h), 2000)
+            levels = list(range(h)) if h < 2000 else rng.sample(range(h), 2000)
             for target in range(1, J + 1):
-                for level in levels:
-                    stage, l1, _ = demo_tower.descend(J, level, target)
-                    want = reference_descend_level(demo_tower, J, level, target)
-                    assert (l1 if stage == target else None) == want
+                stage, l1, _ = demo_tower.descend(J, levels, target)
+                got = [l if b == target else None for b, l in zip(stage.tolist(), l1.tolist())]
+                assert got == [reference_descend_level(demo_tower, J, level, target)
+                               for level in levels]
 
     @pytest.mark.parametrize("j, depth, stride", [(3, 2, 7), (4, 1, 97), (2, 3, 1)])
     def test_vs_reference_loop(self, demo_tower, j, depth, stride):
