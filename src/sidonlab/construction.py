@@ -276,6 +276,63 @@ class PointState:
 GRID = 1024
 
 
+# -- Monte-Carlo points on arrays -------------------------------------------
+#
+# The oracles first make exactly the random calls that per-point Tower.draw
+# calls would make, keeping the raw integers, and then classify the points
+# of a chunk of samples at once on range arrays.  Chunks keep memory bounded
+# however many points a run draws.
+
+
+def _draw_points(rng, samples: int, total: int, cells: int, most: int, count=None):
+    """The raw draws of ``samples`` samples of Tower.draw points: a sample is
+    one point, or count(rng.random()) points, and a point is a pick
+    rng.randrange(total) of a level, then a cell rng.randrange(cells) of
+    its offset.  Yields them in chunks of whole samples, each ending once
+    it holds ``most`` points or more: the lists of picks and cells and,
+    with ``count``, the list of points per sample."""
+    randrange = rng.randrange
+    if count is None:
+        for lo in range(0, samples, most):
+            picks, cell = [], []
+            pick, put = picks.append, cell.append
+            for _ in range(min(most, samples - lo)):
+                pick(randrange(total))
+                put(randrange(cells))
+            yield picks, cell, None
+        return
+    rand = rng.random
+    picks, cell, sizes = [], [], []
+    for _ in range(samples):
+        k = count(rand())
+        sizes.append(k)
+        for _ in range(k):
+            picks.append(randrange(total))
+            cell.append(randrange(cells))
+        if len(picks) >= most:
+            yield picks, cell, sizes
+            picks, cell, sizes = [], [], []
+    if sizes:
+        yield picks, cell, sizes
+
+
+def _pick_levels(starts, cum, picks):
+    """The level each pick names, as Tower.draw reads it: pick p is the p-th
+    level of the sorted disjoint ranges with these starts and cumulative
+    lengths (leading 0)."""
+    i = np.searchsorted(cum, picks, side="right") - 1
+    return starts[i] + (picks - cum[i])
+
+
+def _inside(starts, ends, x):
+    """Whether each level of x lies in the sorted disjoint ranges
+    [starts, ends)."""
+    if not len(starts):
+        return np.zeros(len(x), dtype=bool)
+    i = np.searchsorted(starts, x, side="right") - 1
+    return (i >= 0) & (x < ends[i])
+
+
 class Tower:
     """A construction built to a fixed depth, immutable after build.
 
@@ -476,6 +533,12 @@ class Tower:
         i = bisect.bisect_right(prefix, pick) - 1
         return (A.ranges[i][0] + pick - prefix[i],
                 rng.randrange(cells or GRID * self.units[A.stage]))
+
+    def climb(self, J: int, level, N, d: int):
+        """Arrays (level, N) of the points (J, level, N/d) at stage J + 1:
+        one step of ``ascend`` for every point at once."""
+        cells = d * self.units[J + 1]
+        return level + self._offset_arrays[J][(N // cells).astype(np.int64)], N % cells
 
     def _integer_offset(self, offset: Fraction) -> tuple[int, int]:
         """(N, d) with N/d = offset / mu(E_depth); mu(E_1) = 1."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construction import GRID, LevelSet, Tower
+from .construction import GRID, LevelSet, Tower, _draw_points, _inside, _pick_levels
 from .enclosure import MeasureEnclosure
 
 
@@ -300,14 +300,46 @@ def mc_correlation(
     A: LevelSet, B: LevelSet, m: int, samples: int, seed: int, tower: Tower
 ):
     """Monte-Carlo oracle for mu(A intersect T^m B): sample uniformly in B,
-    iterate m steps forward, test membership in A.  Deterministic per seed."""
-    rng = random.Random(seed)
+    iterate m steps forward, test membership in A.  Deterministic per seed.
+
+    The points are Tower.draw's, drawn first.  They are then walked up the
+    stages together with Tower.advance's arithmetic: a point resolves at the
+    first stage J where 0 <= level + m < h_J, and is tested against A at
+    stage max(J, A.stage)."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     mu_b = tower.set_measure(B)
+    tower.validate_set(A)
+    if B.is_empty():
+        raise ValueError("cannot sample from an empty level set")
+    j, top, h = B.stage, tower.depth, tower.stage(tower.depth).h
+    cells = GRID * tower.units[j]
+    starts, _, cum = tower.prefix_counts(B, j)
     hits = 0
-    for _ in range(samples):
-        level, N = tower.draw(B, rng)
-        J, level, N = tower.advance(B.stage, level, N, GRID, m)
-        hits += tower.in_set(J, level, N, GRID, A)
+    for picks, cell, _ in _draw_points(random.Random(seed), samples, B.count(), cells, CHUNK):
+        start = _pick_levels(starts, cum, np.array(picks, dtype=tower.dtype))
+        # N < cells, which can pass 2^63 on an int64 tower
+        N = np.array(cell, dtype=np.int64 if cells <= 2**63 else object)
+        level, stage = start.copy(), np.full(len(start), j)
+        live = np.arange(len(start))
+        for J in range(j, top + 1 if -h < m < h else j):  # else none resolves
+            if J > j:
+                level[live], N[live] = tower.climb(J - 1, level[live], N[live], GRID)
+            x = level[live] + m
+            ok = (x >= 0) & (x < tower.stage(J).h)
+            level[live[ok]], stage[live[ok]] = x[ok], J
+            live = live[~ok]
+            if not len(live):
+                break
+        if len(live):  # the first point past the top raises, as Tower.advance does
+            tower.advance(j, int(start[live[0]]), cell[live[0]], GRID, m)
+        for J in range(int(stage.min()), A.stage):
+            up = np.flatnonzero(stage == J)
+            level[up], N[up] = tower.climb(J, level[up], N[up], GRID)
+            stage[up] = J + 1
+        for J in np.unique(stage).tolist():
+            at = stage == J
+            hits += int(np.count_nonzero(_inside(*tower.range_arrays(A, J), level[at])))
     f = hits / samples
     est = float(mu_b) * f
     stderr = float(mu_b) * math.sqrt(f * (1.0 - f) / samples)

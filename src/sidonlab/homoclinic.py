@@ -392,7 +392,9 @@ def retention_audit(dmap: DissipativeMap, piece_samples_per_stage: int = 3):
 
 def lemma61_defect_grid(tower: Tower, j: int, pairs, epsilon: Fraction | None = None):
     """(enclosure, info) of ``lemma61_defect`` for every (k, n) of
-    ``pairs``, in order, from one escape grid over E_j (see above)."""
+    ``pairs``, in order, from one escape grid over E_j (see above).  In
+    place of ``info["pieces"]``, ``info["stage"]`` is the stopping stage J
+    and ``info["image"]`` the array of the image's stage-J levels."""
     h_j = tower.stage(j).h
     ts = []
     for k, n in pairs:  # the first bad pair raises
@@ -447,9 +449,9 @@ def lemma61_defect_grid(tower: Tower, j: int, pairs, epsilon: Fraction | None = 
                                         kept.tolist(), copies.tolist(), partial.tolist(),
                                         full.tolist()):
         w = tower.stage(J).base_measure
-        image = tower.range_arrays(E, J)[0][:kk] + t
         info = {
-            "pieces": [(J, LevelSet.from_arrays(J, image, image + 1))] if kk else [],
+            "stage": J,
+            "image": tower.range_arrays(E, J)[0][:kk] + t,
             "residual": e * w,
             "full_blocks": sum(fu),
             "full_defect": sum((x * d for x, d in zip(fu, block_defect) if x), Fraction(0)),
@@ -472,7 +474,10 @@ def lemma61_defect(tower: Tower, j: int, k: int, n: int, epsilon: Fraction | Non
     under P, one enters); levels inside copies of X_j, partial-block slices
     and escaped residual count wholly as slack.  ``info["pieces"]`` holds
     the resolved image as at most one (stage, LevelSet)."""
-    return lemma61_defect_grid(tower, j, [(k, n)], epsilon)[0]
+    enc, info = lemma61_defect_grid(tower, j, [(k, n)], epsilon)[0]
+    J, image = info.pop("stage"), info.pop("image")
+    info["pieces"] = [(J, LevelSet.from_arrays(J, image, image + 1))] if len(image) else []
+    return enc, info
 
 
 def homoclinic_sweep(

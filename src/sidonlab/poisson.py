@@ -8,13 +8,18 @@ sampling is kept as an independent oracle.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .construction import LevelSet, NeedsMoreStages, Tower
+import numpy as np
+
+from .construction import (GRID, LevelSet, NeedsMoreStages, Tower, _draw_points, _inside,
+                           _pick_levels)
+from . import correlation
 from .correlation import pair_enclosure_grid, triple_enclosure_grid
 from .enclosure import MeasureEnclosure
 
@@ -233,15 +238,35 @@ def _joint_law(tower: Tower, evs, pairs, triple) -> ProbEnclosure:
 # sampling
 
 
+# The largest count that inversion returns, however far in the tail u is.
+POISSON_MAX = 10_000_000
+
+
+def _poisson_inverse(mean: float):
+    """Inversion sampling of Poisson(mean) counts: u maps to the first k with
+    u <= pmf(0) + ... + pmf(k), summed in that order.  One table of the
+    sums serves every u; it grows only as far as some u needs, and never
+    past POISSON_MAX.  Past the mode, once a term no longer changes the sum,
+    the sum is final, and a u above it gets the last k that did."""
+    if not (math.isfinite(mean) and mean >= 0):
+        raise ValueError(f"Poisson mean must be finite and >= 0, got {mean}")
+    cum = [poisson_pmf(mean, 0)]
+
+    def count(u: float) -> int:
+        while u > cum[-1] and len(cum) <= POISSON_MAX:
+            k = len(cum)
+            acc = cum[-1] + poisson_pmf(mean, k)
+            if acc == cum[-1] and k > mean:
+                break
+            cum.append(acc)
+        return min(bisect.bisect_left(cum, u), len(cum) - 1)
+
+    return count
+
+
 def sample_poisson_count(mean: float, rng: random.Random) -> int:
     """Inversion sampling of a Poisson count; deterministic per rng state."""
-    u = rng.random()
-    k = 0
-    acc = poisson_pmf(mean, 0)
-    while u > acc and k < 10_000_000:
-        k += 1
-        acc += poisson_pmf(mean, k)
-    return k
+    return _poisson_inverse(mean)(rng.random())
 
 
 def sample_configuration(region: LevelSet, tower: Tower, rng: random.Random):
@@ -253,14 +278,12 @@ def sample_configuration(region: LevelSet, tower: Tower, rng: random.Random):
     return [tower.sample_uniform(region, rng) for _ in range(n)]
 
 
-def shifted_level_set(A: LevelSet, n: int, tower: Tower) -> LevelSet:
-    """Exact representation of T^n A (n >= 0) as a level set, at the first
-    stage deep enough that no level escapes the top."""
-    if n < 0:
-        raise ValueError("only forward shifts are represented exactly")
+def _shift_stage(A: LevelSet, n: int, tower: Tower) -> int:
+    """The first stage J >= A.stage where no level of A plus n (n >= 0)
+    escapes the top, so that T^n A is A at J shifted by n."""
     tower.validate_set(A)
     if A.is_empty():
-        return tower.lift(A, A.stage)
+        return A.stage
     # A's top at stage J + 1 is its top at J plus the last column offset
     J, top = A.stage, A.ranges[-1][1]
     while top + n > tower.stage(J).h:
@@ -271,33 +294,64 @@ def shifted_level_set(A: LevelSet, n: int, tower: Tower) -> LevelSet:
             )
         top += tower.stage(J).offsets[-1]
         J += 1
-    return tower.lift(A, J).shift(n)
+    return J
+
+
+def shifted_level_set(A: LevelSet, n: int, tower: Tower) -> LevelSet:
+    """Exact representation of T^n A (n >= 0) as a level set, at the first
+    stage deep enough that no level escapes the top."""
+    if n < 0:
+        raise ValueError("only forward shifts are represented exactly")
+    return tower.lift(A, _shift_stage(A, n, tower)).shift(n)
+
+
+def _union(ranges):
+    """Sorted disjoint range arrays of the union of several such pairs."""
+    starts = np.concatenate([s for s, _ in ranges])
+    ends = np.concatenate([e for _, e in ranges])
+    if not len(starts):
+        return starts, ends
+    order = np.argsort(starts, kind="stable")
+    starts, reach = starts[order], np.maximum.accumulate(ends[order])
+    new = np.r_[True, starts[1:] > reach[:-1]]
+    return starts[new], reach[np.r_[new[1:], True]]
 
 
 def mc_joint(events: list[CountEvent], samples: int, seed: int, tower: Tower):
     """Monte-Carlo oracle for joint_prob: sample Poisson configurations on
-    the union of the shifted sets and count matching events."""
+    the union of the shifted sets and count matching events.
+
+    The draws are sample_configuration's, of which only the levels are
+    read: per sample a Poisson count, then that many Tower.draw points of
+    the union.  They are drawn first; the levels, and each event's count
+    per sample, are then found on arrays."""
+    if not events:
+        raise ValueError("mc_joint needs at least one event")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     base = min(e.shift for e in events)
-    shifted = [shifted_level_set(e.set, e.shift - base, tower) for e in events]
-    top = max(s.stage for s in shifted)
-    shifted = [tower.lift(s, top) for s in shifted]
-    region = shifted[0]
-    for s in shifted[1:]:
-        region = region.union(s)
-    mu = float(tower.set_measure(region))
-    empty = region.is_empty()
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(samples):
-        # sample_configuration's draws; only the levels are read
-        counts = [0] * len(events)
-        for _ in range(0 if empty else sample_poisson_count(mu, rng)):
-            level = tower.draw(region, rng)[0]
-            for i, s in enumerate(shifted):
-                if s.contains(level):
-                    counts[i] += 1
-        if all(c == e.count for c, e in zip(counts, events)):
-            hits += 1
+    top = max(_shift_stage(e.set, e.shift - base, tower) for e in events)
+    # an empty set stays unshifted: its shift need not fit the dtype
+    shifted = [tuple(x + (e.shift - base) if len(x) else x
+                     for x in tower.range_arrays(e.set, top)) for e in events]
+    starts, ends = _union(shifted)
+    cum = np.concatenate((np.zeros(1, dtype=tower.dtype), np.cumsum(ends - starts)))
+    total = int(cum[-1])
+    if not total:  # no draws: every count is 0
+        hits = samples if all(e.count == 0 for e in events) else 0
+    else:
+        mu = float(total * tower.stage(top).base_measure)
+        hits = 0
+        for picks, _, sizes in _draw_points(random.Random(seed), samples, total,
+                                            GRID * tower.units[top], correlation.CHUNK,
+                                            _poisson_inverse(mu)):
+            level = _pick_levels(starts, cum, np.array(picks, dtype=tower.dtype))
+            owner = np.repeat(np.arange(len(sizes)), sizes)
+            match = np.ones(len(sizes), dtype=bool)
+            for e, (s, t) in zip(events, shifted):
+                got = np.bincount(owner[_inside(s, t, level)], minlength=len(sizes))
+                match &= got == e.count
+            hits += int(np.count_nonzero(match))
     f = hits / samples
     return f, math.sqrt(max(f * (1 - f), 1.0 / samples) / samples)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sidonlab import ConstructionSpec, StageParams, Tower, singer_set
+from sidonlab import ConstructionSpec, LevelSet, NeedsMoreStages, StageParams, Tower, singer_set
 from sidonlab.sidon import optimal_stage_params
 
 
@@ -39,6 +39,31 @@ def huge_spec(rng):
     last = stages[-1]
     stages[-1] = StageParams(last.r, last.s[:-1] + (2**63 + rng.randrange(2**63),))
     return ConstructionSpec(rng.randint(1, 3), tuple(stages))
+
+
+def deep_spec(rng):
+    """56 two-column stages: h_57 lies in (2^53, 2^62), so the tower is
+    int64, while its stage-1 offset grid GRID * r_1 * ... * r_56 = 2^66
+    passes 2^63."""
+    return ConstructionSpec(rng.randint(1, 3), tuple(
+        StageParams(2, (rng.randint(0, 2), rng.randint(0, 2))) for _ in range(56)))
+
+
+def few_levels(rng, tower, stage, most):
+    """A level set of up to `most` random levels of a stage, empty one time
+    in eight: small enough in measure for Poisson counts of a few points,
+    on towers of any height."""
+    h = tower.stage(stage).h
+    k = 0 if rng.random() < 0.125 else rng.randint(1, most)
+    return LevelSet.from_levels(stage, {rng.randrange(h) for _ in range(k)})
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type, message and required depth of its error."""
+    try:
+        return fn(*args)
+    except (ValueError, NeedsMoreStages) as exc:
+        return type(exc), str(exc), getattr(exc, "required_depth", None)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -19,10 +20,11 @@ from sidonlab import (
     triple_enclosure_grid,
 )
 from sidonlab import correlation
+from sidonlab.construction import GRID
 from sidonlab.correlation import CHUNK, DENSE_MAX, decay_report, default_epsilon
 from sidonlab.enclosure import MeasureEnclosure
 from sidonlab.sidon import PsiSpec, build_from_psi
-from tests.conftest import huge_spec
+from tests.conftest import deep_spec, few_levels, huge_spec, outcome
 
 
 def reference_pair(A, B, m, tower, epsilon=None):
@@ -488,6 +490,32 @@ class TestTripleGridAgainstPerShift:
             triple_enclosure_grid(a, a, a, -1, [3], demo_tower)
 
 
+def mc_correlation_reference(A, B, m, samples, seed, tower):
+    """The per-point loop that mc_correlation replaced: Tower.draw,
+    Tower.advance and Tower.in_set per sample."""
+    rng = random.Random(seed)
+    mu_b = tower.set_measure(B)
+    hits = 0
+    for _ in range(samples):
+        level, N = tower.draw(B, rng)
+        J, level, N = tower.advance(B.stage, level, N, GRID, m)
+        hits += tower.in_set(J, level, N, GRID, A)
+    f = hits / samples
+    est = float(mu_b) * f
+    stderr = float(mu_b) * math.sqrt(f * (1.0 - f) / samples)
+    return est, stderr
+
+
+def random_mc_shift(rng, tower, stage, large=True):
+    """Small, negative, past-the-top and, if `large`, large shifts m for
+    sets of a stage.  A large m resolves near the top stage, where the
+    test set is lifted."""
+    h, top = tower.stage(stage).h, tower.stage(tower.depth).h
+    past = rng.choice([1, -1]) * (top + rng.randint(0, 3))
+    return rng.choice([rng.randint(0, h)] * 3 + [-rng.randint(1, h)] * 2 + [past]
+                      + [rng.randrange(-top, top)] * large)
+
+
 class TestMonteCarlo:
     def test_mc_within_4_sigma(self, demo_tower):
         rng = random.Random(77)
@@ -500,6 +528,59 @@ class TestMonteCarlo:
             est, err = mc_correlation(A, B, m, 2000, 1000 + i, demo_tower)
             err = max(err, 1e-9)
             assert float(enc.lo) - 4 * err <= est <= float(enc.hi) + 4 * err
+
+    # The array walk against the per-point loop: the same floats, or the
+    # same error, on mixed stages, negative and past-the-top m and empty
+    # sets; on object-dtype towers; and on a tower whose offset cells N pass
+    # 2^63 while its levels stay int64.
+    @pytest.mark.parametrize("kind", ["demo", "running", "huge", "deep"])
+    def test_vs_reference_loop(self, demo_tower, running_tower, kind):
+        rng = random.Random(kind)
+        towers = {"demo": lambda: demo_tower, "running": lambda: running_tower,
+                  "huge": lambda: Tower(huge_spec(rng), depth=3),
+                  "deep": lambda: Tower(deep_spec(rng), depth=57)}
+        tower = towers[kind]()
+        raised = 0
+        for i in range(60):
+            if kind in ("huge", "deep") and i % 10 == 0:
+                tower = towers[kind]()
+            top = min(3, tower.depth)
+            A = rng.choice([few_levels, random_ranges])(rng, tower, rng.randint(1, top), 3)
+            B = few_levels(rng, tower, rng.randint(1, top), 6)
+            m = random_mc_shift(rng, tower, B.stage, large=kind != "deep")
+            args = (A, B, m, rng.randint(1, 60), rng.randrange(10**6), tower)
+            want = outcome(mc_correlation_reference, *args)
+            assert outcome(mc_correlation, *args) == want
+            raised += isinstance(want[0], type)
+        assert 5 <= raised <= 55
+
+    # Samples are drawn and classified CHUNK points at a time; the first
+    # point past the top raises from whichever chunk holds it.
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_small_chunks(self, demo_tower, monkeypatch, chunk):
+        rng = random.Random(chunk)
+        cases = []
+        for _ in range(20):
+            A, B = (few_levels(rng, demo_tower, rng.randint(1, 3), 3) for _ in range(2))
+            cases.append((A, B, random_mc_shift(rng, demo_tower, B.stage), rng.randint(1, 60),
+                          rng.randrange(10**6), demo_tower))
+        want = [outcome(mc_correlation_reference, *case) for case in cases]
+        monkeypatch.setattr(correlation, "CHUNK", chunk)
+        assert [outcome(mc_correlation, *case) for case in cases] == want
+
+    def test_offset_cells_past_int64(self):
+        tower = Tower(deep_spec(random.Random(3)), depth=57)
+        assert tower.dtype is np.int64 and GRID * tower.units[1] > 2**63
+        A = LevelSet.from_levels(3, range(0, tower.stage(3).h, 2))
+        B = tower.full_tower(1)
+        args = (A, B, 5, 200, 11, tower)
+        assert mc_correlation(*args) == mc_correlation_reference(*args)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_rejected(self, demo_tower, samples):
+        a = LevelSet.from_ranges(2, [(0, 1)])
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            mc_correlation(a, a, 3, samples, 0, demo_tower)
 
 
 class TestTriple:

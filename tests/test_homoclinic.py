@@ -151,11 +151,20 @@ def assert_grid_vs_reference(tower, j, pairs, epsilon=None):
     for (k, n), (enc, info) in zip(pairs, got):
         pieces, residual, J = reference_pieces(tower, j, k, n, epsilon)
         classes = reference_classify(tower, j, pieces, parts)
-        assert info["pieces"] == merged_at(tower, pieces, J)
+        merged = merged_at(tower, pieces, J)
+        assert info["stage"] == J
+        assert info["image"].tolist() == [l for _, ls in merged for l in ls.levels()]
+        assert lemma61_defect(tower, j, k, n, epsilon)[1]["pieces"] == merged
         assert info["residual"] == residual
         assert (info["full_blocks"], info["full_defect"], info["copy_slack"],
                 info["partial_slack"]) == classes
         assert (enc.lo, enc.hi) == (0, min(Fraction(1), (sum(classes[1:]) + residual) / mu))
+
+
+def plain(results):
+    """Grid results with each image array as a list, so that they compare
+    with ==."""
+    return [(enc, {**info, "image": info["image"].tolist()}) for enc, info in results]
 
 
 def mc_defect(tower, dmap, j, k, n, samples, seed):
@@ -381,17 +390,17 @@ class TestDefectGrid:
 
     def test_duplicate_and_unsorted_pairs(self, demo_tower):
         pairs = [(5, 77), (0, 7), (5, 77), (7, 70), (0, 7), (3, 40)]
-        got = lemma61_defect_grid(demo_tower, 2, pairs)
-        assert got == [lemma61_defect(demo_tower, 2, k, n) for k, n in pairs]
+        got = plain(lemma61_defect_grid(demo_tower, 2, pairs))
+        assert got == [plain(lemma61_defect_grid(demo_tower, 2, [p]))[0] for p in pairs]
         assert_grid_vs_reference(demo_tower, 2, pairs)
 
     # Shifts times image levels are classified CHUNK at a time.
     @pytest.mark.parametrize("chunk", [400, 1])
     def test_small_chunks(self, demo_tower, monkeypatch, chunk):
         pairs = sample_pairs(random.Random(9), demo_tower, 2, 30)
-        want = lemma61_defect_grid(demo_tower, 2, pairs)
+        want = plain(lemma61_defect_grid(demo_tower, 2, pairs))
         monkeypatch.setattr(correlation, "CHUNK", chunk)
-        assert lemma61_defect_grid(demo_tower, 2, pairs) == want
+        assert plain(lemma61_defect_grid(demo_tower, 2, pairs)) == want
 
     def test_empty_grid(self, demo_tower):
         assert lemma61_defect_grid(demo_tower, 2, []) == []

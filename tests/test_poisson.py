@@ -22,8 +22,69 @@ from sidonlab import (
     triple_enclosure,
     triple_mixing_report,
 )
+from sidonlab import correlation
 from sidonlab.poisson import (overlap_enclosures, poisson_pmf, sample_poisson_count,
                               shifted_level_set)
+from tests.conftest import deep_spec, few_levels, huge_spec, outcome
+
+
+def reference_poisson_count(mean, rng):
+    """The per-call inversion loop that sample_poisson_count replaced."""
+    u = rng.random()
+    k = 0
+    acc = poisson_pmf(mean, 0)
+    while u > acc and k < 10_000_000:
+        k += 1
+        acc += poisson_pmf(mean, k)
+    return k
+
+
+def mc_joint_reference(events, samples, seed, tower):
+    """The per-point loop that mc_joint replaced: the LevelSet union of the
+    shifted sets, then per sample a Poisson count and per point Tower.draw
+    and LevelSet.contains for each event."""
+    base = min(e.shift for e in events)
+    shifted = [shifted_level_set(e.set, e.shift - base, tower) for e in events]
+    top = max(s.stage for s in shifted)
+    shifted = [tower.lift(s, top) for s in shifted]
+    region = shifted[0]
+    for s in shifted[1:]:
+        region = region.union(s)
+    mu = float(tower.set_measure(region))
+    empty = region.is_empty()
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(samples):
+        counts = [0] * len(events)
+        for _ in range(0 if empty else reference_poisson_count(mu, rng)):
+            level = tower.draw(region, rng)[0]
+            for i, s in enumerate(shifted):
+                if s.contains(level):
+                    counts[i] += 1
+        if all(c == e.count for c, e in zip(counts, events)):
+            hits += 1
+    f = hits / samples
+    return f, math.sqrt(max(f * (1 - f), 1.0 / samples) / samples)
+
+
+def random_events(rng, tower, lift):
+    """One to three events of a few levels at mixed stages, counts 0..3,
+    shifts of either sign up to h_{stage + lift}, sometimes a repeated set
+    and sometimes a shift past the top.  With lift None all shifts but
+    those are 0: the sets are then never lifted, which keeps the deep
+    tower's lifts small."""
+    events = []
+    for _ in range(rng.randint(1, 3)):
+        if events and rng.random() < 0.2:
+            e = rng.choice(events)
+            events.append(CountEvent(e.set, rng.choice([e.count, rng.randint(0, 3)]), e.shift))
+            continue
+        stage = rng.randint(1, min(3, tower.depth))
+        reach = 0 if lift is None else tower.stage(min(stage + lift, tower.depth)).h
+        shift = (tower.stage(tower.depth).h + rng.randint(0, 3) if rng.random() < 0.05
+                 else rng.randint(-reach, reach))
+        events.append(CountEvent(few_levels(rng, tower, stage, 4), rng.randint(0, 3), shift))
+    return events
 
 
 class TestCylinder:
@@ -125,7 +186,94 @@ class TestJoint:
             assert enc.lo - 4 * err <= est <= enc.hi + 4 * err
 
 
+class TestMonteCarloOracle:
+    # The array classification against the per-point loop: the same floats,
+    # or the same error, on 1-3 events with mixed stages, empty sets, count
+    # 0 and repeated events; on object-dtype towers; and on a tower whose
+    # offset cells pass 2^63 while its levels stay int64.
+    @pytest.mark.parametrize("kind", ["demo", "running", "huge", "deep"])
+    def test_vs_reference_loop(self, demo_tower, running_tower, kind):
+        rng = random.Random(kind)
+        towers = {"demo": lambda: demo_tower, "running": lambda: running_tower,
+                  "huge": lambda: Tower(huge_spec(rng), depth=3),
+                  "deep": lambda: Tower(deep_spec(rng), depth=57)}
+        tower = towers[kind]()
+        raised = 0
+        for i in range(60):
+            if kind in ("huge", "deep") and i % 10 == 0:
+                tower = towers[kind]()
+            events = random_events(rng, tower, {"demo": 2, "running": 2, "huge": 0}.get(kind))
+            args = (events, rng.randint(1, 40), rng.randrange(10**6), tower)
+            want = outcome(mc_joint_reference, *args)
+            assert outcome(mc_joint, *args) == want
+            raised += isinstance(want[0], type)
+        assert 1 <= raised <= 30
+
+    # Samples are drawn and classified about CHUNK points at a time.
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_small_chunks(self, demo_tower, monkeypatch, chunk):
+        rng = random.Random(chunk)
+        cases = [(random_events(rng, demo_tower, 2), rng.randint(1, 40), rng.randrange(10**6))
+                 for _ in range(20)]
+        want = [outcome(mc_joint_reference, *case, demo_tower) for case in cases]
+        monkeypatch.setattr(correlation, "CHUNK", chunk)
+        assert [outcome(mc_joint, *case, demo_tower) for case in cases] == want
+
+    def test_empty_region(self, demo_tower):
+        empty = LevelSet.from_ranges(2, [])
+        for count, want in ((0, 1.0), (1, 0.0)):
+            evs = [CountEvent(empty, 0, 3), CountEvent(empty, count, 0)]
+            assert mc_joint(evs, 10, 0, demo_tower) == mc_joint_reference(evs, 10, 0, demo_tower)
+            assert mc_joint(evs, 10, 0, demo_tower)[0] == want
+
+    # An empty set's shift may pass int64: it is never represented.
+    def test_empty_set_far_shift(self, demo_tower):
+        a = LevelSet.from_ranges(2, [(0, 2)])
+        evs = [CountEvent(LevelSet.from_ranges(2, []), 0, 10**30), CountEvent(a, 1, 0)]
+        assert mc_joint(evs, 50, 1, demo_tower) == mc_joint_reference(evs, 50, 1, demo_tower)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_samples_below_one_rejected(self, demo_tower, samples):
+        evs = [CountEvent(LevelSet.from_ranges(2, [(0, 1)]), 0)]
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            mc_joint(evs, samples, 0, demo_tower)
+
+    def test_no_events_rejected(self, demo_tower):
+        with pytest.raises(ValueError, match="at least one event"):
+            mc_joint([], 10, 0, demo_tower)
+
+
+class TopRandom:
+    """An rng whose random() is its largest value, 1 - 2^-53."""
+
+    def random(self):
+        return 1 - 2**-53
+
+
 class TestSampling:
+    @pytest.mark.parametrize("mean", [-1.0, math.nan, math.inf])
+    def test_bad_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="Poisson mean"):
+            sample_poisson_count(mean, random.Random(0))
+
+    # The float sums of the pmf stop short of 1 - 2^-53; such a u once ran
+    # the inversion to 10^7.  Now it gets the last count whose term still
+    # changed the sum.
+    @pytest.mark.parametrize("mean", [0.1, 7.0])
+    def test_tail_past_the_float_sum(self, mean):
+        acc, last = poisson_pmf(mean, 0), 0
+        for k in range(1, 1000):
+            if acc + poisson_pmf(mean, k) != acc:
+                acc, last = acc + poisson_pmf(mean, k), k
+        assert acc < 1 - 2**-53
+        assert sample_poisson_count(mean, TopRandom()) == last
+
+    def test_counts_vs_reference_loop(self):
+        for i, mean in enumerate((0.0, 1e-3, 0.1, 1.5, 7.0, 40.0, 800.0)):
+            rng, ref = random.Random(i), random.Random(i)
+            got = [sample_poisson_count(mean, rng) for _ in range(300)]
+            assert got == [reference_poisson_count(mean, ref) for _ in range(300)]
+
     def test_poisson_count_mean(self):
         rng = random.Random(17)
         mean = 2.5
