@@ -11,15 +11,12 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .config import (
     ConfigError,
     check_keys,
-    frac_cols,
-    frac_vals,
     load_config,
     parse_construction,
     parse_epsilon,
@@ -32,7 +29,6 @@ from .config import (
     write_csv,
 )
 from .construction import (
-    ConstructionSpec,
     NeedsMoreStages,
     SpecValidationError,
     Tower,
@@ -48,7 +44,6 @@ from .homoclinic import (
     flow_defect,
     homoclinic_sweep,
     retention_audit,
-    s_schedule,
     wandering_check,
 )
 from .poisson import mixing_report, triple_mixing_report
@@ -97,38 +92,20 @@ def _out(args, name: str) -> Path:
 def cmd_build(cfg, digest, args):
     check_keys(cfg, set(), args)
     tower, ledger, _ = _tower(cfg, args)
+    r = [st.r for st in tower.spec.stages] + [""]  # the deepest stage is not cut
     rows = []
     for j in range(1, tower.depth + 1):
         st = tower.stage(j)
-        r_j = tower.spec.stages[j - 1].r if j <= len(tower.spec.stages) else ""
-        rows.append(
-            [
-                j,
-                st.h,
-                r_j,
-                st.base_measure.numerator,
-                st.base_measure.denominator,
-                st.tower_measure.numerator,
-                st.tower_measure.denominator,
-            ]
-        )
-    write_csv(
-        _out(args, "stages.csv"),
-        ["j", "h_j", "r_j", "mu_Ej_num", "mu_Ej_den", "mu_Xj_num", "mu_Xj_den"],
-        rows,
-        digest,
-    )
+        E, X = st.base_measure, st.tower_measure
+        rows.append({"j": j, "h_j": st.h, "r_j": r[j - 1], "mu_Ej_num": E.numerator,
+                     "mu_Ej_den": E.denominator, "mu_Xj_num": X.numerator,
+                     "mu_Xj_den": X.denominator})
+    write_csv(_out(args, "stages.csv"), ["j", "h_j", "r_j", "mu_Ej_num", "mu_Ej_den",
+                                         "mu_Xj_num", "mu_Xj_den"], rows, digest)
     if ledger is not None:
-        write_csv(
-            _out(args, "generator_ledger.csv"),
-            ["j", "h_j", "r_j", "N_j", "q", "span", "h_next", "sqrt_ineq_ok"],
-            [
-                [r["j"], r["h_j"], r["r_j"], r["N_j"], r["q"], r["span"],
-                 r["h_next"], r["sqrt_ineq_ok"]]
-                for r in ledger
-            ],
-            digest,
-        )
+        write_csv(_out(args, "generator_ledger.csv"),
+                  ["j", "h_j", "r_j", "N_j", "q", "span", "h_next", "sqrt_ineq_ok"],
+                  ledger, digest)
     _, partials = measure_growth(tower.spec, tower.depth)
     total = tower.stage(tower.depth).tower_measure
     print(f"built {tower.depth} stages; h_max={tower.stage(tower.depth).h}; "
@@ -145,26 +122,13 @@ def cmd_check_sidon(cfg, digest, args):
         depth=parse_int(cfg.get("escape_depth", 1), "escape_depth", 0),
         m_stride=parse_int(cfg.get("m_stride", 1), "m_stride", 1),
     )
-    rows = []
-    for r in report.rows:
-        rows.append(
-            [
-                r.m,
-                len(r.pairs),
-                len({p[1] for p in r.pairs}),
-                r.strict_ok,
-                r.relaxed_ok,
-                r.slack.numerator,
-                r.slack.denominator,
-            ]
-        )
-    write_csv(
-        _out(args, "check_sidon.csv"),
-        ["m", "pairs", "columns", "verdictStrict", "verdictRelaxed",
-         "slack_num", "slack_den"],
-        rows,
-        digest,
-    )
+    rows = [{"m": r.m, "pairs": len(r.pairs), "columns": len({p[1] for p in r.pairs}),
+             "verdictStrict": r.strict_ok, "verdictRelaxed": r.relaxed_ok,
+             "slack_num": r.slack.numerator, "slack_den": r.slack.denominator}
+            for r in report.rows]
+    write_csv(_out(args, "check_sidon.csv"), ["m", "pairs", "columns", "verdictStrict",
+                                              "verdictRelaxed", "slack_num", "slack_den"],
+              rows, digest)
     print(f"stage {j}: strict={report.strict_all} relaxed={report.relaxed_all} "
           f"bound={report.bound} rows={len(report.rows)}")
 
@@ -182,6 +146,9 @@ def cmd_corr(cfg, digest, args):
         raise ConfigError("corr config takes 'm' or 'm_grid', not both", "m")
     if "n" in cfg and C is None:
         raise ConfigError("corr config: 'n' is read only with a third set 'C'", "n")
+    if "mc_samples" in cfg and C is not None:
+        raise ConfigError("corr config: 'mc_samples' is read only without a third set 'C'",
+                          "mc_samples")
     if "m_grid" in cfg:
         ms = parse_int_grid(cfg["m_grid"], "m_grid", minimum=0)
     elif "m" in cfg:
@@ -198,15 +165,14 @@ def cmd_corr(cfg, digest, args):
         encs = triple_enclosure_grid(A, B, C, n, ms, tower, epsilon=eps)
     rows = []
     for m, enc in zip(ms, encs):
-        row = [m, *frac_vals(enc.lo), *frac_vals(enc.hi), *frac_vals(enc.slack)]
+        row = {"m": m, "lo": enc.lo, "hi": enc.hi, "slack": enc.slack}
         if mc:
-            est, err = mc_correlation(A, B, m, mc, args.seed + m, tower)
-            row += [est, err]
+            row["mc_estimate"], row["mc_stderr"] = mc_correlation(A, B, m, mc, args.seed + m,
+                                                                  tower)
         rows.append(row)
-    header = ["m", *frac_cols("lo"), *frac_cols("hi"), *frac_cols("slack")]
-    if mc:
-        header += ["mc_estimate", "mc_stderr"]
-    write_csv(_out(args, "corr.csv"), header, rows, digest)
+    write_csv(_out(args, "corr.csv"),
+              ["m", "lo/", "hi/", "slack/"] + (["mc_estimate", "mc_stderr"] if mc else []),
+              rows, digest)
     print(f"{len(rows)} rows -> {_out(args, 'corr.csv')}")
 
 
@@ -231,23 +197,11 @@ def cmd_decay(cfg, digest, args):
     parse_int_grid(ms, "m_grid", minimum=1)
     eps = parse_epsilon(cfg, args)
     rows, c_max, ledger = decay_report(tower, psi, A, ms, epsilon=eps)
-    write_csv(
-        _out(args, "decay.csv"),
-        ["m", *frac_cols("lo"), *frac_cols("hi"), "envelope", "c_of_m",
-         *frac_cols("slack"), "warning"],
-        [
-            [r["m"], *frac_vals(r["lo"]), *frac_vals(r["hi"]), r["envelope"],
-             r["c_of_m"], *frac_vals(r["slack"]), warning]
-            for r in rows
-        ],
-        digest,
-    )
-    write_csv(
-        _out(args, "decay_ledger.csv"),
-        ["j", "h_j", "h_next", "sqrt_ineq_ok"],
-        [[r["j"], r["h_j"], r["h_next"], r["sqrt_ineq_ok"]] for r in ledger],
-        digest,
-    )
+    write_csv(_out(args, "decay.csv"),
+              ["m", "lo/", "hi/", "envelope", "c_of_m", "slack/", "warning"],
+              [{**r, "warning": warning} for r in rows], digest)
+    write_csv(_out(args, "decay_ledger.csv"), ["j", "h_j", "h_next", "sqrt_ineq_ok"],
+              ledger, digest)
     print(f"C_max={c_max:.6f} over {len(rows)} m-values"
           + (f"; warning: {warning}" if warning else ""))
 
@@ -262,32 +216,27 @@ def cmd_poisson(cfg, digest, args):
     eps = parse_epsilon(cfg, args)
     mc = parse_int(cfg.get("mc_samples", 0), "mc_samples", 0)
     seed = _require_seed(args, "poisson with mc_samples") if mc else 0
-    events = [parse_event(e, f"events[{i}]", tower) for i, e in enumerate(cfg.get("events", []))]
+    events = cfg.get("events", [])
+    if not isinstance(events, list):
+        raise ConfigError(f"events must be a list of events, got {events!r}", "events")
+    events = [parse_event(e, f"events[{i}]", tower) for i, e in enumerate(events)]
     if mode == "mixing":
         if len(events) != 2:
             raise ConfigError("mixing mode needs exactly 2 events", "events")
         grid = parse_int_grid(cfg.get("n_grid", []), "n_grid")
-        rows = mixing_report(events[0], events[1], grid, tower,
-                             epsilon=eps, mc_samples=mc, seed=seed)
-        header = ["n", "joint_lo", "joint_hi", "product", "dev_lo", "dev_hi"]
-        body = [[r["n"], r["joint_lo"], r["joint_hi"], r["product"],
-                 r["dev_lo"], r["dev_hi"]] for r in rows]
+        rows = mixing_report(*events, grid, tower, epsilon=eps, mc_samples=mc, seed=seed)
+        first, last = ["n"], []
     else:
         if len(events) != 3:
             raise ConfigError("triple mode needs exactly 3 events", "events")
         grid = [tuple(p) for p in parse_int_grid(cfg.get("mn_grid", []), "mn_grid", 2)]
-        rows = triple_mixing_report(events[0], events[1], events[2], grid, tower,
-                                    epsilon=eps, mc_samples=mc, seed=seed)
-        header = ["m", "n", "joint_lo", "joint_hi", "product", "dev_lo",
-                  "dev_hi", "exact_zero_dev"]
-        body = [[r["m"], r["n"], r["joint_lo"], r["joint_hi"], r["product"],
-                 r["dev_lo"], r["dev_hi"], r["exact_zero_dev"]] for r in rows]
-    if mc:
-        header += ["mc", "mc_stderr"]
-        for row, r in zip(body, rows):
-            row += [r["mc"], r["mc_stderr"]]
-    write_csv(_out(args, "poisson.csv"), header, body, digest)
-    print(f"{len(body)} rows -> {_out(args, 'poisson.csv')}")
+        rows = triple_mixing_report(*events, grid, tower, epsilon=eps, mc_samples=mc,
+                                    seed=seed)
+        first, last = ["m", "n"], ["exact_zero_dev"]
+    write_csv(_out(args, "poisson.csv"),
+              [*first, "joint_lo", "joint_hi", "product", "dev_lo", "dev_hi", *last]
+              + (["mc", "mc_stderr"] if mc else []), rows, digest)
+    print(f"{len(rows)} rows -> {_out(args, 'poisson.csv')}")
 
 
 def cmd_homoclinic(cfg, digest, args):
@@ -298,6 +247,7 @@ def cmd_homoclinic(cfg, digest, args):
         raise ConfigError(f"unknown homoclinic mode {mode!r}", "mode")
     check_keys(cfg, {"mode", *mode_keys[mode]}, args)
     tower, _, _ = _tower(cfg, args)
+    out = _out(args, "homoclinic.csv")
     if mode == "sweep":
         jr = cfg.get("j_range")
         if not (isinstance(jr, list) and len(jr) == 2):
@@ -311,45 +261,19 @@ def cmd_homoclinic(cfg, digest, args):
             tower, range(jr[0], jr[1] + 1), samples, seed=seed,
             epsilon=parse_epsilon(cfg, args),
         )
-        write_csv(
-            _out(args, "homoclinic.csv"),
-            ["j", "k", "n", *frac_cols("defect_lo"), *frac_cols("defect_hi"),
-             *frac_cols("slack")],
-            [
-                [r["j"], r["k"], r["n"], *frac_vals(r["defect_lo"]),
-                 *frac_vals(r["defect_hi"]), *frac_vals(r["slack"])]
-                for r in rows
-            ],
-            digest,
-        )
+        write_csv(out, ["j", "k", "n", "defect_lo/", "defect_hi/", "slack/"], rows, digest)
         print("max defect hi per stage: "
               + ", ".join(f"j={j}: {float(v):.4f}" for j, v in sorted(stage_max.items())))
     elif mode == "wandering":
         dm = DissipativeMap(tower)
         res = wandering_check(dm, parse_int(cfg.get("zmax", 50), "zmax", 0))
-        write_csv(
-            _out(args, "homoclinic.csv"),
-            ["zmax", "passed", "pieces", *frac_cols("covered_fraction")],
-            [[res["zmax"], res["passed"], res["pieces"],
-              *frac_vals(res["covered_fraction"])]],
-            digest,
-        )
+        write_csv(out, ["zmax", "passed", "pieces", "covered_fraction/"], [res], digest)
         print(f"wandering |z|<={res['zmax']}: passed={res['passed']} "
               f"covered={float(res['covered_fraction']):.4f}")
     else:
         dm = DissipativeMap(tower)
         rows = retention_audit(dm)
-        write_csv(
-            _out(args, "homoclinic.csv"),
-            ["stage", "blocks", "parts", *frac_cols("retention"),
-             *frac_cols("bound"), "ok"],
-            [
-                [r["stage"], r["blocks"], r["parts"], *frac_vals(r["retention"]),
-                 *frac_vals(r["bound"]), r["ok"]]
-                for r in rows
-            ],
-            digest,
-        )
+        write_csv(out, ["stage", "blocks", "parts", "retention/", "bound/", "ok"], rows, digest)
         print(f"retention audit: {sum(r['blocks'] for r in rows)} blocks, "
               f"all ok={all(r['ok'] for r in rows)}")
 
@@ -372,15 +296,12 @@ def cmd_flow(cfg, digest, args):
     rows = []
     for i, n in enumerate(parse_int_grid(cfg.get("n_grid", [0]), "n_grid")):
         est, err = flow_defect(tower, params, n, samples, seed + i)
-        rows.append([n, params.t, est, err, samples, seed + i])
-    write_csv(
-        _out(args, "flow.csv"),
-        ["n", "t", "estimate", "stderr", "samples", "seed"],
-        rows,
-        digest,
-    )
-    for n, t, est, err, *_ in rows:
-        print(f"n={n}: defect={est:.4f} +- {err:.4f}")
+        rows.append({"n": n, "t": params.t, "estimate": est, "stderr": err,
+                     "samples": samples, "seed": seed + i})
+    write_csv(_out(args, "flow.csv"), ["n", "t", "estimate", "stderr", "samples", "seed"],
+              rows, digest)
+    for r in rows:
+        print(f"n={r['n']}: defect={r['estimate']:.4f} +- {r['stderr']:.4f}")
 
 
 COMMANDS = {

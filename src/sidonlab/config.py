@@ -73,7 +73,7 @@ def parse_psi(d: dict) -> PsiSpec:
 def parse_construction(d: dict):
     """Explicit stages or a generator reference.  Returns
     (ConstructionSpec, generator ledger rows or None, PsiSpec or None)."""
-    if "generator" in d:
+    if isinstance(d, dict) and "generator" in d:
         _require_keys(d, {"generator"}, {"h1"}, "construction")
         g = d["generator"]
         _require_keys(g, {"type", "psi", "numStages"}, {"sets"}, "construction.generator")
@@ -200,17 +200,15 @@ def parse_epsilon(cfg: dict, args=None) -> Fraction | None:
 # CSV output
 
 
-def frac_cols(name: str) -> list[str]:
-    return [f"{name}_num", f"{name}_den", name]
-
-
-def frac_vals(x) -> list:
-    f = Fraction(x)
-    return [f.numerator, f.denominator, float(f)]
-
-
-def write_csv(path, header: list[str], rows: list[list], digest: str):
-    """RFC-4180 body preceded by provenance comments; written atomically."""
+def write_csv(path, columns: list[str], rows: list[dict], digest: str):
+    """RFC-4180 body preceded by provenance comments; written atomically.
+    Each row is a dict holding every column; a fraction column "x/" reads
+    row["x"] and is written as the three columns x_num, x_den, x."""
+    keys = [c.removesuffix("/") for c in columns]
+    fracs = [k != c for k, c in zip(keys, columns)]
+    header = []
+    for k, frac in zip(keys, fracs):
+        header += [f"{k}_num", f"{k}_den", k] if frac else [k]
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -220,5 +218,13 @@ def write_csv(path, header: list[str], rows: list[list], digest: str):
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
-            w.writerow(row)
+            cells = []
+            for k, frac in zip(keys, fracs):
+                x = row[k]
+                if frac:
+                    f = x if isinstance(x, Fraction) else Fraction(x)
+                    cells += (f.numerator, f.denominator, float(f))
+                else:
+                    cells.append(x)
+            w.writerow(cells)
     tmp.replace(path)

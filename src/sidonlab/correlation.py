@@ -304,12 +304,13 @@ def mc_correlation(
 
     The points are Tower.draw's, drawn first.  They are then walked up the
     stages together with Tower.advance's arithmetic: a point resolves at the
-    first stage J where 0 <= level + m < h_J, and is tested against A at
-    stage max(J, A.stage)."""
+    first stage J where 0 <= level + m < h_J.  A point below A.stage is
+    climbed to it, and one above is traced down to it with Tower.descend,
+    so that it is tested against A's own ranges: A is never lifted."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     mu_b = tower.set_measure(B)
-    tower.validate_set(A)
+    in_a = tower.range_arrays(A, A.stage)  # validates A
     if B.is_empty():
         raise ValueError("cannot sample from an empty level set")
     j, top, h = B.stage, tower.depth, tower.stage(tower.depth).h
@@ -338,8 +339,10 @@ def mc_correlation(
             level[up], N[up] = tower.climb(J, level[up], N[up], GRID)
             stage[up] = J + 1
         for J in np.unique(stage).tolist():
-            at = stage == J
-            hits += int(np.count_nonzero(_inside(*tower.range_arrays(A, J), level[at])))
+            # a level born as a spacer at stage k > A.stage lies at or above
+            # h_{k-1} >= h_{A.stage} there, so outside A's ranges
+            _, below, _ = tower.descend(J, level[stage == J], A.stage)
+            hits += int(np.count_nonzero(_inside(*in_a, below)))
     f = hits / samples
     est = float(mu_b) * f
     stderr = float(mu_b) * math.sqrt(f * (1.0 - f) / samples)

@@ -369,6 +369,27 @@ def _deviation_interval(joint: ProbEnclosure, prod: float) -> tuple[float, float
     return lo, hi
 
 
+def _report_rows(marginals, rows, tower: Tower, epsilon, mc_samples: int):
+    """One report row per (keys, events, seed) of ``rows``: the keys, then
+    the joint law of the events against the product of the ``marginals``,
+    and with ``mc_samples`` the mc_joint estimate at that seed."""
+    prod = math.prod(marginal_prob(e, tower).value() for e in marginals)
+    rows = list(rows)
+    overlaps = overlap_enclosures([evs for _, evs, _ in rows], tower, epsilon)
+    out = []
+    for (keys, evs, seed), overlap in zip(rows, overlaps):
+        joint = _joint_law(tower, *overlap)
+        dev_lo, dev_hi = _deviation_interval(joint, prod)
+        row = {**keys, "joint_lo": joint.lo, "joint_hi": joint.hi, "product": prod,
+               "dev_lo": dev_lo, "dev_hi": dev_hi}
+        if len(evs) == 3:
+            row["exact_zero_dev"] = joint.lo == joint.hi == prod
+        if mc_samples:
+            row["mc"], row["mc_stderr"] = mc_joint(evs, mc_samples, seed, tower)
+        out.append(row)
+    return out
+
+
 def mixing_report(
     V: CountEvent,
     W: CountEvent,
@@ -380,29 +401,9 @@ def mixing_report(
 ) -> list[dict]:
     """Rows of the suspension correlation P(V and T_*^{-n} W) against the
     product of marginals, per shift n."""
-    rows = []
-    prod = marginal_prob(V, tower).value() * marginal_prob(W, tower).value()
-    n_grid = list(n_grid)
-    events = [[CountEvent(V.set, V.count, n), CountEvent(W.set, W.count, 0)]
-              for n in n_grid]
-    overlaps = overlap_enclosures(events, tower, epsilon)
-    for n, evs, overlap in zip(n_grid, events, overlaps):
-        joint = _joint_law(tower, *overlap)
-        dev_lo, dev_hi = _deviation_interval(joint, prod)
-        row = {
-            "n": n,
-            "joint_lo": joint.lo,
-            "joint_hi": joint.hi,
-            "product": prod,
-            "dev_lo": dev_lo,
-            "dev_hi": dev_hi,
-        }
-        if mc_samples:
-            est, err = mc_joint(evs, mc_samples, seed + n, tower)
-            row["mc"] = est
-            row["mc_stderr"] = err
-        rows.append(row)
-    return rows
+    rows = (({"n": n}, [CountEvent(V.set, V.count, n), CountEvent(W.set, W.count, 0)],
+             seed + n) for n in n_grid)
+    return _report_rows([V, W], rows, tower, epsilon, mc_samples)
 
 
 def triple_mixing_report(
@@ -417,32 +418,7 @@ def triple_mixing_report(
 ) -> list[dict]:
     """Rows over an (m, n) grid of P(U and T_*^m V and T_*^{m+n} W) against
     the triple product of marginals."""
-    rows = []
-    prod = (
-        marginal_prob(U, tower).value()
-        * marginal_prob(V, tower).value()
-        * marginal_prob(W, tower).value()
-    )
-    mn_grid = list(mn_grid)
-    events = [[CountEvent(U.set, U.count, 0), CountEvent(V.set, V.count, m),
-               CountEvent(W.set, W.count, m + n)] for m, n in mn_grid]
-    overlaps = overlap_enclosures(events, tower, epsilon)
-    for (m, n), evs, overlap in zip(mn_grid, events, overlaps):
-        joint = _joint_law(tower, *overlap)
-        dev_lo, dev_hi = _deviation_interval(joint, prod)
-        row = {
-            "m": m,
-            "n": n,
-            "joint_lo": joint.lo,
-            "joint_hi": joint.hi,
-            "product": prod,
-            "dev_lo": dev_lo,
-            "dev_hi": dev_hi,
-            "exact_zero_dev": joint.lo == joint.hi == prod,
-        }
-        if mc_samples:
-            est, err = mc_joint(evs, mc_samples, seed + 13 * m + n, tower)
-            row["mc"] = est
-            row["mc_stderr"] = err
-        rows.append(row)
-    return rows
+    rows = (({"m": m, "n": n}, [CountEvent(U.set, U.count, 0), CountEvent(V.set, V.count, m),
+                                CountEvent(W.set, W.count, m + n)], seed + 13 * m + n)
+            for m, n in mn_grid)
+    return _report_rows([U, V, W], rows, tower, epsilon, mc_samples)

@@ -168,32 +168,16 @@ def _poly_powmod(a, e, f, p):
     return out
 
 
-def _is_irreducible(f, p):
-    d = len(f) - 1
-    x = [0, 1] + [0] * (d - 2) if d > 1 else [0]
-    # x^(p^d) == x mod f, and x^(p^(d/l)) != x for prime divisors l of d
-    acc = list(x)
-    for _ in range(d):
-        acc = _poly_powmod(acc, p, f, p)
-    if acc != x:
-        return False
-    for l in _prime_factors(d):
-        acc = list(x)
-        for _ in range(d // l):
-            acc = _poly_powmod(acc, p, f, p)
-        if acc == x:
-            return False
-    return True
-
-
 def _x_is_primitive(f, p):
+    """x has order p^d - 1 modulo f: x^(p^d - 1) = 1, and x^((p^d - 1)/l) != 1
+    for each prime l dividing p^d - 1.  Then the powers of x are p^d - 1
+    distinct units, so every nonzero residue is a unit and f is irreducible."""
     d = len(f) - 1
     order = p**d - 1
-    x = [0, 1] + [0] * (d - 2)
-    for l in _prime_factors(order):
-        if _poly_powmod(x, order // l, f, p) == [1] + [0] * (d - 1):
-            return False
-    return True
+    x, one = [0, 1] + [0] * (d - 2), [1] + [0] * (d - 1)
+    if _poly_powmod(x, order, f, p) != one:
+        return False
+    return all(_poly_powmod(x, order // l, f, p) != one for l in _prime_factors(order))
 
 
 def _find_primitive_poly(p: int, d: int):
@@ -208,7 +192,7 @@ def _find_primitive_poly(p: int, d: int):
             continue
         for rest in product(range(p), repeat=d - 1):
             f = [f0, *rest, 1]
-            if _is_irreducible(f, p) and _x_is_primitive(f, p):
+            if _x_is_primitive(f, p):
                 return f
     raise RuntimeError(f"no primitive polynomial of degree {d} found over F_{p}")
 

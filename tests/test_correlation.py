@@ -506,6 +506,27 @@ def mc_correlation_reference(A, B, m, samples, seed, tower):
     return est, stderr
 
 
+def mc_correlation_by_descent(A, B, m, samples, seed, tower):
+    """mc_correlation per point with no lift of A: Tower.draw and
+    Tower.advance, then the resolved level climbed to A.stage with
+    Tower.ascend or traced down to it with Tower.descend, and read in A."""
+    rng = random.Random(seed)
+    mu_b = tower.set_measure(B)
+    hits = 0
+    for _ in range(samples):
+        level, N = tower.draw(B, rng)
+        J, level, N = tower.advance(B.stage, level, N, GRID, m)
+        if J < A.stage:
+            level, _ = tower.ascend(J, level, N, GRID, A.stage)
+        else:
+            (born,), (level,), _ = tower.descend(J, [level], A.stage)
+            if born != A.stage:  # born above A.stage
+                continue
+        hits += A.contains(int(level))
+    f = hits / samples
+    return float(mu_b) * f, float(mu_b) * math.sqrt(f * (1.0 - f) / samples)
+
+
 def random_mc_shift(rng, tower, stage, large=True):
     """Small, negative, past-the-top and, if `large`, large shifts m for
     sets of a stage.  A large m resolves near the top stage, where the
@@ -575,6 +596,26 @@ class TestMonteCarlo:
         B = tower.full_tower(1)
         args = (A, B, 5, 200, 11, tower)
         assert mc_correlation(*args) == mc_correlation_reference(*args)
+
+    # m = h_j - 1 resolves at stage J = j or j + 1 of the 57-stage tower.  A
+    # is read on its own ranges; a lift to J would hold |A| * 2^(J - A.stage)
+    # ranges, up to 2^40 here.
+    @pytest.mark.parametrize("j", [20, 40])
+    def test_deep_shift_vs_descent(self, j):
+        rng = random.Random(j)
+        tower = Tower(deep_spec(rng), depth=57)
+        m = tower.stage(j).h - 1
+        hits = 0
+        for i in range(6):
+            A = random_ranges(rng, tower, rng.randint(1, 3), 3)
+            B = few_levels(rng, tower, rng.randint(1, 3), 6)
+            if B.is_empty():
+                continue
+            args = (A, B, m, 300, rng.randrange(10**6), tower)
+            want = mc_correlation_by_descent(*args)
+            assert mc_correlation(*args) == want
+            hits += want[0] > 0
+        assert hits >= 2
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_samples_below_one_rejected(self, demo_tower, samples):

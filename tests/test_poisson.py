@@ -419,6 +419,20 @@ class TestMixing:
                                CountEvent(W.set, W.count, m + n)], fresh, epsilon=eps)
             assert (r["joint_lo"], r["joint_hi"]) == (want.lo, want.hi)
 
+    # An empty grid has no rows, and the event sets are still validated.
+    @pytest.mark.parametrize("triple", [False, True])
+    def test_empty_grid_validates_sets(self, demo_tower, triple):
+        good = CountEvent(LevelSet.from_ranges(2, [(0, 2)]), 0)
+        bad = CountEvent(LevelSet(2, ((0, 2), (2, 3))), 0)  # touching ranges
+        if triple:
+            assert triple_mixing_report(good, good, good, [], demo_tower) == []
+            report = lambda: triple_mixing_report(good, good, bad, [], demo_tower)
+        else:
+            assert mixing_report(good, good, [], demo_tower) == []
+            report = lambda: mixing_report(good, bad, [], demo_tower)
+        with pytest.raises(ValueError, match="from_ranges"):
+            report()
+
     def test_triple_rows(self, demo_tower):
         a = LevelSet.from_ranges(2, [(0, 2)])
         e = CountEvent(a, 0)

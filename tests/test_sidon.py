@@ -30,7 +30,7 @@ from sidonlab.sidon import (
     _ceil_root,
     _find_primitive_poly,
     _generates_units,
-    _is_irreducible,
+    _poly_powmod,
     _prime_factors,
     _x_is_primitive,
     next_prime_power,
@@ -74,13 +74,42 @@ def reference_mian_chowla(n):
     return tuple(elems)
 
 
+def is_irreducible(f, p):
+    """Rabin's test: x^(p^d) = x mod f, and x^(p^(d/l)) != x for each
+    prime l dividing d."""
+    d = len(f) - 1
+    x = [0, 1] + [0] * (d - 2) if d > 1 else [0]
+    acc = list(x)
+    for _ in range(d):
+        acc = _poly_powmod(acc, p, f, p)
+    if acc != x:
+        return False
+    for l in _prime_factors(d):
+        acc = list(x)
+        for _ in range(d // l):
+            acc = _poly_powmod(acc, p, f, p)
+        if acc == x:
+            return False
+    return True
+
+
+def reference_x_is_primitive(f, p):
+    """For an irreducible f: x^((p^d - 1)/l) != 1 for each prime l dividing
+    p^d - 1."""
+    d = len(f) - 1
+    order = p**d - 1
+    x, one = [0, 1] + [0] * (d - 2), [1] + [0] * (d - 1)
+    return all(_poly_powmod(x, order // l, f, p) != one for l in _prime_factors(order))
+
+
 def reference_find_primitive_poly(p, d):
-    """Unfiltered lexicographic sweep over every nonzero constant term."""
+    """Unfiltered lexicographic sweep over every nonzero constant term, with
+    Rabin's irreducibility test."""
     for tail in product(range(p), repeat=d):
         f = list(tail) + [1]
         if f[0] == 0:
             continue
-        if _is_irreducible(f, p) and _x_is_primitive(f, p):
+        if is_irreducible(f, p) and reference_x_is_primitive(f, p):
             return f
     raise RuntimeError("none found")
 
@@ -234,6 +263,17 @@ class TestSinger:
     def test_primitive_poly_vs_unfiltered_sweep(self, q):
         p, k = prime_power_decompose(q)
         assert _find_primitive_poly(p, 3 * k) == reference_find_primitive_poly(p, 3 * k)
+
+    # x of order p^d - 1 implies f irreducible: the one order check gives
+    # Rabin's verdict on every monic f with f_0 != 0
+    @pytest.mark.parametrize("p, d", [(2, 2), (2, 5), (2, 8), (3, 3), (3, 5), (5, 4),
+                                      (7, 3), (13, 3)])
+    def test_primitive_verdict_vs_irreducibility_test(self, p, d):
+        for tail in product(range(p), repeat=d - 1):
+            for f0 in range(1, p):
+                f = [f0, *tail, 1]
+                want = is_irreducible(f, p) and reference_x_is_primitive(f, p)
+                assert _x_is_primitive(f, p) == want, f
 
     def test_primitive_poly_q49(self):
         # the unfiltered sweep takes about 10 s here; its first hit, pinned
