@@ -3,11 +3,12 @@
 Two generators: the greedy Mian-Chowla sequence for small exact examples,
 and Singer perfect difference sets (density ~ sqrt(N)) as the default for
 optimal constructions.  The Singer sets come from the classical projective
-plane construction over GF(q^3); powers of a primitive element are walked
-with a vectorized companion-matrix loop so prime powers up to a few
-hundred stay cheap.  The primitive-polynomial search skips every constant
-term f_0 whose norm (-1)^d f_0 does not generate F_p^*: the norm of a
-primitive x does (Lidl-Niederreiter, Finite Fields, Thm 3.18).
+plane construction over GF(q^3); the q^2 + q + 1 powers of a primitive
+element that decide the set are walked in blocks of companion-matrix
+products, so prime powers up to a few thousand stay cheap.  The
+primitive-polynomial search skips every constant term f_0 whose norm
+(-1)^d f_0 does not generate F_p^*: the norm of a primitive x does
+(Lidl-Niederreiter, Finite Fields, Thm 3.18).
 """
 
 from __future__ import annotations
@@ -43,50 +44,43 @@ class SidonSet:
 
 
 def is_sidon(elements) -> tuple[bool, tuple | None]:
-    """Exhaustive O(n^2) difference check.  On failure returns a witness
-    (a, b, c, d) of element values with b - a == d - c."""
-    s = sorted(elements)
-    seen: dict[int, tuple[int, int]] = {}
-    for i in range(len(s)):
-        for k in range(i + 1, len(s)):
-            d = s[k] - s[i]
-            if d == 0:
-                return False, (s[i], s[i], s[k], s[k])
-            if d in seen:
-                a, b = seen[d]
-                return False, (a, b, s[i], s[k])
-            seen[d] = (s[i], s[k])
-    return True, None
-
-
-# Candidates tested at once by mian_chowla.  The window is capped so its
-# temporaries (_MC_WINDOW x n differences) stay small.
-_MC_WINDOW = 512
+    """Exhaustive check on one stably sorted array of all O(n^2) pairwise
+    differences.  On failure returns a witness (a, b, c, d) of element
+    values with b - a == d - c: (c, d) is the first pair, row by row over
+    the sorted elements, whose difference is 0 or repeats, and (a, b) is
+    the first pair with that difference."""
+    s = np.array(sorted(elements))
+    i, k = np.triu_indices(len(s), 1)
+    diff = s[k] - s[i]
+    order = np.argsort(diff, kind="stable")
+    sd = diff[order]
+    bad = order[np.concatenate([sd[:1] == 0, sd[1:] == sd[:-1]])]
+    if not bad.size:
+        return True, None
+    t = bad.min()
+    u = order[np.searchsorted(sd, diff[t])]
+    return False, tuple(s[[i[u], k[u], i[t], k[t]]].tolist())
 
 
 def mian_chowla(n: int) -> SidonSet:
     """First n terms of the greedy B2 sequence starting at 1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    elems = np.zeros(n, dtype=np.int64)
-    elems[0] = 1
-    used = np.zeros(1024, dtype=bool)  # used[d]: d is a difference of two elements
+    elems = np.ones(n, dtype=np.int64)
+    # The differences c - a of one candidate c are distinct, so c is
+    # admissible iff no c - a is a used difference: iff c is not in
+    # elems + differences, the sums that free[] marks False.  They are
+    # below 2 * elems[-1], so free[] always holds an admissible c.  A new
+    # term c adds the sums with a new difference; those with an old one
+    # are among them, as c + (b - a) = b + (c - a).
+    free = np.ones(4, dtype=bool)
     for k in range(1, n):
-        # the differences c - a of one candidate c are distinct, so c is
-        # admissible iff none of them is used; take the first admissible c
-        c = int(elems[k - 1]) + 1
-        while True:
-            if c + _MC_WINDOW > used.size:
-                used = np.concatenate([used, np.zeros(used.size + c + _MC_WINDOW, bool)])
-            cand = np.arange(c, c + _MC_WINDOW)
-            ok = np.flatnonzero(~used[cand[:, None] - elems[None, :k]].any(axis=1))
-            if ok.size:
-                c += int(ok[0])
-                break
-            c += _MC_WINDOW
-        used[c - elems[:k]] = True
+        c = elems[k - 1] + 1 + np.argmax(free[elems[k - 1] + 1:])
         elems[k] = c
-    return SidonSet(tuple(int(e) for e in elems), int(elems[-1]))
+        if free.size <= 2 * c:
+            free = np.concatenate([free, np.ones(free.size + 2 * c, bool)])
+        free[elems[:k + 1, None] + (c - elems[:k])] = False
+    return SidonSet(tuple(elems.tolist()), int(elems[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,42 +277,32 @@ def singer_set(q: int) -> SidonSet:
     C = ann.T % p
     assert C.shape[0] == d - 2 * k
 
-    total = p**d - 1
-    block = 4096
-    v = np.zeros(d, dtype=np.int64)
-    v[0] = 1
-    residues: set[int] = set()
-    # seed block of consecutive powers of x
-    first = np.zeros((d, min(block, total)), dtype=np.int64)
-    cur = v.copy()
-    for i in range(first.shape[1]):
-        first[:, i] = cur
-        cur = (M @ cur) % p
-    # The walk's products run in float64, which numpy hands to BLAS (int64
-    # it does not): their entries are below d * p^2 < 2^53, so exact.
-    Mb = first.astype(np.float64)  # current block of column vectors
-    Mstep = _mat_pow_mod(M, block, p).astype(np.float64)
-    Cf = C.astype(np.float64)
-    base = 0
-    while base < total:
-        width = min(block, total - base)
-        blk = Mb[:, :width]
-        zero = ((Cf @ blk).astype(np.int64) % p == 0).all(axis=0)
-        for idx in np.nonzero(zero)[0]:
-            residues.add((base + int(idx)) % N)
-        base += width
-        if base < total:
-            Mb = ((Mstep @ Mb).astype(np.int64) % p).astype(np.float64)
-    if len(residues) != q + 1:
-        raise RuntimeError(
-            f"Singer construction failed for q={q}: got {len(residues)} residues"
-        )
+    # x^N lies in GF(q)*, and W is closed under GF(q)* scaling, so whether
+    # x^i lies in W depends only on i mod N: test x^i, i < N, in blocks of
+    # columns, x^(base + c) = M^base X[:, c], by walking C M^base.  The
+    # products run in float64, which numpy hands to BLAS (int64 it does
+    # not): their entries are below d * p^2 < 2^53, so exact.  X is built
+    # by doubling: columns [n, 2n) are M^n X[:, :n].
+    width = min(4096, N)
+    X = np.zeros((d, width))
+    X[0, 0] = 1
+    Mn, n = M.astype(np.float64), 1
+    while n < width:
+        X[:, n:2 * n] = (Mn @ X[:, :min(n, width - n)]) % p
+        Mn, n = (Mn @ Mn) % p, 2 * n
+    step = _mat_pow_mod(M, width, p).astype(np.float64)
+    CM = C.astype(np.float64)
+    hits = []
+    for base in range(0, N, width):
+        hits.append(base + np.flatnonzero(((CM @ X) % p == 0).all(axis=0)))
+        CM = (CM @ step) % p
+    rs = np.concatenate(hits)
+    rs = rs[rs < N]  # the last block may run past N
+    if len(rs) != q + 1:
+        raise RuntimeError(f"Singer construction failed for q={q}: got {len(rs)} residues")
     # rotate so the largest cyclic gap wraps around: minimal-span translate
-    rs = sorted(residues)
-    gaps = [(rs[(i + 1) % len(rs)] - rs[i]) % N for i in range(len(rs))]
-    start = rs[(gaps.index(max(gaps)) + 1) % len(rs)]
-    elems = tuple(sorted((r - start) % N + 1 for r in residues))
-    return SidonSet(elems, N)
+    start = rs[(np.argmax(np.diff(rs, append=rs[0] + N)) + 1) % len(rs)]
+    return SidonSet(tuple(np.sort((rs - start) % N + 1).tolist()), N)
 
 
 # ---------------------------------------------------------------------------
@@ -445,12 +429,13 @@ def optimal_stage_params(h: int, S: SidonSet) -> StageParams:
     return params
 
 
-# Longest walk of powers of x in GF(q^3) that build_from_psi starts.  It
-# admits q <= 215 (q = 101 walks ~10^6 powers; singer_set(211) takes ~0.3 s).
+# Longest walk of powers of x in GF(q^3), q^2 + q + 1 of them, that
+# build_from_psi starts.  It admits q <= 3161: singer_set(211) takes ~3 ms
+# and singer_set(3137) ~0.5 s (2 vCPUs, numpy 2.4).
 SINGER_WALK_BUDGET = 10**7
 
 # Most greedy terms that build_from_psi asks of mian_chowla, whose time
-# grows about as n^3.7: mian_chowla(300) takes ~0.6 s, mian_chowla(800) ~20 s.
+# grows about as n^3.4: mian_chowla(300) takes ~20 ms, mian_chowla(800) ~0.6 s.
 MIAN_CHOWLA_BUDGET = 300
 
 
@@ -494,13 +479,13 @@ def build_from_psi(
             # below it rounding is cheap and the refusal names q.
             if r > SINGER_WALK_BUDGET:
                 raise GeneratorBudgetError(
-                    f"stage {j} needs a Singer set for q >= r={r}: at least r^3 - 1 "
+                    f"stage {j} needs a Singer set for q >= r={r}: at least r^2 + r + 1 "
                     f"powers of x in GF(q^3), over the budget of {SINGER_WALK_BUDGET}",
                     r=r, stage=j)
             q = next_prime_power(r)
-            if q**3 - 1 > SINGER_WALK_BUDGET:
+            if q * q + q + 1 > SINGER_WALK_BUDGET:
                 raise GeneratorBudgetError(
-                    f"stage {j} needs a Singer set for q={q}: {q**3 - 1} powers of x "
+                    f"stage {j} needs a Singer set for q={q}: {q * q + q + 1} powers of x "
                     f"in GF(q^3), over the budget of {SINGER_WALK_BUDGET}", q=q, stage=j)
             r = q
             S = singer_set(q)

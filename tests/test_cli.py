@@ -270,7 +270,7 @@ class TestErrors:
         assert err["context"]["field"] == "epsilon"
 
     def test_singer_walk_over_budget_refused_fast(self, tmp_path, capsys):
-        # numStages=5 at alpha=1/4 asks for q = 9941: ~10^12 powers in GF(q^3)
+        # numStages=5 at alpha=1/4 asks for q = 9941: ~10^8 powers in GF(q^3)
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"construction": {"generator": {
             "type": "optimal-sidon", "psi": {"kind": "power", "alpha": [1, 4]},
@@ -283,6 +283,16 @@ class TestErrors:
         assert err["code"] == 2 and err["context"]["q"] == 9941
         assert "q=9941" in err["message"]
         assert not out.exists()
+
+    def test_singer_walk_counts_q2_q_1_powers(self, tmp_path):
+        # h1 = 223 asks for q = 223: q^2 + q + 1 = 49,953 powers are within
+        # the budget, though q^3 - 1 (~1.1e7) would not be
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"construction": {"h1": 223, "generator": GENERATOR}}))
+        out = tmp_path / "o"
+        assert run_cli(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        _, header, rows = read_report(out / "generator_ledger.csv")
+        assert [r[header.index("q")] for r in rows] == ["223"]
 
     def test_greedy_over_budget_refused_fast(self, tmp_path, capsys):
         # the same request with greedy sets asks for mian_chowla(12433) at stage 4

@@ -6,7 +6,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidonlab import (
     ConstructionSpec,
@@ -30,6 +32,7 @@ from sidonlab.sidon import (
     _ceil_root,
     _find_primitive_poly,
     _generates_units,
+    _mat_pow_mod,
     _poly_powmod,
     _prime_factors,
     _x_is_primitive,
@@ -58,6 +61,32 @@ def greedy_oracle(n):
         if len(set(diffs)) == len(diffs):
             elems = cand
     return tuple(elems)
+
+
+def reference_is_sidon(elements):
+    """The pair loop that is_sidon replaced: the first pair, row by row,
+    whose difference is 0 or already seen."""
+    s = sorted(elements)
+    seen = {}
+    for i in range(len(s)):
+        for k in range(i + 1, len(s)):
+            d = s[k] - s[i]
+            if d == 0:
+                return False, (s[i], s[i], s[k], s[k])
+            if d in seen:
+                a, b = seen[d]
+                return False, (a, b, s[i], s[k])
+            seen[d] = (s[i], s[k])
+    return True, None
+
+
+def companion_matrix(f, p):
+    """Multiplication by x modulo the monic f, on coefficient columns."""
+    d = len(f) - 1
+    M = np.zeros((d, d), dtype=np.int64)
+    M[1:, :-1] = np.eye(d - 1, dtype=np.int64)
+    M[:, -1] = [-c % p for c in f[:-1]]
+    return M
 
 
 def reference_mian_chowla(n):
@@ -225,6 +254,18 @@ class TestB2:
         a, b, c, d = wit
         assert b - a == d - c and (a, b) != (c, d)
 
+    # a small range makes repeated elements and differences common
+    @given(st.lists(st.integers(-5, 40), max_size=10))
+    @settings(max_examples=400, deadline=None)
+    def test_is_sidon_vs_reference_loop(self, elements):
+        assert is_sidon(elements) == reference_is_sidon(elements)
+
+    def test_is_sidon_on_generated_sets(self):
+        for e in (mian_chowla(102).elements, singer_set(23).elements):
+            assert is_sidon(e) == reference_is_sidon(e) == (True, None)
+            bad = e + (e[-1] + e[1] - e[0],)
+            assert is_sidon(bad) == reference_is_sidon(bad)
+
     def test_sidon_set_validates(self):
         with pytest.raises(ValueError):
             SidonSet((1, 2, 3), 3)
@@ -242,9 +283,19 @@ class TestB2:
         assert s.elements == reference_mian_chowla(n)
         assert s.span == s.elements[-1]
 
+    def test_mian_chowla_pinned(self):
+        # SHA-256 of the first 300 terms, computed with the windowed candidate
+        # search that the forbidden-sum table replaced; reference_mian_chowla
+        # takes about 5 s at this n
+        digest = hashlib.sha256(repr(mian_chowla(300).elements).encode()).hexdigest()
+        assert digest == "853eb2790d4c5571364fa363144e9a6589a49263e23244bea82b954c82aa45f5"
+
+
+COVERAGE_QS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 49, 101, 128, 211]
+
 
 class TestSinger:
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 49, 101])
+    @pytest.mark.parametrize("q", COVERAGE_QS)
     def test_difference_coverage(self, q):
         s = singer_set(q)
         n = q * q + q + 1
@@ -258,6 +309,18 @@ class TestSinger:
         # perfect difference set: every nonzero residue exactly once
         assert diffs == set(range(1, n))
         assert is_sidon(s.elements)[0]
+
+    @pytest.mark.parametrize("q", COVERAGE_QS)
+    def test_walk_period(self, q):
+        # singer_set walks only x^i, i < N: y = x^N is a nonzero element of
+        # GF(q) (y^q = y), so whether x^i lies in a GF(q)-subspace depends on
+        # i mod N alone.  Over F_p, y is a scalar matrix exactly when q = p.
+        p, k = prime_power_decompose(q)
+        M = companion_matrix(_find_primitive_poly(p, 3 * k), p)
+        y = _mat_pow_mod(M, q * q + q + 1, p)
+        assert y.any() and (_mat_pow_mod(y, q, p) == y).all()
+        if k == 1:
+            assert (y == y[0, 0] * np.eye(3, dtype=np.int64)).all()
 
     @pytest.mark.parametrize("q", [q for q in range(2, 33) if prime_power_decompose(q)])
     def test_primitive_poly_vs_unfiltered_sweep(self, q):
