@@ -7,11 +7,19 @@ s_k equal sub-blocks; the rotation sends sub-block i to i+1 (mod s_k), and
 whenever a point lands in the first sub-block B_k^1 the dissipative part P
 translates it by delta along a signed concatenation coordinate over the
 union of the B_k^1 (even k on the positive axis, odd k on the negative).
+
+Every sub-block width mu(E_b)/c_b is a multiple of 1/L, L the lcm of their
+denominators, and so are delta, the stage bases and the bands: a map keeps
+them, and its set action its pieces, as Python ints in units of 1/L.  The
+Lemma 6.1 defect adds its classes as ints in units of mu(E_depth)/C.  The
+API edge stays Fraction: delta, M_pos, M_neg, w, pos_base, neg_base,
+b1_start, locate, apply and the reports' values.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -60,11 +68,18 @@ def stage_new_ranges(tower: Tower, b: int) -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
+def _checked_depth(tower: Tower, depth: int | None) -> int:
+    """The depth to enumerate, the tower's for None; past it, NeedsMoreStages."""
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    return tower.depth if depth is None else depth
+
+
 def s_schedule(tower: Tower, depth: int | None = None):
     """Per-stage sub-block count c_j = max(2, ceil(new mass at stage j)),
     assigned to every block born at stage j.  Returns (parts dict, ledger
     rows with the divergence partial sums of sum mu(D_k)/s_k)."""
-    depth = depth or tower.depth
+    depth = _checked_depth(tower, depth)
     parts: dict[int, int] = {}
     rows = []
     partial = Fraction(0)
@@ -75,22 +90,14 @@ def s_schedule(tower: Tower, depth: int | None = None):
         c = max(2, math.ceil(mass))
         parts[b] = c
         partial += mass / c
-        rows.append(
-            {
-                "stage": b,
-                "new_levels": n_b,
-                "new_mass": mass,
-                "c": c,
-                "contribution": mass / c,
-                "partial_sum": partial,
-            }
-        )
+        rows.append({"stage": b, "new_levels": n_b, "new_mass": mass, "c": c,
+                     "contribution": mass / c, "partial_sum": partial})
     return parts, rows
 
 
 def enumerate_new_blocks(tower: Tower, depth: int | None = None, limit: int | None = None):
     """Blocks in construction order; total mass equals mu(X_depth)."""
-    depth = depth or tower.depth
+    depth = _checked_depth(tower, depth)
     parts, _ = s_schedule(tower, depth)
     blocks = []
     k = 0
@@ -117,14 +124,17 @@ class _StageIndex:
     cum: list[int]  # cumulative level counts per range
     n: int
     c: int
-    w: Fraction
     K: int  # first global block index of this stage
     first_even: int
     first_odd: int
     n_even: int
     n_odd: int
-    pos_base: Fraction
-    neg_base: Fraction
+    w: Fraction  # sub-block width
+    pos_base: Fraction  # where the stage's even blocks start, and
+    neg_base: Fraction  # minus where its odd blocks end
+    W: int  # w, pos_base and neg_base in units of 1/L
+    pos: int
+    neg: int
 
     def rank(self, level: int) -> int:
         i = bisect.bisect_right(self.starts, level) - 1
@@ -143,50 +153,33 @@ class DissipativeMap:
 
     def __init__(self, tower: Tower, depth: int | None = None):
         self.tower = tower
-        self.depth = depth or tower.depth
+        self.depth = _checked_depth(tower, depth)
         self.parts, self.schedule = s_schedule(tower, self.depth)
+        widths = [tower.stage(b).base_measure / c for b, c in self.parts.items()]
+        self.L = L = math.lcm(*(w.denominator for w in widths))
         self.stages: dict[int, _StageIndex] = {}
-        K = 0
-        pos = Fraction(0)
-        neg = Fraction(0)
-        for b in range(1, self.depth + 1):
+        K = pos = neg = 0
+        for b, w in enumerate(widths, 1):
             ranges = stage_new_ranges(tower, b)
-            counts = [e - a for a, e in ranges]
-            n_b = sum(counts)
-            cum = [0]
-            for cnt in counts:
-                cum.append(cum[-1] + cnt)
-            c = self.parts[b]
-            w = tower.stage(b).base_measure / c
-            first_even = K if K % 2 == 0 else K + 1
-            first_odd = K if K % 2 == 1 else K + 1
-            n_even = (n_b + (K % 2 == 0)) // 2
+            cum = list(itertools.accumulate((e - a for a, e in ranges), initial=0))
+            n_b = cum.pop()
+            W = w.numerator * (L // w.denominator)
+            first_even, first_odd = K + K % 2, K + 1 - K % 2
+            n_even = (n_b + 1 - K % 2) // 2
             n_odd = n_b - n_even
             self.stages[b] = _StageIndex(
-                b, ranges, [a for a, _ in ranges], cum[:-1], n_b, c, w,
-                K, first_even, first_odd, n_even, n_odd, pos, neg,
+                b, ranges, [a for a, _ in ranges], cum, n_b, self.parts[b], K, first_even,
+                first_odd, n_even, n_odd, w, Fraction(pos, L), Fraction(neg, L), W, pos, neg,
             )
-            K += n_b
-            pos += n_even * w
-            neg += n_odd * w
+            K, pos, neg = K + n_b, pos + n_even * W, neg + n_odd * W
         self.total_blocks = K
-        self.M_pos = pos
-        self.M_neg = neg
+        self.M_pos, self.M_neg = Fraction(pos, L), Fraction(neg, L)
         self.delta = self.stages[1].w
-        # contiguous coordinate bands over [-M_neg, M_pos)
-        self.bands = []  # (lo, hi, stage)
-        for b in range(self.depth, 0, -1):
-            si = self.stages[b]
-            if si.n_odd:
-                self.bands.append(
-                    (-(si.neg_base + si.n_odd * si.w), -si.neg_base, b)
-                )
-        for b in range(1, self.depth + 1):
-            si = self.stages[b]
-            if si.n_even:
-                self.bands.append(
-                    (si.pos_base, si.pos_base + si.n_even * si.w, b)
-                )
+        # contiguous coordinate bands over [-M_neg, M_pos), in units of 1/L
+        sis = list(self.stages.values())
+        self.bands = [(-(si.neg + si.n_odd * si.W), -si.neg, si.b)  # (lo, hi, stage)
+                      for si in reversed(sis) if si.n_odd]
+        self.bands += [(si.pos, si.pos + si.n_even * si.W, si.b) for si in sis if si.n_even]
         self._band_los = [lo for lo, _, _ in self.bands]
 
     # -- block/coordinate bookkeeping -----------------------------------
@@ -206,128 +199,108 @@ class DissipativeMap:
         si = self.block_stage(k)
         return si.b, si.select(k - si.K)
 
-    def b1_start(self, k: int) -> Fraction:
+    def _start(self, k: int) -> int:
+        """b1_start(k) in units of 1/L."""
         si = self.block_stage(k)
         if k % 2 == 0:
-            e = (k - si.first_even) // 2
-            return si.pos_base + e * si.w
-        o = (k - si.first_odd) // 2
-        return -(si.neg_base + (o + 1) * si.w)
+            return si.pos + (k - si.first_even) // 2 * si.W
+        return -(si.neg + ((k - si.first_odd) // 2 + 1) * si.W)
 
-    def _band_at(self, x: Fraction) -> tuple[Fraction, Fraction, int]:
+    def b1_start(self, k: int) -> Fraction:
+        return Fraction(self._start(k), self.L)
+
+    def _band_at(self, x):
+        """The band (lo, hi, stage) holding the coordinate x/L; x is an int,
+        or a Fraction for locate."""
         i = bisect.bisect_right(self._band_los, x) - 1
         if i < 0 or x >= self.bands[i][1]:
-            raise NeedsMoreBlocks(
-                f"coordinate {x} outside the enumerated range "
-                f"[{-self.M_neg}, {self.M_pos})"
-            )
+            raise NeedsMoreBlocks(f"coordinate {Fraction(x, self.L)} outside the enumerated "
+                                  f"range [{-self.M_neg}, {self.M_pos})")
         return self.bands[i]
 
     def locate(self, x: Fraction) -> tuple[int, Fraction]:
         """Coordinate -> (block, offset within its first sub-block)."""
-        lo_band, _, b = self._band_at(x)
-        si = self.stages[b]
+        x = x * self.L
+        si = self.stages[self._band_at(x)[2]]
         if x >= 0:
-            q, r = divmod(x - si.pos_base, si.w)
-            return si.first_even + 2 * int(q), r
-        q, r = divmod(-x - si.neg_base, si.w)
+            q, r = divmod(x - si.pos, si.W)
+            return si.first_even + 2 * int(q), Fraction(r, self.L)
+        q, r = divmod(-x - si.neg, si.W)
         if r == 0:
             return si.first_odd + 2 * (int(q) - 1), Fraction(0)
-        return si.first_odd + 2 * int(q), si.w - r
+        return si.first_odd + 2 * int(q), Fraction(si.W - r, self.L)
 
     # -- pointwise action -------------------------------------------------
 
     def apply(self, p: PointState, inverse: bool = False) -> PointState:
         p = self.tower.normalize_point(p)
         if p.stage > self.depth:
-            raise NeedsMoreBlocks(
-                f"point born at stage {p.stage} beyond enumerated depth {self.depth}"
-            )
+            raise NeedsMoreBlocks(f"point born at stage {p.stage} beyond enumerated depth "
+                                  f"{self.depth}")
         si = self.stages[p.stage]
         k = si.K + si.rank(p.level)
         i, uo = divmod(p.offset, si.w)
-        i = int(i)
-        if not inverse:
-            i2 = (i + 1) % si.c
-            if i2 != 0:
-                return PointState(p.stage, p.level, i2 * si.w + uo)
-            x2 = self.b1_start(k) + uo + self.delta
-            k2, off2 = self.locate(x2)
-            b2, lvl2 = self.block_level(k2)
-            return PointState(b2, lvl2, off2)
-        if i != 0:
-            return PointState(p.stage, p.level, (i - 1) * si.w + uo)
-        x2 = self.b1_start(k) + uo - self.delta
-        k2, off2 = self.locate(x2)
+        i = int(i) + (-1 if inverse else 1)
+        if 0 <= i < si.c:  # the rotation
+            return PointState(p.stage, p.level, i * si.w + uo)
+        # P: from the last sub-block into the first one of the block delta
+        # further on, and back
+        k2, off2 = self.locate(self.b1_start(k) + uo + (-self.delta if inverse else self.delta))
         si2 = self.block_stage(k2)
-        b2, lvl2 = self.block_level(k2)
-        return PointState(b2, lvl2, (si2.c - 1) * si2.w + off2)
+        return PointState(si2.b, si2.select(k2 - si2.K),
+                          (si2.c - 1) * si2.w + off2 if inverse else off2)
 
     # -- set action on (band, footprint interval, phase) pieces -----------
 
-    def _split_interval(self, lo: Fraction, hi: Fraction):
+    def _split_interval(self, lo: int, hi: int):
         out = []
-        x = lo
-        while x < hi:
-            blo, bhi, b = self._band_at(x)
-            e = min(hi, bhi)
-            out.append((b, x, e))
-            x = e
+        while lo < hi:
+            _, bhi, b = self._band_at(lo)
+            out.append((b, lo, min(hi, bhi)))
+            lo = min(hi, bhi)
         return out
 
     def step_pieces(self, pieces, inverse: bool = False):
-        """One application of S to pieces (stage, coord lo, coord hi, phase);
-        a piece is the set of points with first-sub-block coordinate in
-        [lo, hi) sitting in sub-block `phase` of their block."""
+        """One application of S to pieces (stage, lo, hi, phase) of ints; a
+        piece is the set of points with first-sub-block coordinate in
+        [lo/L, hi/L) sitting in sub-block `phase` of their block."""
+        d = self.stages[1].W
         out = []
         for b, lo, hi, phase in pieces:
-            c = self.stages[b].c
             if not inverse:
-                if phase < c - 1:
+                if phase < self.stages[b].c - 1:
                     out.append((b, lo, hi, phase + 1))
                 else:
-                    for b2, l2, h2 in self._split_interval(lo + self.delta, hi + self.delta):
-                        out.append((b2, l2, h2, 0))
+                    out += [(b2, l2, h2, 0) for b2, l2, h2 in self._split_interval(lo + d, hi + d)]
+            elif phase > 0:
+                out.append((b, lo, hi, phase - 1))
             else:
-                if phase > 0:
-                    out.append((b, lo, hi, phase - 1))
-                else:
-                    for b2, l2, h2 in self._split_interval(lo - self.delta, hi - self.delta):
-                        out.append((b2, l2, h2, self.stages[b2].c - 1))
+                out += [(b2, l2, h2, self.stages[b2].c - 1)
+                        for b2, l2, h2 in self._split_interval(lo - d, hi - d)]
         return out
 
 
 def wandering_check(dmap: DissipativeMap, zmax: int) -> dict:
     """Exact disjointness of S^z Y for |z| <= zmax, with Y the first
     sub-block of block 0 (coordinate interval [0, delta))."""
-    start = [(1, Fraction(0), dmap.delta, 0)]
-    layers = {0: start}
-    fwd = start
-    back = start
+    layers = {0: [(1, 0, dmap.stages[1].W, 0)]}
+    fwd = back = layers[0]
     for z in range(1, zmax + 1):
-        fwd = dmap.step_pieces(fwd)
-        layers[z] = fwd
-        back = dmap.step_pieces(back, inverse=True)
-        layers[-z] = back
-    tagged = []
-    for z, pieces in layers.items():
-        for b, lo, hi, phase in pieces:
-            tagged.append((phase, lo, hi, z))
-    tagged.sort(key=lambda t: (t[0], t[1]))
-    disjoint = True
+        layers[z] = fwd = dmap.step_pieces(fwd)
+        layers[-z] = back = dmap.step_pieces(back, inverse=True)
+    tagged = sorted(((phase, lo, hi, z) for z, pieces in layers.items()
+                     for _, lo, hi, phase in pieces), key=lambda t: t[:2])
     clash = None
     for a, bb in zip(tagged, tagged[1:]):
         if a[0] == bb[0] and bb[1] < a[2]:
-            disjoint = False
-            clash = (a, bb)
+            clash = tuple((ph, Fraction(lo, dmap.L), Fraction(hi, dmap.L), z)
+                          for ph, lo, hi, z in (a, bb))
             break
-    covered = sum(hi - lo for pieces in layers.values() for _, lo, hi, _ in pieces)
-    total = sum(
-        dmap.stages[b].n * dmap.tower.stage(b).base_measure
-        for b in range(1, dmap.depth + 1)
-    )
+    covered = Fraction(sum(hi - lo for pieces in layers.values() for _, lo, hi, _ in pieces),
+                       dmap.L)
+    total = sum(si.n * dmap.tower.stage(b).base_measure for b, si in dmap.stages.items())
     return {
-        "passed": disjoint,
+        "passed": clash is None,
         "clash": clash,
         "pieces": sum(len(p) for p in layers.values()),
         "covered_mass": covered,
@@ -336,42 +309,37 @@ def wandering_check(dmap: DissipativeMap, zmax: int) -> dict:
     }
 
 
-def retention_audit(dmap: DissipativeMap, piece_samples_per_stage: int = 3):
+PIECE_SAMPLES_PER_STAGE = 3  # blocks per stage that retention_audit pushes through S
+
+
+def retention_audit(dmap: DissipativeMap):
     """mu(S D_k intersect D_k)/mu(D_k) >= 1 - 1/s_k for every enumerated
     block.  The retention is the same closed form for all blocks of a stage
     ((c-1)w + the part of the translated first sub-block that re-enters);
     a sample of blocks per stage is re-verified with the piece machinery."""
     rows = []
+    delta = dmap.stages[1].W
     for b in range(1, dmap.depth + 1):
         si = dmap.stages[b]
         if si.n == 0:
             continue
-        mu = dmap.tower.stage(b).base_measure
-        retained = (si.c - 1) * si.w + max(Fraction(0), si.w - dmap.delta)
-        row = {
-            "stage": b,
-            "blocks": si.n,
-            "parts": si.c,
-            "retention": retained / mu,
-            "bound": 1 - Fraction(1, si.c),
-            "ok": retained / mu >= 1 - Fraction(1, si.c),
-            "piece_verified": 0,
-        }
+        retained = (si.c - 1) * si.W + max(0, si.W - delta)  # in units of 1/L
+        retention = Fraction(retained, dmap.L) / dmap.tower.stage(b).base_measure
+        bound = 1 - Fraction(1, si.c)
+        row = {"stage": b, "blocks": si.n, "parts": si.c, "retention": retention,
+               "bound": bound, "ok": retention >= bound, "piece_verified": 0}
         # independent audit: push a whole block through S piece by piece
-        for k in range(si.K, min(si.K + piece_samples_per_stage, si.K + si.n)):
-            lo = dmap.b1_start(k)
-            pieces = [(b, lo, lo + si.w, i) for i in range(si.c)]
+        for k in range(si.K, min(si.K + PIECE_SAMPLES_PER_STAGE, si.K + si.n)):
+            lo = dmap._start(k)
+            hi = lo + si.W
             try:
-                img = dmap.step_pieces(pieces)
+                img = dmap.step_pieces([(b, lo, hi, i) for i in range(si.c)])
             except NeedsMoreBlocks:
                 continue
-            back_in = sum(
-                max(Fraction(0), min(h2, lo + si.w) - max(l2, lo))
-                for b2, l2, h2, ph in img
-                if b2 == b and ph == 0
-            )
+            back_in = sum(max(0, min(h2, hi) - max(l2, lo))
+                          for b2, l2, h2, ph in img if b2 == b and ph == 0)
             stay = sum(h2 - l2 for b2, l2, h2, ph in img if ph > 0 and l2 == lo)
-            if (stay + back_in) / mu != row["retention"]:
+            if stay + back_in != retained:
                 row["ok"] = False
             row["piece_verified"] += 1
         rows.append(row)
@@ -388,13 +356,17 @@ def retention_audit(dmap: DissipativeMap, piece_samples_per_stage: int = 3):
 # image is (E_j at J, below h_J - t) + t, and each copy of E_j at J is one
 # level.  The image depends on t alone, and one array descent classifies
 # the levels of every image of a stopping stage at once.
+#
+# A full new block born at stage b counts min(1, 2/c_b) mu(E_b), and every
+# other class whole levels of some stage, so all four classes are integers
+# in units of mu(E_depth)/C, with C the lcm of the c_b above 2.
 
 
-def lemma61_defect_grid(tower: Tower, j: int, pairs, epsilon: Fraction | None = None):
-    """(enclosure, info) of ``lemma61_defect`` for every (k, n) of
-    ``pairs``, in order, from one escape grid over E_j (see above).  In
-    place of ``info["pieces"]``, ``info["stage"]`` is the stopping stage J
-    and ``info["image"]`` the array of the image's stage-J levels."""
+def _defect_classes(tower: Tower, j: int, pairs, epsilon: Fraction | None):
+    """``lemma61_defect_grid`` in integers: (where, classes, unit, den).
+    Pair i has the shift classes[where[i]] = (t, J, kept levels, residual,
+    copy slack, partial slack, full blocks, full-block defect), the four
+    classes in units of unit; mu(E_j) is den units."""
     h_j = tower.stage(j).h
     ts = []
     for k, n in pairs:  # the first bad pair raises
@@ -404,8 +376,11 @@ def lemma61_defect_grid(tower: Tower, j: int, pairs, epsilon: Fraction | None = 
         if not h_j <= n <= h_next:
             raise ValueError(f"n={n} outside [{h_j}, {h_next}]")
         ts += _checked_shifts(tower, [k + n])
+    parts, _ = s_schedule(tower)
+    C = math.lcm(*(c for c in parts.values() if c > 2))
+    unit, den = tower.stage(tower.depth).base_measure / C, C * tower.units[j]
     if not ts:
-        return []
+        return [], [], unit, den
     E = LevelSet(j, ((0, 1),))
     if epsilon is None:
         epsilon = default_epsilon(tower, E)
@@ -441,27 +416,38 @@ def lemma61_defect_grid(tower: Tower, j: int, pairs, epsilon: Fraction | None = 
             whole = size == per_block[b]
             np.add.at(full, (row[whole], b[whole]), 1)
             np.add.at(partial, row[~whole], size[~whole])
-    parts, _ = s_schedule(tower)
-    block_defect = [0] + [min(1, Fraction(2, c)) * tower.stage(b).base_measure
-                          for b, c in parts.items()]
-    made = []
+    block_defect = [0] + [tower.units[b] * C * min(2, c) // c for b, c in parts.items()]
+    classes = []
     for t, J, e, kk, cp, pa, fu in zip(shifts.tolist(), stop.tolist(), esc.tolist(),
                                         kept.tolist(), copies.tolist(), partial.tolist(),
                                         full.tolist()):
-        w = tower.stage(J).base_measure
+        w = tower.units[J] * C  # a stage-J level
+        classes.append((t, J, kk, e * w, cp * w, pa * w, sum(fu),
+                        sum(x * d for x, d in zip(fu, block_defect) if x)))
+    return where.tolist(), classes, unit, den
+
+
+def lemma61_defect_grid(tower: Tower, j: int, pairs, epsilon: Fraction | None = None):
+    """(enclosure, info) of ``lemma61_defect`` for every (k, n) of
+    ``pairs``, in order, from one escape grid over E_j (see above).  In
+    place of ``info["pieces"]``, ``info["stage"]`` is the stopping stage J
+    and ``info["image"]`` the array of the image's stage-J levels."""
+    where, classes, unit, den = _defect_classes(tower, j, pairs, epsilon)
+    E = LevelSet(j, ((0, 1),))
+    made = []
+    for t, J, kk, res, cp, pa, nfull, fd in classes:
         info = {
             "stage": J,
             "image": tower.range_arrays(E, J)[0][:kk] + t,
-            "residual": e * w,
-            "full_blocks": sum(fu),
-            "full_defect": sum((x * d for x, d in zip(fu, block_defect) if x), Fraction(0)),
-            "copy_slack": cp * w,
-            "partial_slack": pa * w,
+            "residual": res * unit,
+            "full_blocks": nfull,
+            "full_defect": fd * unit,
+            "copy_slack": cp * unit,
+            "partial_slack": pa * unit,
         }
-        raw = (info["full_defect"] + info["copy_slack"] + info["partial_slack"]
-               + info["residual"]) / tower.stage(j).base_measure
-        made.append((MeasureEnclosure(Fraction(0), min(Fraction(1), raw)), info))
-    return [made[i] for i in where.tolist()]
+        hi = Fraction(min(fd + cp + pa + res, den), den)
+        made.append((MeasureEnclosure(Fraction(0), hi), info))
+    return [made[i] for i in where]
 
 
 def lemma61_defect(tower: Tower, j: int, k: int, n: int, epsilon: Fraction | None = None):
@@ -499,18 +485,16 @@ def homoclinic_sweep(
         pairs = [(0, h_j), (0, h_next)]
         while len(pairs) < max(2, samples_per_stage):
             pairs.append((rng.randint(0, h_j), rng.randint(h_j, h_next)))
-        for (kk, nn), (enc, info) in zip(pairs, lemma61_defect_grid(tower, j, pairs, epsilon)):
-            rows.append(
-                {
-                    "j": j,
-                    "k": kk,
-                    "n": nn,
-                    "defect_lo": enc.lo,
-                    "defect_hi": enc.hi,
-                    "slack": info["copy_slack"] + info["partial_slack"] + info["residual"],
-                }
-            )
-            stage_max[j] = max(stage_max.get(j, Fraction(0)), enc.hi)
+        # lemma61_defect_grid's enclosure tops and slacks, from its integers
+        where, classes, unit, den = _defect_classes(tower, j, pairs, epsilon)
+        his = [min(fd + cp + pa + res, den) for _, _, _, res, cp, pa, _, fd in classes]
+        made = [(Fraction(hi, den), (res + cp + pa) * unit)
+                for hi, (_, _, _, res, cp, pa, _, _) in zip(his, classes)]
+        for (kk, nn), i in zip(pairs, where):
+            hi, slack = made[i]
+            rows.append({"j": j, "k": kk, "n": nn, "defect_lo": Fraction(0),
+                         "defect_hi": hi, "slack": slack})
+        stage_max[j] = max(stage_max.get(j, Fraction(0)), Fraction(max(his), den))
     return rows, stage_max
 
 

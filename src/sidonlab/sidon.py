@@ -44,12 +44,28 @@ class SidonSet:
 
 
 def is_sidon(elements) -> tuple[bool, tuple | None]:
-    """Exhaustive check on one stably sorted array of all O(n^2) pairwise
-    differences.  On failure returns a witness (a, b, c, d) of element
-    values with b - a == d - c: (c, d) is the first pair, row by row over
-    the sorted elements, whose difference is 0 or repeats, and (a, b) is
-    the first pair with that difference."""
+    """Exhaustive check on all O(n^2) pairwise differences.  On failure
+    returns a witness (a, b, c, d) of element values with b - a == d - c:
+    (c, d) is the first pair, row by row over the sorted elements, whose
+    difference is 0 or repeats, and (a, b) is the first pair with that
+    difference."""
     s = np.array(sorted(elements))
+    if s.dtype.kind == "i" and not (s[1:] == s[:-1]).any():
+        # distinct elements: the differences of pairs are the positive
+        # entries of s - s[:, None], filled in row blocks into one array
+        # (int32 while the span allows) and sorted in place
+        n = len(s)
+        diff = np.empty(n * (n - 1) // 2, np.int32 if s[-1] - s[0] < 2**31 else s.dtype)
+        step, at = max(1, correlation.CHUNK // n), 0
+        for r in range(0, n, step):
+            d = s - s[r:r + step, None]
+            d = d[d > 0]
+            diff[at:at + len(d)] = d
+            at += len(d)
+        diff.sort()
+        if not (diff[1:] == diff[:-1]).any():
+            return True, None
+    # the witness: stably sort the differences with their pair indices
     i, k = np.triu_indices(len(s), 1)
     diff = s[k] - s[i]
     order = np.argsort(diff, kind="stable")

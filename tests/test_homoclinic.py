@@ -1,17 +1,21 @@
 import bisect
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidonlab import (
+    ConstructionSpec,
     DissipativeMap,
     FlowParams,
     LevelSet,
     NeedsMoreBlocks,
     NeedsMoreStages,
     PointState,
+    StageParams,
     Tower,
     enumerate_new_blocks,
     flow_defect,
@@ -55,6 +59,143 @@ def reference_flow_defect(tower, params, n, samples, seed):
     sigma_p = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)
     stderr = area * sigma_p / defect if defect > 0 else math.sqrt(2.0 * area * sigma_p)
     return defect, stderr
+
+
+def reference_bands(dmap):
+    """The map's coordinate bands (lo, hi, stage) as Fractions, from its
+    Fraction stage bases."""
+    sis = [dmap.stages[b] for b in range(1, dmap.depth + 1)]
+    return ([(-(si.neg_base + si.n_odd * si.w), -si.neg_base, si.b)
+             for si in reversed(sis) if si.n_odd]
+            + [(si.pos_base, si.pos_base + si.n_even * si.w, si.b) for si in sis if si.n_even])
+
+
+def reference_step_pieces(dmap, pieces, inverse=False):
+    """The Fraction set action that step_pieces replaced, on pieces
+    (stage, coord lo, coord hi, phase) with Fraction coordinates."""
+    bands = reference_bands(dmap)
+    los = [lo for lo, _, _ in bands]
+
+    def split(lo, hi):
+        out = []
+        x = lo
+        while x < hi:
+            i = bisect.bisect_right(los, x) - 1
+            if i < 0 or x >= bands[i][1]:
+                raise NeedsMoreBlocks(f"coordinate {x} outside the enumerated range "
+                                      f"[{-dmap.M_neg}, {dmap.M_pos})")
+            e = min(hi, bands[i][1])
+            out.append((bands[i][2], x, e))
+            x = e
+        return out
+
+    out = []
+    for b, lo, hi, phase in pieces:
+        c = dmap.stages[b].c
+        if not inverse:
+            if phase < c - 1:
+                out.append((b, lo, hi, phase + 1))
+            else:
+                for b2, l2, h2 in split(lo + dmap.delta, hi + dmap.delta):
+                    out.append((b2, l2, h2, 0))
+        else:
+            if phase > 0:
+                out.append((b, lo, hi, phase - 1))
+            else:
+                for b2, l2, h2 in split(lo - dmap.delta, hi - dmap.delta):
+                    out.append((b2, l2, h2, dmap.stages[b2].c - 1))
+    return out
+
+
+def reference_wandering_check(dmap, zmax):
+    """The Fraction wandering check that wandering_check replaced."""
+    start = [(1, Fraction(0), dmap.delta, 0)]
+    layers = {0: start}
+    fwd = start
+    back = start
+    for z in range(1, zmax + 1):
+        fwd = reference_step_pieces(dmap, fwd)
+        layers[z] = fwd
+        back = reference_step_pieces(dmap, back, inverse=True)
+        layers[-z] = back
+    tagged = []
+    for z, pieces in layers.items():
+        for b, lo, hi, phase in pieces:
+            tagged.append((phase, lo, hi, z))
+    tagged.sort(key=lambda t: (t[0], t[1]))
+    disjoint = True
+    clash = None
+    for a, bb in zip(tagged, tagged[1:]):
+        if a[0] == bb[0] and bb[1] < a[2]:
+            disjoint = False
+            clash = (a, bb)
+            break
+    covered = sum(hi - lo for pieces in layers.values() for _, lo, hi, _ in pieces)
+    total = sum(
+        dmap.stages[b].n * dmap.tower.stage(b).base_measure
+        for b in range(1, dmap.depth + 1)
+    )
+    return {
+        "passed": disjoint,
+        "clash": clash,
+        "pieces": sum(len(p) for p in layers.values()),
+        "covered_mass": covered,
+        "covered_fraction": covered / total,
+        "zmax": zmax,
+    }
+
+
+def reference_retention_audit(dmap, piece_samples_per_stage=3):
+    """The Fraction retention audit that retention_audit replaced."""
+    rows = []
+    for b in range(1, dmap.depth + 1):
+        si = dmap.stages[b]
+        if si.n == 0:
+            continue
+        mu = dmap.tower.stage(b).base_measure
+        retained = (si.c - 1) * si.w + max(Fraction(0), si.w - dmap.delta)
+        row = {
+            "stage": b,
+            "blocks": si.n,
+            "parts": si.c,
+            "retention": retained / mu,
+            "bound": 1 - Fraction(1, si.c),
+            "ok": retained / mu >= 1 - Fraction(1, si.c),
+            "piece_verified": 0,
+        }
+        for k in range(si.K, min(si.K + piece_samples_per_stage, si.K + si.n)):
+            lo = dmap.b1_start(k)
+            pieces = [(b, lo, lo + si.w, i) for i in range(si.c)]
+            try:
+                img = reference_step_pieces(dmap, pieces)
+            except NeedsMoreBlocks:
+                continue
+            back_in = sum(
+                max(Fraction(0), min(h2, lo + si.w) - max(l2, lo))
+                for b2, l2, h2, ph in img
+                if b2 == b and ph == 0
+            )
+            stay = sum(h2 - l2 for b2, l2, h2, ph in img if ph > 0 and l2 == lo)
+            if (stay + back_in) / mu != row["retention"]:
+                row["ok"] = False
+            row["piece_verified"] += 1
+        rows.append(row)
+    return rows
+
+
+def small_spec(rng):
+    """One to three stages of 2-4 columns with spacer counts up to 4."""
+    return ConstructionSpec(rng.randint(1, 3), tuple(
+        StageParams(r, tuple(rng.randint(0, 4) for _ in range(r)))
+        for r in (rng.randint(2, 4) for _ in range(rng.randint(1, 3)))))
+
+
+def result_or_error(fn, *args):
+    """fn(*args), or the type and message of the NeedsMoreBlocks it raises."""
+    try:
+        return fn(*args)
+    except NeedsMoreBlocks as exc:
+        return type(exc), str(exc)
 
 
 def reference_descend(tower, J, level):
@@ -306,6 +447,75 @@ class TestRetention:
         assert rows[0]["retention"] == Fraction(1, 2) == rows[0]["bound"]
 
 
+class TestDepthArgument:
+    ENUMERATORS = [DissipativeMap, s_schedule, enumerate_new_blocks]
+
+    @pytest.mark.parametrize("fn", ENUMERATORS)
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_below_one_raises(self, running_tower, fn, depth):
+        with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+            fn(running_tower, depth)
+
+    @pytest.mark.parametrize("fn", ENUMERATORS)
+    def test_past_the_tower_needs_more_stages(self, running_tower, fn):
+        with pytest.raises(NeedsMoreStages) as exc:
+            fn(running_tower, 4)
+        assert exc.value.required_depth == 4
+
+    def test_explicit_depth(self, demo_tower):
+        dmap = DissipativeMap(demo_tower, 2)
+        assert dmap.depth == 2 and list(dmap.stages) == [1, 2]
+        assert len(s_schedule(demo_tower, 2)[1]) == 2
+        assert {b.birth_stage for b in enumerate_new_blocks(demo_tower, 2)} == {1, 2}
+
+
+class TestIntegerPiecesAgainstReference:
+    """The set action, wandering check and retention audit on integer
+    coordinates must give the Fraction versions' results and errors."""
+
+    def test_pinned_error_message(self, dmap):
+        with pytest.raises(NeedsMoreBlocks, match=re.escape(
+                "coordinate -3397/1512 outside the enumerated range "
+                "[-8695411/3870720, 21132521/7741440)")):
+            wandering_check(dmap, 100000)
+
+    @given(kind=st.sampled_from(["running", "demo", "small", "huge"]),
+           seed=st.integers(0, 2**32 - 1), zmax=st.integers(0, 220))
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    def test_same_results(self, demo_tower, running_tower, kind, seed, zmax):
+        rng = random.Random(seed)
+        if kind in ("small", "huge"):
+            spec = (small_spec if kind == "small" else huge_spec)(rng)
+            tower = Tower(spec, len(spec.stages) + 1)
+        else:
+            tower = demo_tower if kind == "demo" else running_tower
+        dmap = DissipativeMap(tower)
+        L = dmap.L
+        assert [(Fraction(lo, L), Fraction(hi, L), b)
+                for lo, hi, b in dmap.bands] == reference_bands(dmap)
+        assert result_or_error(wandering_check, dmap, zmax) == result_or_error(
+            reference_wandering_check, dmap, zmax)
+        # the audit pushes all c sub-blocks of a block: huge towers have c > 2^60
+        if max(dmap.parts.values()) <= 1000:
+            assert retention_audit(dmap) == reference_retention_audit(dmap)
+        # pieces in random blocks and phases, the last phase most often
+        pieces = []
+        for _ in range(rng.randint(1, 6)):
+            si = dmap.block_stage(rng.randrange(dmap.total_blocks))
+            lo = rng.randrange(si.W)
+            start = dmap._start(si.K + rng.randrange(si.n))
+            phase = rng.choice([0, si.c - 1, si.c - 1, rng.randrange(si.c)])
+            pieces.append((si.b, start + lo, start + rng.randint(lo + 1, si.W), phase))
+        as_fractions = lambda ps: [(b, Fraction(lo, L), Fraction(hi, L), ph)
+                                   for b, lo, hi, ph in ps]
+        for inverse in (False, True):
+            got = result_or_error(dmap.step_pieces, pieces, inverse)
+            if isinstance(got, list):
+                got = as_fractions(got)
+            assert got == result_or_error(reference_step_pieces, dmap,
+                                          as_fractions(pieces), inverse)
+
+
 class TestDefect:
     def test_parameter_ranges(self, demo_tower):
         with pytest.raises(ValueError):
@@ -432,6 +642,17 @@ class TestSweep:
         rows, _ = homoclinic_sweep(demo_tower, [2], 2)
         h2, h3 = demo_tower.stage(2).h, demo_tower.stage(3).h
         assert {(r["k"], r["n"]) for r in rows} >= {(0, h2), (0, h3)}
+
+    @pytest.mark.parametrize("epsilon", [None, Fraction(0), Fraction(1, 3)])
+    def test_rows_are_the_grids(self, demo_tower, epsilon):
+        rows, stage_max = homoclinic_sweep(demo_tower, [2, 3, 4], 30, seed=4, epsilon=epsilon)
+        for j in (2, 3, 4):
+            mine = [r for r in rows if r["j"] == j]
+            grid = lemma61_defect_grid(demo_tower, j, [(r["k"], r["n"]) for r in mine], epsilon)
+            assert [(r["defect_lo"], r["defect_hi"], r["slack"]) for r in mine] == [
+                (enc.lo, enc.hi, info["copy_slack"] + info["partial_slack"] + info["residual"])
+                for enc, info in grid]
+            assert stage_max[j] == max(enc.hi for enc, _ in grid)
 
     def test_min_two_pairs(self, demo_tower):
         rows, _ = homoclinic_sweep(demo_tower, [2], 0)

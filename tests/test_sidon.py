@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -259,6 +260,18 @@ class TestB2:
     @settings(max_examples=400, deadline=None)
     def test_is_sidon_vs_reference_loop(self, elements):
         assert is_sidon(elements) == reference_is_sidon(elements)
+
+    def test_is_sidon_memory(self):
+        # a Sidon set needs one int32 array of its n(n-1)/2 differences:
+        # 2 MiB for the 1025 elements here, and no per-pair index arrays
+        elements = singer_set(1024).elements
+        tracemalloc.start()
+        try:
+            assert is_sidon(elements) == (True, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_is_sidon_on_generated_sets(self):
         for e in (mian_chowla(102).elements, singer_set(23).elements):
