@@ -1,8 +1,8 @@
 """Batch command-line front end: one subcommand per harness.
 
 Exit codes: 0 success, 2 config/validation error, 3 runtime error inside a
-harness.  Errors are reported as one JSON object on stderr:
-{"code": ..., "module": ..., "message": ..., "context": {...}}.
+harness, running out of memory included.  Errors are reported as one JSON
+object on stderr: {"code": ..., "module": ..., "message": ..., "context": {...}}.
 """
 
 from __future__ import annotations
@@ -182,14 +182,14 @@ def cmd_decay(cfg, digest, args):
     warning = ""
     if "psi" in cfg:
         psi = parse_psi(cfg["psi"])
-        if gen_psi is not None and psi != gen_psi:
+        if gen_psi is None:
+            warning = "construction has no generator psi; decay bound is unverified"
+        elif psi != gen_psi:
             warning = "psi differs from the construction generator's psi"
     elif gen_psi is not None:
         psi = gen_psi
     else:
         raise ConfigError("decay config needs 'psi' (none in construction)", "psi")
-    if gen_psi is None and "psi" in cfg:
-        warning = "construction has no generator psi; decay bound is unverified"
     A = parse_level_set(cfg.get("A", {"stage": 2, "ranges": [[0, 1]]}), "A", tower)
     ms = cfg.get("m_grid")
     if not ms:
@@ -351,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         _fail(3, "core-construction", str(e), {"required_depth": e.required_depth})
     except NeedsMoreBlocks as e:
         _fail(3, "homoclinic", str(e), {})
-    except (ValueError, KeyError, RuntimeError) as e:
+    except (ValueError, KeyError, RuntimeError, MemoryError) as e:
         _fail(3, args.command, f"{type(e).__name__}: {e}", {})
     return 0
 

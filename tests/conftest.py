@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sidonlab import ConstructionSpec, LevelSet, NeedsMoreStages, StageParams, Tower, singer_set
@@ -56,6 +57,16 @@ def few_levels(rng, tower, stage, most):
     h = tower.stage(stage).h
     k = 0 if rng.random() < 0.125 else rng.randint(1, most)
     return LevelSet.from_levels(stage, {rng.randrange(h) for _ in range(k)})
+
+
+def count_on_lifted(tower, A, J, x):
+    """|A_J intersect [0, x)| for each x >= 0 of the array x, read on A's
+    range arrays lifted to J: the ranges starting at or below x, less the
+    part of the last one at or above x."""
+    s, e = tower.range_arrays(A, J)
+    k = np.searchsorted(s, x, side="right")
+    cum = np.concatenate(([0], np.cumsum(e - s)))
+    return cum[k] - np.maximum(np.concatenate(([0], e))[k] - x, 0)
 
 
 def outcome(fn, *args):

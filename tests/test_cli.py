@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -14,12 +15,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sidonlab
+from sidonlab import LevelSet, Tower, pair_enclosure_grid
 from sidonlab.cli import main
 from sidonlab.sidon import sidon_property_check
-from tests.conftest import RUNNING_SPEC
+from tests.conftest import RUNNING_SPEC, deep_spec
 
 GENERATOR = {"type": "optimal-sidon", "psi": {"kind": "power", "alpha": [1, 4]},
              "numStages": 2}
+# psi(m) = (m + 2)^(1/4) as a table of m = 1..40: the same floats as the
+# power psi at alpha = 1/4
+TABLE_PSI = {"kind": "table", "table": [(m + 2) ** 0.25 for m in range(1, 41)]}
+X2 = {"stage": 2, "ranges": [[0, 3]]}
 
 
 def run_cli(argv):
@@ -117,6 +123,25 @@ class TestBuild:
         assert header[:5] == ["j", "h_j", "r_j", "N_j", "q"]
         assert [r[4] for r in rows] == ["2", "3", "23"]
         assert all(r[-1] == "True" for r in rows)
+
+    # the log psi finds each stage's threshold by bisection; stage 5 then
+    # needs a Singer set far over the walk budget
+    @pytest.mark.parametrize("stages, code", [(5, 0), (6, 2)])
+    def test_log_psi_generator(self, tmp_path, capsys, stages, code):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"construction": {"generator": {
+            **GENERATOR, "psi": {"kind": "log"}, "numStages": stages}}}))
+        out = tmp_path / "o"
+        assert run_cli(["build", "--config", str(cfg), "--out", str(out)]) == code
+        if code:
+            (line,) = capsys.readouterr().err.splitlines()
+            err = json.loads(line)
+            assert err["module"] == "sidon" and err["context"]["stage"] == 5
+            assert not out.exists()
+        else:
+            _, header, rows = read_report(out / "generator_ledger.csv")
+            assert len(rows) == stages - 1
+            assert all(r[header.index("sqrt_ineq_ok")] == "True" for r in rows)
 
     def test_depth_flag(self, running_config, tmp_path):
         out = tmp_path / "o"
@@ -224,6 +249,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("flag", [["--epsilon-num", "1", "--epsilon-den", "0"],
                                       ["--depth", "0"],
+                                      ["--depth", "4"],
                                       ["--epsilon-den", "7"],
                                       ["build", "--epsilon-num", "1"],
                                       ["check-sidon", "--epsilon-num", "1"],
@@ -247,7 +273,10 @@ class TestErrors:
                                      {"kind": "power", "alpha": [1, 2, 3]},
                                      {"kind": "power", "alpha": [1, 2]},
                                      {"kind": "power"}, {"kind": "table"},
-                                     {"kind": "bogus"}])
+                                     {"kind": "bogus"},
+                                     {"kind": "table", "table": [1]},
+                                     {"kind": "table", "table": [1, 0.5]},
+                                     {"kind": "table", "table": [1, 2]}])
     def test_bad_psi(self, tmp_path, capsys, psi):
         cfg = tmp_path / "decay.json"
         cfg.write_text(json.dumps({"construction": RUNNING_SPEC.to_dict(), "psi": psi,
@@ -427,6 +456,11 @@ class TestErrors:
         ("poisson", {"n_grid": [0], "events": 5}, "events"),
         ("poisson", {"n_grid": [0], "events": None}, "events"),
         ("poisson", {"mode": "triple", "mn_grid": [[1, 1]], "events": "ab"}, "events"),
+        ("corr", {}, "m"),
+        ("poisson", {"n_grid": [0], "events": [{"set": X2, "count": 0}] * 3}, "events"),
+        ("poisson", {"mode": "triple", "mn_grid": [[1, 1]],
+                     "events": [{"set": X2, "count": 0}] * 2}, "events"),
+        ("homoclinic", {"mode": "sweep"}, "j_range"),
     ])
     def test_bad_grid_or_sample_type(self, tmp_path, capsys, cmd, extra, field):
         path = self._write_config(tmp_path, cmd, extra)
@@ -437,6 +471,22 @@ class TestErrors:
         assert err["code"] == 2 and err["context"]["field"] == field
         assert not out.exists()
 
+
+    # configs without a set or psi that _write_config would add
+    @pytest.mark.parametrize("cmd, extra, field", [
+        ("corr", {"B": X2, "m": 3}, "A"),
+        ("corr", {"A": X2, "m": 3}, "A"),
+        ("decay", {"m_grid": [1]}, "psi"),
+    ])
+    def test_missing_set_or_psi(self, tmp_path, capsys, cmd, extra, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"construction": RUNNING_SPEC.to_dict(), **extra}))
+        out = tmp_path / "o"
+        assert run_cli([cmd, "--config", str(path), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["code"] == 2 and err["context"]["field"] == field
+        assert not out.exists()
 
     def test_flow_area_beyond_float_range(self, tmp_path, capsys):
         path = self._write_config(tmp_path, "flow", {"rect": [-1e308, 1e308, 0.0, 1.0]})
@@ -509,6 +559,49 @@ class TestCorr:
         assert row[0] == "3"
         assert Fraction(int(row[1]), int(row[2])) == Fraction(1, 2)
         assert Fraction(int(row[4]), int(row[5])) == Fraction(1, 2)
+
+    # deep_spec's 57-stage tower, A = B = C = {0} at stage 1: m = h_j - 1
+    # stops about ten stages above j.  Pair mode counts on the sets' own
+    # ranges; triple mode still builds D_J = B_J intersect (C_J + n) from
+    # lifted arrays, which outgrow the address-space limit of the child.
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="RLIMIT_AS is enforced on Linux")
+    @pytest.mark.parametrize("mode, j, code", [("pair", 20, 0), ("pair", 40, 0),
+                                               ("triple", 16, 3)])
+    def test_deep_tower_under_memory_limit(self, tmp_path, mode, j, code):
+        tower = Tower(deep_spec(random.Random(0)), depth=57)
+        one = {"stage": 1, "ranges": [[0, 1]]}
+        m = tower.stage(j).h - 1
+        cfg = {"construction": tower.spec.to_dict(), "A": one, "B": one, "m": m}
+        if mode == "triple":
+            cfg.update({"C": one, "n": 0})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        limit = 400 * 2**20
+        child = ("import resource, sys\n"
+                 f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+                 "from sidonlab.cli import main\n"
+                 "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(sidonlab.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", child, "corr", "--config", str(path),
+                               "--out", str(out)], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            (line,) = proc.stderr.splitlines()
+            err = json.loads(line)
+            assert err["code"] == 3 and "MemoryError" in err["message"]
+            assert not (out / "corr.csv").exists()
+            return
+        assert proc.stderr == ""
+        _, header, (row,) = read_report(out / "corr.csv")
+        A = LevelSet.from_ranges(1, [(0, 1)])
+        (enc,) = pair_enclosure_grid(A, A, [m], tower)
+        assert [Fraction(int(row[header.index(f"{k}_num")]), int(row[header.index(f"{k}_den")]))
+                for k in ("lo", "hi")] == [enc.lo, enc.hi]
 
     def test_empty_grid_header_only(self, tmp_path):
         cfg = tmp_path / "corr.json"
@@ -617,6 +710,43 @@ class TestDecay:
         _, header, rows = read_report(out / "decay.csv")
         assert header[-1] == "warning"
         assert all(r[-1] for r in rows)
+
+    @pytest.mark.parametrize("psi, warning", [
+        ({"kind": "power", "alpha": [1, 3]}, "psi differs from the construction generator's psi"),
+        (GENERATOR["psi"], "")])
+    def test_generator_psi_warning(self, tmp_path, capsys, psi, warning):
+        cfg = tmp_path / "decay.json"
+        cfg.write_text(json.dumps({"construction": {"generator": GENERATOR}, "psi": psi,
+                                   "m_grid": [1, 2]}))
+        out = tmp_path / "o"
+        assert run_cli(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+        assert ("warning: " + warning in capsys.readouterr().out) == bool(warning)
+        _, header, rows = read_report(out / "decay.csv")
+        assert [r[header.index("warning")] for r in rows] == [warning] * 2
+
+    def test_table_psi_is_its_power(self, tmp_path):
+        reports = []
+        for name, psi in [("table", TABLE_PSI), ("power", {"kind": "power", "alpha": [1, 4]})]:
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"construction": RUNNING_SPEC.to_dict(), "psi": psi,
+                                       "m_grid": [1, 3, 29]}))
+            out = tmp_path / name
+            assert run_cli(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+            reports.append([read_report(out / f)[1:] for f in ("decay.csv", "decay_ledger.csv")])
+        assert reports[0] == reports[1]
+
+    # psi(m) is read at every m of the grid and at h_2 = 3 and h_3 = 30 of
+    # the ledger; a table of 10 values has neither m = 12 nor 30
+    @pytest.mark.parametrize("m_grid, m", [([12], 12), ([1], 30)])
+    def test_table_psi_past_its_end(self, tmp_path, capsys, m_grid, m):
+        cfg = tmp_path / "decay.json"
+        cfg.write_text(json.dumps({"construction": RUNNING_SPEC.to_dict(), "m_grid": m_grid,
+                                   "psi": {**TABLE_PSI, "table": TABLE_PSI["table"][:10]}}))
+        out = tmp_path / "o"
+        assert run_cli(["decay", "--config", str(cfg), "--out", str(out)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert f"table psi not defined at m={m}" in json.loads(line)["message"]
+        assert not (out / "decay.csv").exists()
 
     # Decay configs on the running tower with up to two fields replaced or
     # an unknown key added; a replaced psi may be one PsiSpec refuses.

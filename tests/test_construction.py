@@ -3,7 +3,9 @@ import gc
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sidonlab import (
     ConstructionSpec,
@@ -18,7 +20,7 @@ from sidonlab import (
     build_stages,
     measure_growth,
 )
-from conftest import RUNNING_SPEC
+from conftest import RUNNING_SPEC, count_on_lifted, deep_spec, few_levels, huge_spec
 
 
 def reference_sample_uniform(tower, A, rng, resolution=None):
@@ -259,7 +261,9 @@ class TestLift:
         with pytest.raises(NeedsMoreStages):  # not an empty stage-4 set
             running_tower.range_arrays(A, 4)
         with pytest.raises(NeedsMoreStages):
-            running_tower.prefix_counts(A, 4)
+            running_tower.count_below(A, 4, [0])
+        with pytest.raises(ValueError):
+            running_tower.count_below(A, 1, [0])
         with pytest.raises(ValueError):
             running_tower.lift(A, 1)
         with pytest.raises(ValueError):  # not an endless recursion
@@ -296,6 +300,33 @@ class TestLift:
             demo_tower.set_measure(touching)
 
 
+class TestCountBelow:
+    """count_below walks the column offsets down to the set's own ranges;
+    it must count what the set lifted to K holds below each x."""
+
+    @given(kind=st.sampled_from(["running", "demo", "random", "huge", "deep"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_equals_count_on_lifted_ranges(self, running_tower, demo_tower, kind, seed):
+        rng = random.Random(seed)
+        if kind in ("running", "demo"):
+            tower = running_tower if kind == "running" else demo_tower
+        else:
+            spec = {"random": random_spec, "huge": huge_spec, "deep": deep_spec}[kind](rng)
+            tower = Tower(spec, len(spec.stages) + 1)
+        stage = rng.randint(1, min(3, tower.depth))
+        # deep towers double per stage: keep the lifted reference small
+        K = rng.randint(stage, min(tower.depth, stage + 8))
+        A = rng.choice([random_set, lambda rng, tower, j: few_levels(rng, tower, j, 6)])(
+            rng, tower, stage)
+        h = tower.stage(K).h
+        x = np.array([0, h] + [rng.randrange(h + 1) for _ in range(18)], dtype=tower.dtype)
+        want = count_on_lifted(tower, A, K, x)
+        assert tower.count_below(A, K, x).tolist() == want.tolist()
+        assert tower.count_below(A, K, x.reshape(4, 5)).tolist() == want.reshape(4, 5).tolist()
+        assert want[1] == A.count() * tower.units[stage] // tower.units[K]
+
+
 class TestSetMemo:
     """The tower keeps one memo per set: equal sets share it, and it goes
     when the set does."""
@@ -309,10 +340,12 @@ class TestSetMemo:
         assert tower.range_arrays(B, 5)[0] is starts
         with pytest.raises(ValueError):  # shared, so read-only
             starts[0] = 1
-        assert tower.prefix_counts(B, 6) is tower.prefix_counts(A, 6)
+        assert tower.count_below(B, 6, [900]) == tower.count_below(A, 6, [900])
         p = PointState(6, 0, Fraction(0))
         assert tower.membership(p, A) == tower.membership(p, B)
         assert len(tower._memo) == 1
+        # counts keep only the set's own-stage prefix; nothing merged is kept
+        assert {key for key in tower._memo[A] if key[0] != "ranges"} == {("prefix", 3)}
 
     def test_dropped_sets_release_their_lifts(self, demo_spec):
         tower = Tower(demo_spec, depth=6)
@@ -322,7 +355,7 @@ class TestSetMemo:
         for i in range(50):
             A = LevelSet.from_ranges(3, [(i, i + 1)])
             tower.range_arrays(A, 6)
-            tower.prefix_counts(A, 5)
+            tower.count_below(A, 5, [7])
             tower.membership(p, A)
         assert len(tower._memo) == 2
         del A

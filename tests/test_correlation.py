@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from sidonlab.construction import GRID
 from sidonlab.correlation import CHUNK, DENSE_MAX, decay_report, default_epsilon
 from sidonlab.enclosure import MeasureEnclosure
 from sidonlab.sidon import PsiSpec, build_from_psi
-from tests.conftest import deep_spec, few_levels, huge_spec, outcome
+from tests.conftest import count_on_lifted, deep_spec, few_levels, huge_spec, outcome
 
 
 def reference_pair(A, B, m, tower, epsilon=None):
@@ -66,9 +67,8 @@ def escape_pair(A, B, m, tower, epsilon=None):
         rs, re = np.minimum(s, cut), np.minimum(e, cut)
         keep = re > rs
         if keep.any():
-            prefix = tower.prefix_counts(A, J)
-            hits = (correlation._count_below(prefix, re[keep] + m)
-                    - correlation._count_below(prefix, rs[keep] + m))
+            hits = (count_on_lifted(tower, A, J, re[keep] + m)
+                    - count_on_lifted(tower, A, J, rs[keep] + m))
             lo += int(hits.sum()) * w
         s = np.maximum(s, cut)
         keep = e > s
@@ -390,6 +390,46 @@ class TestGridAgainstPerShift:
             for sets in ((bad, a, a), (a, bad, a), (a, a, bad)):
                 with pytest.raises(ValueError):
                     triple_enclosure(*sets, 3, 2, demo_tower, epsilon=Fraction(0))
+
+
+class TestDeepTower:
+    """deep_spec's 57-stage tower with A = B = {0} at stage 1: m = h_j - 1
+    stops about ten stages above j, where B lifted there would hold about
+    2^(j + 9) ranges.  The grid counts on B's own ranges and merges equal
+    points of the descent, so its memory does not grow with the depth."""
+
+    @pytest.fixture(scope="class")
+    def tower(self):
+        return Tower(deep_spec(random.Random(0)), depth=57)
+
+    @pytest.mark.parametrize("j", [20, 40])
+    def test_peak_memory(self, tower, j):
+        A = LevelSet.from_levels(1, [0])
+        tracemalloc.start()
+        try:
+            (enc,) = pair_enclosure_grid(A, A, [tower.stage(j).h - 1], tower)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20
+        assert 0 < enc.lo < enc.hi
+
+    def test_equals_lifted_path(self, tower):
+        A = LevelSet.from_levels(1, [0])
+        ms = [tower.stage(j).h - 1 for j in (6, 8, 10)]
+        for m, enc in zip(ms, pair_enclosure_grid(A, A, ms, tower)):
+            assert_same(enc, escape_pair(A, A, m, Tower(tower.spec, tower.depth)))
+
+    # The descent makes at most CHUNK column pairs at once; smaller chunks
+    # split the work across the stack and must give the same sums.
+    @pytest.mark.parametrize("chunk", [1, 7, 100])
+    def test_small_chunks(self, tower, monkeypatch, chunk):
+        A = LevelSet.from_levels(1, [0])
+        rng = random.Random(chunk)
+        ms = [rng.randrange(tower.stage(j).h) for j in (12, 20, 30) for _ in range(4)]
+        want = pair_enclosure_grid(A, A, ms, tower)
+        monkeypatch.setattr(correlation, "CHUNK", chunk)
+        assert pair_enclosure_grid(A, A, ms, tower) == want
 
 
 class TestTripleGridAgainstPerShift:

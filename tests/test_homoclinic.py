@@ -446,6 +446,20 @@ class TestRetention:
         rows = retention_audit(running_dmap)
         assert rows[0]["retention"] == Fraction(1, 2) == rows[0]["bound"]
 
+    def test_huge_tower_closed_form(self):
+        # c is about 1.7e18 at stage 3: the audit pushes sub-block 0 for the
+        # c - 1 that only advance, and sub-block c - 1 through P
+        spec = huge_spec(random.Random(0))
+        dmap = DissipativeMap(Tower(spec, len(spec.stages) + 1))
+        assert max(dmap.parts.values()) > 10**18
+        want = []
+        for b, si in dmap.stages.items():
+            mu = dmap.tower.stage(b).base_measure
+            retained = (si.c - 1) * si.w + max(Fraction(0), si.w - dmap.delta)
+            want.append({"stage": b, "blocks": si.n, "parts": si.c, "retention": retained / mu,
+                         "bound": 1 - Fraction(1, si.c), "ok": True, "piece_verified": 3})
+        assert retention_audit(dmap) == want
+
 
 class TestDepthArgument:
     ENUMERATORS = [DissipativeMap, s_schedule, enumerate_new_blocks]
@@ -495,7 +509,7 @@ class TestIntegerPiecesAgainstReference:
                 for lo, hi, b in dmap.bands] == reference_bands(dmap)
         assert result_or_error(wandering_check, dmap, zmax) == result_or_error(
             reference_wandering_check, dmap, zmax)
-        # the audit pushes all c sub-blocks of a block: huge towers have c > 2^60
+        # the reference audit pushes all c sub-blocks of a block: huge towers have c > 2^60
         if max(dmap.parts.values()) <= 1000:
             assert retention_audit(dmap) == reference_retention_audit(dmap)
         # pieces in random blocks and phases, the last phase most often

@@ -466,6 +466,16 @@ class TestPsi:
             assert t == 1 or not psi.ge_sqrt(t - 1, hj)
 
 
+    # log and table psi find the threshold by doubling and bisection
+    @pytest.mark.parametrize("psi", [PsiSpec("log"), PsiSpec(
+        "table", table=tuple((m + 2) ** 0.25 for m in range(1, 2049)))], ids=["log", "table"])
+    def test_bisection_threshold_is_minimal(self, psi):
+        for hj in (1, 2, 3, 7, 21, 30):
+            t = psi.threshold_for(hj)
+            assert psi.ge_sqrt(t, hj)
+            assert t == 1 or not psi.ge_sqrt(t - 1, hj)
+
+
 class TestBuildFromPsi:
     def test_ledger_inequality(self):
         psi = PsiSpec("power", alpha=Fraction(1, 4))
