@@ -1,8 +1,9 @@
 """Batch command-line front end: one subcommand per harness.
 
-Exit codes: 0 success, 2 config/validation error, 3 runtime error inside a
-harness, running out of memory included.  Errors are reported as one JSON
-object on stderr: {"code": ..., "module": ..., "message": ..., "context": {...}}.
+Exit codes: 0 success, 2 config/validation error or unwritable --out, 3
+runtime error inside a harness, running out of memory or of the float range
+included.  Errors are reported as one JSON object on stderr:
+{"code": ..., "module": ..., "message": ..., "context": {...}}.
 """
 
 from __future__ import annotations
@@ -100,17 +101,19 @@ def cmd_build(cfg, digest, args):
         rows.append({"j": j, "h_j": st.h, "r_j": r[j - 1], "mu_Ej_num": E.numerator,
                      "mu_Ej_den": E.denominator, "mu_Xj_num": X.numerator,
                      "mu_Xj_den": X.denominator})
+    _, partials = measure_growth(tower.spec, tower.depth)
+    total = tower.stage(tower.depth).tower_measure
+    # made before any report is written: float() can overflow
+    summary = (f"built {tower.depth} stages; h_max={tower.stage(tower.depth).h}; "
+               f"mu(X)={total} ({float(total):.4f}); "
+               f"divergence partial sum={float(partials[-1]) if partials else 0:.4f}")
     write_csv(_out(args, "stages.csv"), ["j", "h_j", "r_j", "mu_Ej_num", "mu_Ej_den",
                                          "mu_Xj_num", "mu_Xj_den"], rows, digest)
     if ledger is not None:
         write_csv(_out(args, "generator_ledger.csv"),
                   ["j", "h_j", "r_j", "N_j", "q", "span", "h_next", "sqrt_ineq_ok"],
                   ledger, digest)
-    _, partials = measure_growth(tower.spec, tower.depth)
-    total = tower.stage(tower.depth).tower_measure
-    print(f"built {tower.depth} stages; h_max={tower.stage(tower.depth).h}; "
-          f"mu(X)={total} ({float(total):.4f}); "
-          f"divergence partial sum={float(partials[-1]) if partials else 0:.4f}")
+    print(summary)
 
 
 def cmd_check_sidon(cfg, digest, args):
@@ -351,7 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         _fail(3, "core-construction", str(e), {"required_depth": e.required_depth})
     except NeedsMoreBlocks as e:
         _fail(3, "homoclinic", str(e), {})
-    except (ValueError, KeyError, RuntimeError, MemoryError) as e:
+    except OSError as e:  # the reports cannot be written under --out
+        _fail(2, "cli", str(e), {"out": args.out})
+    except (ValueError, KeyError, RuntimeError, MemoryError, OverflowError) as e:
         _fail(3, args.command, f"{type(e).__name__}: {e}", {})
     return 0
 

@@ -272,20 +272,20 @@ class PointState:
     offset: Fraction
 
 
-# Cells of sample_uniform's default offset grid in one mu(E_depth).
+# Cells of sample_uniform's offset grid in one mu(E_depth).
 GRID = 1024
 
 
 # -- Monte-Carlo points on arrays -------------------------------------------
 #
-# The oracles first make exactly the random calls that per-point Tower.draw
-# calls would make, keeping the raw integers, and then classify the points
-# of a chunk of samples at once on range arrays.  Chunks keep memory bounded
-# however many points a run draws.
+# The oracles first make exactly the random calls that per-point
+# sample_uniform calls would make, keeping the raw integers, and then
+# classify the points of a chunk of samples at once on range arrays.  Chunks
+# keep memory bounded however many points a run draws.
 
 
 def _draw_points(rng, samples: int, total: int, cells: int, most: int, count=None):
-    """The raw draws of ``samples`` samples of Tower.draw points: a sample is
+    """The raw draws of ``samples`` samples of sample_uniform points: a sample is
     one point, or count(rng.random()) points, and a point is a pick
     rng.randrange(total) of a level, then a cell rng.randrange(cells) of
     its offset.  Yields them in chunks of whole samples, each ending once
@@ -317,9 +317,8 @@ def _draw_points(rng, samples: int, total: int, cells: int, most: int, count=Non
 
 
 def _pick_levels(starts, cum, picks):
-    """The level each pick names, as Tower.draw reads it: pick p is the p-th
-    level of the sorted disjoint ranges with these starts and cumulative
-    lengths (leading 0)."""
+    """The level each pick names: pick p is the p-th level of the sorted
+    disjoint ranges with these starts and cumulative lengths (leading 0)."""
     i = np.searchsorted(cum, picks, side="right") - 1
     return starts[i] + (picks - cum[i])
 
@@ -358,11 +357,11 @@ class Tower:
         # in ``units`` the width of E_j in units of mu(E_depth),
         # r_j * ... * r_{depth-1}; every mu(E_j) is 1/(r_1 * ... * r_{j-1})
         self._h = [0] + [st.h for st in self.stages]
-        self._offsets = [()] + [st.offsets for st in self.stages]
         R = self.stages[-1].base_measure.denominator
         self.units = [0] + [R // st.base_measure.denominator for st in self.stages]
         self.dtype = np.int64 if 2 * self._h[-1] < 2**63 else object
-        self._offset_arrays = [np.array(o, dtype=self.dtype) for o in self._offsets]
+        self._offset_arrays = [np.array(o, dtype=self.dtype)
+                               for o in [()] + [st.offsets for st in self.stages]]
         self._memo: weakref.WeakKeyDictionary[LevelSet, dict] = weakref.WeakKeyDictionary()
 
     def stage(self, j: int) -> TowerStage:
@@ -436,20 +435,23 @@ class Tower:
             memo["ranges", J] = got
         return got
 
+    def _own_prefix(self, A: LevelSet):
+        """A's own starts, and its ends and cumulative lengths each after a 0."""
+        memo = self.validate_set(A)
+        if ("prefix", A.stage) not in memo:
+            s, e = self.range_arrays(A, A.stage)
+            memo["prefix", A.stage] = s, np.r_[0, e], np.r_[0, np.cumsum(e - s)]
+        return memo["prefix", A.stage]
+
     def count_below(self, A: LevelSet, K: int, x):
         """|A_K intersect [0, x)| for each x of the array x, 0 <= x <= h_K, on
         A's own ranges: walking k = K - 1 down to A.stage, each stage-k copy
         wholly below x holds |A_k| levels, x moves into the copy it meets,
         and spacers hold none of A."""
-        memo = self.validate_set(A)
+        starts, ends, cum = self._own_prefix(A)
         if K < A.stage:
             raise ValueError("cannot count at a shallower stage")
         self.stage(K)  # NeedsMoreStages past the top
-        # A's own starts, and its ends and cumulative lengths each after a 0
-        if ("prefix", A.stage) not in memo:
-            s, e = self.range_arrays(A, A.stage)
-            memo["prefix", A.stage] = s, np.r_[0, e], np.r_[0, np.cumsum(e - s)]
-        starts, ends, cum = memo["prefix", A.stage]
         x = np.asarray(x, dtype=self.dtype)
         out, size = 0, int(cum[-1]) * self.units[A.stage]
         for k in range(K - 1, A.stage - 1, -1):  # |A_k| = size / units[k]
@@ -494,62 +496,58 @@ class Tower:
             stage[live] = k
         return stage, level, u
 
-    def ascend(self, stage: int, level: int, N: int, d: int, J: int) -> tuple[int, int]:
-        """(level, N) of the point (stage, level, N/d) at a deeper stage J:
-        column i of a level is the i-th sub-interval of its offset."""
-        if J > self.depth:
-            self.stage(self.depth + 1)  # NeedsMoreStages, as for any walk past the top
-        units, offsets = self.units, self._offsets
-        while stage < J:
-            stage += 1
-            col, N = divmod(N, d * units[stage])
-            level += offsets[stage - 1][col]
-        return level, N
-
-    def advance(self, stage: int, level: int, N: int, d: int, n: int) -> tuple[int, int, int]:
-        """T^n of the point (stage, level, N/d), as (J, level, N) at the first
-        stage J >= stage where the level plus n stays inside the tower."""
-        h, units, offsets = self._h, self.units, self._offsets
-        lvl = level
-        for J in range(stage, self.depth + 1):
-            if J > stage:
-                col, N = divmod(N, d * units[J])
-                lvl += offsets[J - 1][col]
-            if 0 <= lvl + n < h[J]:
-                return J, lvl + n, N
-        raise NeedsMoreStages(
-            f"iterating by {n} from stage {stage} level {level} exceeds "
-            f"built depth {self.depth}",
-            required_depth=self.depth + 1,
-        )
-
-    def in_set(self, J: int, level: int, N: int, d: int, A: LevelSet) -> bool:
-        """Whether the point (J, level, N/d) lies in A."""
-        self.validate_set(A)
-        if J < A.stage:
-            return A.contains(self.ascend(J, level, N, d, A.stage)[0])
-        return bool(_inside(*self.range_arrays(A, J), np.array([level], dtype=self.dtype))[0])
-
-    def draw(self, A: LevelSet, rng, cells: int | None = None) -> tuple[int, int]:
-        """A uniform level of A and an offset cell from ``cells`` equal cells
-        of its level, by default the grid cell N of mu(E_depth)/GRID."""
-        prefix = A._prefix_lengths
-        if not prefix[-1]:
-            raise ValueError("cannot sample from an empty level set")
-        pick = rng.randrange(prefix[-1])
-        i = bisect.bisect_right(prefix, pick) - 1
-        return (A.ranges[i][0] + pick - prefix[i],
-                rng.randrange(cells or GRID * self.units[A.stage]))
-
     def climb(self, J: int, level, N, d: int):
         """Arrays (level, N) of the points (J, level, N/d) at stage J + 1:
-        one step of ``ascend`` for every point at once."""
+        column i of a level is the i-th sub-interval of its offset."""
         cells = d * self.units[J + 1]
         return level + self._offset_arrays[J][(N // cells).astype(np.int64)], N % cells
 
-    def _integer_offset(self, offset: Fraction) -> tuple[int, int]:
-        """(N, d) with N/d = offset / mu(E_depth); mu(E_1) = 1."""
-        return offset.numerator * self.units[1], offset.denominator
+    def advance(self, stage: int, level, N, d: int, n: int):
+        """T^n of the points (stage, level, N/d) of the arrays level and N (N
+        may be an object array), as arrays (J, level, N): each point climbs
+        to the first stage J >= stage where its level plus n stays inside
+        the tower.  The first point that leaves the top raises."""
+        J = np.full(len(level), stage)
+        start, level, N = level, np.array(level, dtype=self.dtype), np.array(N)
+        live = np.arange(len(level))
+        # |n| >= h_depth resolves no point, and need not fit the dtype
+        for k in range(stage, self.depth + 1 if abs(n) < self._h[-1] else stage):
+            if k > stage:
+                level[live], N[live] = self.climb(k - 1, level[live], N[live], d)
+            x = level[live] + n
+            ok = (x >= 0) & (x < self._h[k])
+            level[live[ok]], J[live[ok]] = x[ok], k
+            live = live[~ok]
+            if not len(live):
+                break
+        if len(live):
+            raise NeedsMoreStages(f"iterating by {n} from stage {stage} level {start[live[0]]} "
+                                  f"exceeds built depth {self.depth}", self.depth + 1)
+        return J, level, N
+
+    def in_set(self, J, level, N, d: int, A: LevelSet):
+        """Whether each point (J, level, N/d) of the arrays lies in A, tested
+        on A's own ranges: a point below A.stage is climbed to it, and one
+        above is traced down to it.  A level born as a spacer at a stage
+        k > A.stage stops at or above h_{k-1} >= h_{A.stage}, outside them."""
+        own = self.range_arrays(A, A.stage)  # validates A
+        J, level, N = np.array(J), np.array(level, dtype=self.dtype), np.array(N)
+        for k in range(int(J.min(initial=A.stage)), A.stage):
+            up = np.flatnonzero(J == k)
+            level[up], N[up] = self.climb(k, level[up], N[up], d)
+            J[up] = k + 1
+        inside = np.zeros(len(level), dtype=bool)
+        for k in np.unique(J).tolist():
+            at = J == k
+            inside[at] = _inside(*own, self.descend(k, level[at], A.stage)[1])
+        return inside
+
+    def _point_arrays(self, p: PointState):
+        """The one-point arrays (level, N) of p and the denominator d, with
+        N/d = p.offset / mu(E_depth); mu(E_1) = 1."""
+        return (np.array([p.level], dtype=self.dtype),
+                np.array([p.offset.numerator * self.units[1]], dtype=object),
+                p.offset.denominator)
 
     # -- pointwise dynamics ----------------------------------------------
 
@@ -557,9 +555,11 @@ class Tower:
         """Re-express p at a deeper stage J."""
         if p.stage >= J:
             return p
-        N, d = self._integer_offset(p.offset)
-        level, N = self.ascend(p.stage, p.level, N, d, J)
-        return PointState(J, level, Fraction(N, d * self.units[1]))
+        self.stage(min(J, self.depth + 1))  # NeedsMoreStages past the top
+        level, N, d = self._point_arrays(p)
+        for k in range(p.stage, J):
+            level, N = self.climb(k, level, N, d)
+        return PointState(J, int(level[0]), Fraction(N[0], d * self.units[1]))
 
     def normalize_point(self, p: PointState) -> PointState:
         """Descend to the minimal-stage representation."""
@@ -574,30 +574,25 @@ class Tower:
 
     def iterate(self, p: PointState, n: int) -> PointState:
         """Exact n-fold composition of the step map, via level arithmetic."""
-        N, d = self._integer_offset(p.offset)
-        J, level, N = self.advance(p.stage, p.level, N, d, n)
-        b, level, u = (int(x[0]) for x in self.descend(J, [level]))
+        level, N, d = self._point_arrays(p)
+        (J,), level, (N,) = self.advance(p.stage, level, N, d, n)
+        b, level, u = (int(x[0]) for x in self.descend(int(J), level))
         return PointState(b, level, Fraction(N + u * d, d * self.units[1]))
 
     def membership(self, p: PointState, A: LevelSet) -> bool:
         """Whether p lies in A."""
-        N, d = self._integer_offset(p.offset)
-        return self.in_set(p.stage, p.level, N, d, A)
+        level, N, d = self._point_arrays(p)
+        return bool(self.in_set([p.stage], level, N, d, A)[0])
 
     # -- sampling ---------------------------------------------------------
 
-    def sample_uniform(self, A: LevelSet, rng, resolution: Fraction | None = None) -> PointState:
-        """Uniform point of A w.r.t. the tower measure.  Offsets land on a
-        rational grid; the default grid mu(E_depth)/2^10 subdivides every
-        column path of every built stage, so deep membership frequencies
-        are unbiased."""
-        self.validate_set(A)
-        base = self.stage(A.stage).base_measure
-        if resolution is None:
-            level, N = self.draw(A, rng)
-            return PointState(A.stage, level, Fraction(N, GRID * self.units[1]))
-        cells = int(base / resolution)
-        if cells < 1:
-            cells, resolution = 1, base
-        level, N = self.draw(A, rng, cells)
-        return PointState(A.stage, level, N * resolution)
+    def sample_uniform(self, A: LevelSet, rng) -> PointState:
+        """Uniform point of A w.r.t. the tower measure, one sample of the Monte-Carlo
+        oracles' draw.  Offsets land on the grid mu(E_depth)/GRID, which subdivides
+        every column path of every built stage: deep frequencies are unbiased."""
+        starts, _, cum = self._own_prefix(A)  # validates A
+        if A.is_empty():
+            raise ValueError("cannot sample from an empty level set")
+        (picks, cells, _), = _draw_points(rng, 1, A.count(), GRID * self.units[A.stage], 1)
+        level = _pick_levels(starts, cum, np.array(picks, dtype=self.dtype))
+        return PointState(A.stage, int(level[0]), Fraction(cells[0], GRID * self.units[1]))

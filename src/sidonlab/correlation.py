@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .construction import GRID, LevelSet, Tower, _draw_points, _inside, _pick_levels
+from .construction import GRID, LevelSet, Tower, _draw_points, _pick_levels
 from .enclosure import MeasureEnclosure
 
 
@@ -304,48 +304,23 @@ def mc_correlation(
     """Monte-Carlo oracle for mu(A intersect T^m B): sample uniformly in B,
     iterate m steps forward, test membership in A.  Deterministic per seed.
 
-    The points are Tower.draw's, drawn first.  They are then walked up the
-    stages together with Tower.advance's arithmetic: a point resolves at the
-    first stage J where 0 <= level + m < h_J.  A point below A.stage is
-    climbed to it, and one above is traced down to it with Tower.descend,
-    so that it is tested against A's own ranges: A is never lifted."""
+    The points are sample_uniform's, drawn first.  Each chunk of them is
+    then walked with Tower.advance and tested with Tower.in_set, on A's own
+    ranges: A is never lifted."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     mu_b = tower.set_measure(B)
-    in_a = tower.range_arrays(A, A.stage)  # validates A
+    tower.validate_set(A)
     if B.is_empty():
         raise ValueError("cannot sample from an empty level set")
-    j, top, h = B.stage, tower.depth, tower.stage(tower.depth).h
-    cells = GRID * tower.units[j]
-    starts, ends = tower.range_arrays(B, j)
-    cum = np.r_[0, np.cumsum(ends - starts)]
+    cells = GRID * tower.units[B.stage]
+    starts, _, cum = tower._own_prefix(B)
     hits = 0
     for picks, cell, _ in _draw_points(random.Random(seed), samples, B.count(), cells, CHUNK):
         start = _pick_levels(starts, cum, np.array(picks, dtype=tower.dtype))
         # N < cells, which can pass 2^63 on an int64 tower
         N = np.array(cell, dtype=np.int64 if cells <= 2**63 else object)
-        level, stage = start.copy(), np.full(len(start), j)
-        live = np.arange(len(start))
-        for J in range(j, top + 1 if -h < m < h else j):  # else none resolves
-            if J > j:
-                level[live], N[live] = tower.climb(J - 1, level[live], N[live], GRID)
-            x = level[live] + m
-            ok = (x >= 0) & (x < tower.stage(J).h)
-            level[live[ok]], stage[live[ok]] = x[ok], J
-            live = live[~ok]
-            if not len(live):
-                break
-        if len(live):  # the first point past the top raises, as Tower.advance does
-            tower.advance(j, int(start[live[0]]), cell[live[0]], GRID, m)
-        for J in range(int(stage.min()), A.stage):
-            up = np.flatnonzero(stage == J)
-            level[up], N[up] = tower.climb(J, level[up], N[up], GRID)
-            stage[up] = J + 1
-        for J in np.unique(stage).tolist():
-            # a level born as a spacer at stage k > A.stage lies at or above
-            # h_{k-1} >= h_{A.stage} there, so outside A's ranges
-            _, below, _ = tower.descend(J, level[stage == J], A.stage)
-            hits += int(np.count_nonzero(_inside(*in_a, below)))
+        hits += int(tower.in_set(*tower.advance(B.stage, start, N, GRID, m), GRID, A).sum())
     f = hits / samples
     est = float(mu_b) * f
     stderr = float(mu_b) * math.sqrt(f * (1.0 - f) / samples)

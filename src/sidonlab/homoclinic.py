@@ -95,20 +95,16 @@ def s_schedule(tower: Tower, depth: int | None = None):
     return parts, rows
 
 
-def enumerate_new_blocks(tower: Tower, depth: int | None = None, limit: int | None = None):
+def enumerate_new_blocks(tower: Tower, depth: int | None = None):
     """Blocks in construction order; total mass equals mu(X_depth)."""
     depth = _checked_depth(tower, depth)
     parts, _ = s_schedule(tower, depth)
     blocks = []
-    k = 0
     for b in range(1, depth + 1):
         mu = tower.stage(b).base_measure
         for a, e in stage_new_ranges(tower, b):
             for lvl in range(a, e):
-                blocks.append(NewBlock(k, b, lvl, mu, parts[b]))
-                k += 1
-                if limit is not None and k >= limit:
-                    return blocks
+                blocks.append(NewBlock(len(blocks), b, lvl, mu, parts[b]))
     return blocks
 
 
@@ -577,7 +573,7 @@ def flow_defect(
     for _ in range(samples):
         Y = Y0 + W * rng.randrange(grid)
         if n and not 0 <= Y // B + n < h:
-            tower.advance(J, Y // B, Y % B, B, n)  # raises NeedsMoreStages
+            tower.advance(J, [Y // B], [Y % B], B, n)  # raises NeedsMoreStages
         y2 = (Y + n * B) / D
         x2 = fa + (fb - fa) * rng.random() + phi(y2) * params.t
         if not fa <= x2 <= fb:

@@ -46,7 +46,13 @@ class ExactProb:
     rate: Fraction
 
     def value(self) -> float:
-        return float(self.coeff) * math.exp(-float(self.rate))
+        try:
+            return float(self.coeff) * math.exp(-float(self.rate))
+        except OverflowError:  # coeff or rate past the float range: add logs
+            if not self.coeff:
+                return 0.0
+            num, den = self.coeff.as_integer_ratio()
+            return math.exp(max(Fraction(math.log(num) - math.log(den)) - self.rate, -1000))
 
 
 @dataclass(frozen=True)
@@ -91,9 +97,9 @@ def marginal_prob(event: CountEvent, tower: Tower) -> ExactProb:
     )
 
 
-def normalization_check(mu: Fraction, tol: float = 1e-12) -> tuple[float, int]:
+def normalization_check(mu: Fraction) -> tuple[float, int]:
     """Sum the count marginals until the explicit Poisson tail bound drops
-    below tol; returns (partial sum, last count included)."""
+    below 1e-12; returns (partial sum, last count included)."""
     m = float(mu)
     total = 0.0
     a = 0
@@ -103,7 +109,7 @@ def normalization_check(mu: Fraction, tol: float = 1e-12) -> tuple[float, int]:
         if a + 2 > m:
             ratio = m / (a + 1)
             tail = poisson_pmf(m, a) * ratio / max(1e-300, 1.0 - m / (a + 2))
-            if tail < tol:
+            if tail < 1e-12:
                 return total, a
         a += 1
         if a > 10_000:
@@ -151,11 +157,11 @@ def _triple_joint(
     return total
 
 
-def _interval_grid(enc: MeasureEnclosure, points: int = 3) -> list[float]:
+def _interval_grid(enc: MeasureEnclosure) -> list[float]:
     if enc.is_exact():
         return [float(enc.lo)]
     lo, hi = float(enc.lo), float(enc.hi)
-    return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+    return [lo + (hi - lo) * i / 2 for i in range(3)]
 
 
 def overlap_enclosures(rows, tower: Tower, epsilon=None):
@@ -322,7 +328,7 @@ def mc_joint(events: list[CountEvent], samples: int, seed: int, tower: Tower):
     the union of the shifted sets and count matching events.
 
     The draws are sample_configuration's, of which only the levels are
-    read: per sample a Poisson count, then that many Tower.draw points of
+    read: per sample a Poisson count, then that many sample_uniform points of
     the union.  They are drawn first; the levels, and each event's count
     per sample, are then found on arrays."""
     if not events:

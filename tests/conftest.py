@@ -1,3 +1,4 @@
+import bisect
 import json
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from sidonlab import ConstructionSpec, LevelSet, NeedsMoreStages, StageParams, Tower, singer_set
+from sidonlab.construction import GRID
 from sidonlab.sidon import optimal_stage_params
 
 
@@ -67,6 +69,58 @@ def count_on_lifted(tower, A, J, x):
     k = np.searchsorted(s, x, side="right")
     cum = np.concatenate(([0], np.cumsum(e - s)))
     return cum[k] - np.maximum(np.concatenate(([0], e))[k] - x, 0)
+
+
+# The scalar one-point walks that the array point engine of Tower replaced,
+# kept as its references: the Monte-Carlo references run them per sample.
+
+
+def reference_draw(tower, A, rng):
+    """A uniform level of A and an offset cell N of its level, in cells of
+    mu(E_depth)/GRID."""
+    prefix = A._prefix_lengths
+    if not prefix[-1]:
+        raise ValueError("cannot sample from an empty level set")
+    pick = rng.randrange(prefix[-1])
+    i = bisect.bisect_right(prefix, pick) - 1
+    return A.ranges[i][0] + pick - prefix[i], rng.randrange(GRID * tower.units[A.stage])
+
+
+def reference_ascend(tower, stage, level, N, d, J):
+    """(level, N) of the point (stage, level, N/d) at a deeper stage J:
+    column i of a level is the i-th sub-interval of its offset."""
+    if J > tower.depth:
+        tower.stage(tower.depth + 1)  # NeedsMoreStages
+    while stage < J:
+        stage += 1
+        col, N = divmod(N, d * tower.units[stage])
+        level += tower.stage(stage - 1).offsets[col]
+    return level, N
+
+
+def reference_advance(tower, stage, level, N, d, n):
+    """T^n of the point (stage, level, N/d), as (J, level, N) at the first
+    stage J >= stage where the level plus n stays inside the tower."""
+    lvl = level
+    for J in range(stage, tower.depth + 1):
+        if J > stage:
+            lvl, N = reference_ascend(tower, J - 1, lvl, N, d, J)
+        if 0 <= lvl + n < tower.stage(J).h:
+            return J, lvl + n, N
+    raise NeedsMoreStages(
+        f"iterating by {n} from stage {stage} level {level} exceeds "
+        f"built depth {tower.depth}",
+        required_depth=tower.depth + 1,
+    )
+
+
+def reference_in_set(tower, J, level, N, d, A):
+    """Whether the point (J, level, N/d) lies in A: climbed to A.stage, or
+    read in A lifted to J."""
+    tower.validate_set(A)
+    if J < A.stage:
+        return A.contains(reference_ascend(tower, J, level, N, d, A.stage)[0])
+    return tower.lift(A, J).contains(level)
 
 
 def outcome(fn, *args):

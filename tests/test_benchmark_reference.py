@@ -35,3 +35,26 @@ def test_reports_equal_stored_reference(tmp_path, workload):
         _, rcs, errs = worker.run_pass(cli, jobs)
         assert rcs == [0] * len(jobs), errs
         assert worker.read_outputs(jobs) == run.stored_reference(workload, seed)
+
+
+def test_traced_names_resolve():
+    """Every name perfbench/tracing.py wraps exists, and uninstalling the
+    tracer puts every original back."""
+    (tracing,) = perfbench_modules("tracing")
+    targets = [(sys.modules[f"sidonlab.{mod}"], cls, attr)
+               for mod, cls, attr, _, _ in tracing.TARGETS]
+    owners = [getattr(home, cls) if cls else home for home, cls, _ in targets]
+    owners += [m for name, m in sys.modules.items()
+               if name == "sidonlab" or name.startswith("sidonlab.")]
+    before = {(id(o), k): v for o in owners for k, v in vars(o).items()}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = {(id(owner), attr) for owner, attr, _ in tracer._saved}
+        for owner, (_, _, attr) in zip(owners, targets):
+            assert (id(owner), attr) in wrapped, (owner, attr)
+    finally:
+        tracer.uninstall()
+    after = {(id(o), k): v for o in owners for k, v in vars(o).items()}
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())

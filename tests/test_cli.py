@@ -212,6 +212,41 @@ class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["build", "--config", str(tmp_path / "nope.json")]) == 2
 
+    # A Poisson marginal past the float range: 20 points in a stage-2 tower
+    # of measure about 5e29.  Its probability underflows to 0.0.
+    def test_marginal_past_float_range(self, tmp_path):
+        whole = {"stage": 2, "ranges": [[0, 2 + 10**30]]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "construction": {"h1": 1, "stages": [{"r": 2, "s": [0, 10**30]}]},
+            "mode": "mixing", "n_grid": [0],
+            "events": [{"set": whole, "count": 20},
+                       {"set": {"stage": 1, "ranges": [[0, 1]]}, "count": 0}]}))
+        out = tmp_path / "o"
+        assert run_cli(["poisson", "--config", str(cfg), "--out", str(out)]) == 0
+        _, header, rows = read_report(out / "poisson.csv")
+        assert header[:4] == ["n", "joint_lo", "joint_hi", "product"]
+        assert rows == [["0", "0.0", "0.0", "0.0", "0.0", "0.0"]]
+
+    def test_summary_past_float_range(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": {"h1": 1, "stages": [{"r": 2,
+                                                                         "s": [0, 10**400]}]}}))
+        out = tmp_path / "o"
+        assert run_cli(["build", "--config", str(cfg), "--out", str(out)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["code"] == 3 and err["message"].startswith("OverflowError")
+        assert not (out / "stages.csv").exists()
+
+    def test_out_under_a_file(self, running_config, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "o"
+        assert run_cli(["build", "--config", str(running_config), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["code"] == 2 and err["context"] == {"out": str(out)}
+
     @pytest.mark.parametrize("bad", [[0, 99], [0, 10**30]])
     @pytest.mark.parametrize("cmd", ["corr", "decay", "poisson"])
     def test_level_set_past_stage_height(self, tmp_path, capsys, cmd, bad):

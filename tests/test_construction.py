@@ -1,6 +1,7 @@
 import bisect
 import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +21,12 @@ from sidonlab import (
     build_stages,
     measure_growth,
 )
-from conftest import RUNNING_SPEC, count_on_lifted, deep_spec, few_levels, huge_spec
+from sidonlab.construction import GRID
+from conftest import (RUNNING_SPEC, count_on_lifted, deep_spec, few_levels, huge_spec,
+                      reference_advance, reference_in_set)
 
 
-def reference_sample_uniform(tower, A, rng, resolution=None):
+def reference_sample_uniform(tower, A, rng):
     """The linear range walk that sample_uniform replaced: recount A, then
     walk its ranges one by one; the offset grid recomputed per call."""
     if A.is_empty():
@@ -37,12 +40,8 @@ def reference_sample_uniform(tower, A, rng, resolution=None):
             break
         pick -= b - a
     base = tower.stage(A.stage).base_measure
-    if resolution is None:
-        resolution = tower.stage(tower.depth).base_measure / 1024
-    cells = int(base / resolution)
-    if cells < 1:
-        cells, resolution = 1, base
-    offset = rng.randrange(cells) * resolution
+    resolution = tower.stage(tower.depth).base_measure / 1024
+    offset = rng.randrange(int(base / resolution)) * resolution
     return PointState(A.stage, level, offset)
 
 
@@ -443,14 +442,13 @@ class TestSamplingAgainstReference:
             tower.lift(sparse, 4).union(LevelSet.from_levels(4, range(3, 1463, 11))),
         ]
 
-    @pytest.mark.parametrize("resolution", [None, Fraction(1, 7), Fraction(5)])
-    def test_same_points_per_seed(self, demo_tower, resolution):
+    def test_same_points_per_seed(self, demo_tower):
         for i, A in enumerate(self._sets(demo_tower)):
             assert A.count() == sum(b - a for a, b in A.ranges)
             got, want = random.Random(i), random.Random(i)
             for _ in range(300):
-                p = demo_tower.sample_uniform(A, got, resolution)
-                assert p == reference_sample_uniform(demo_tower, A, want, resolution)
+                p = demo_tower.sample_uniform(A, got)
+                assert p == reference_sample_uniform(demo_tower, A, want)
                 assert A.contains(p.level)
             assert got.getstate() == want.getstate()
 
@@ -527,3 +525,80 @@ class TestIntegerPointsAgainstReference:
                     lifts[A, q.stage] = fresh.lift(A, q.stage)
                 want = lifts[A, q.stage].contains(q.level)
                 assert demo_tower.membership(p, A) == want
+
+
+class TestPointEngine:
+    """Tower.advance and Tower.in_set walk arrays of points; each point must
+    land where the scalar reference walks put it, or raise their error."""
+
+    def _tower(self, running_tower, demo_tower, kind, rng):
+        if kind in ("running", "demo"):
+            return running_tower if kind == "running" else demo_tower
+        spec = huge_spec(rng) if kind == "huge" else deep_spec(rng)
+        return Tower(spec, len(spec.stages) + 1)
+
+    def _points(self, rng, tower, stages, d):
+        """Arrays (stage, level, N) of up to 20 points at the given stages, N
+        an object array when an offset cell can pass 2^63."""
+        J = [rng.choice(stages) for _ in range(rng.randint(1, 20))]
+        level = [rng.randrange(tower.stage(j).h) for j in J]
+        N = [rng.randrange(d * tower.units[j]) for j in J]
+        big = d * tower.units[min(J)] > 2**63
+        return np.array(J), level, np.array(N, dtype=object if big else np.int64)
+
+    @given(kind=st.sampled_from(["running", "demo", "huge", "deep"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_advance_equals_reference(self, running_tower, demo_tower, kind, seed):
+        rng = random.Random(seed)
+        tower = self._tower(running_tower, demo_tower, kind, rng)
+        d = rng.choice([GRID, 3, 10**9 + 7])
+        stage = rng.randint(1, tower.depth)
+        _, level, N = self._points(rng, tower, [stage], d)
+        h = tower.stage(rng.randint(stage, tower.depth)).h
+        top = tower.stage(tower.depth).h
+        n = rng.choice([rng.randrange(-h, h), rng.randrange(-h, h),
+                        rng.randint(0, tower.stage(stage).h),
+                        rng.choice([1, -1]) * (top + rng.randint(-1, 3))])
+        want = outcome(lambda: [reference_advance(tower, stage, l, x, d, n)
+                                for l, x in zip(level, N.tolist())])
+        got = outcome(lambda: list(zip(*(x.tolist() for x in
+                                         tower.advance(stage, level, N, d, n)))))
+        assert got == want
+
+    @given(kind=st.sampled_from(["running", "demo", "huge", "deep"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_in_set_equals_reference(self, running_tower, demo_tower, kind, seed):
+        rng = random.Random(seed)
+        tower = self._tower(running_tower, demo_tower, kind, rng)
+        d = rng.choice([GRID, 3, 10**9 + 7])
+        A_stage = rng.randint(1, tower.depth)
+        A = rng.choice([random_set, lambda rng, tower, j: few_levels(rng, tower, j, 6)])(
+            rng, tower, A_stage)
+        # deep towers double per stage: keep the lifted reference small
+        stages = range(max(1, A_stage - 3), min(tower.depth, A_stage + 8) + 1)
+        J, level, N = self._points(rng, tower, stages, d)
+        want = [reference_in_set(tower, j, l, x, d, A)
+                for j, l, x in zip(J.tolist(), level, N.tolist())]
+        assert tower.in_set(J, level, N, d, A).tolist() == want
+
+    # A = {0} at stage 1 of the 57-stage deep tower: a membership test at a
+    # deep stage reads A's own ranges, not A lifted there (2^(J-1) ranges).
+    @pytest.mark.parametrize("J", [30, 40, 56])
+    def test_deep_membership_lifts_nothing(self, J):
+        tower = Tower(deep_spec(random.Random(0)), depth=57)
+        A = LevelSet.from_ranges(1, [(0, 1)])
+        rng = random.Random(J)
+        levels = [0, tower.stage(J).h - 1] + [rng.randrange(tower.stage(J).h) for _ in range(30)]
+        tracemalloc.start()
+        try:
+            got = [tower.membership(PointState(J, l, Fraction(rng.randrange(7), 7 << J)), A)
+                   for l in levels]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        x = np.array(levels, dtype=tower.dtype)
+        want = tower.count_below(A, J, x + 1) - tower.count_below(A, J, x)
+        assert got == (want == 1).tolist()

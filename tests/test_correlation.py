@@ -25,7 +25,9 @@ from sidonlab.construction import GRID
 from sidonlab.correlation import CHUNK, DENSE_MAX, decay_report, default_epsilon
 from sidonlab.enclosure import MeasureEnclosure
 from sidonlab.sidon import PsiSpec, build_from_psi
-from tests.conftest import count_on_lifted, deep_spec, few_levels, huge_spec, outcome
+from tests.conftest import (count_on_lifted, deep_spec, few_levels, huge_spec, outcome,
+                            reference_advance, reference_ascend, reference_draw,
+                            reference_in_set)
 
 
 def reference_pair(A, B, m, tower, epsilon=None):
@@ -531,15 +533,15 @@ class TestTripleGridAgainstPerShift:
 
 
 def mc_correlation_reference(A, B, m, samples, seed, tower):
-    """The per-point loop that mc_correlation replaced: Tower.draw,
-    Tower.advance and Tower.in_set per sample."""
+    """The per-point loop that mc_correlation replaced: a draw, T^m and a
+    membership test per sample, by the scalar reference walks."""
     rng = random.Random(seed)
     mu_b = tower.set_measure(B)
     hits = 0
     for _ in range(samples):
-        level, N = tower.draw(B, rng)
-        J, level, N = tower.advance(B.stage, level, N, GRID, m)
-        hits += tower.in_set(J, level, N, GRID, A)
+        level, N = reference_draw(tower, B, rng)
+        J, level, N = reference_advance(tower, B.stage, level, N, GRID, m)
+        hits += reference_in_set(tower, J, level, N, GRID, A)
     f = hits / samples
     est = float(mu_b) * f
     stderr = float(mu_b) * math.sqrt(f * (1.0 - f) / samples)
@@ -547,17 +549,17 @@ def mc_correlation_reference(A, B, m, samples, seed, tower):
 
 
 def mc_correlation_by_descent(A, B, m, samples, seed, tower):
-    """mc_correlation per point with no lift of A: Tower.draw and
-    Tower.advance, then the resolved level climbed to A.stage with
-    Tower.ascend or traced down to it with Tower.descend, and read in A."""
+    """mc_correlation per point with no lift of A: a draw and T^m by the
+    scalar reference walks, then the resolved level climbed to A.stage or
+    traced down to it with Tower.descend, and read in A."""
     rng = random.Random(seed)
     mu_b = tower.set_measure(B)
     hits = 0
     for _ in range(samples):
-        level, N = tower.draw(B, rng)
-        J, level, N = tower.advance(B.stage, level, N, GRID, m)
+        level, N = reference_draw(tower, B, rng)
+        J, level, N = reference_advance(tower, B.stage, level, N, GRID, m)
         if J < A.stage:
-            level, _ = tower.ascend(J, level, N, GRID, A.stage)
+            level, _ = reference_ascend(tower, J, level, N, GRID, A.stage)
         else:
             (born,), (level,), _ = tower.descend(J, [level], A.stage)
             if born != A.stage:  # born above A.stage

@@ -357,9 +357,6 @@ class TestBlocks:
         assert total == running_tower.stage(3).tower_measure == Fraction(5)
         assert [b.k for b in blocks] == list(range(23))
 
-    def test_limit(self, running_tower):
-        assert len(enumerate_new_blocks(running_tower, limit=5)) == 5
-
     def test_schedule(self, running_tower):
         parts, rows = s_schedule(running_tower)
         assert parts[1] == 2 and parts[2] == 2
