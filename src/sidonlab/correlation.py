@@ -25,9 +25,8 @@ def default_epsilon(tower: Tower, A: LevelSet) -> Fraction:
 
 # -- array-backed escape engine -------------------------------------------
 #
-# Counts are read on a set's own ranges by Tower.count_below, so no count
-# lifts a set past its own stage.  Ranges, where needed, are the tower's
-# range arrays, lifted one stage at a time by one outer sum with the offsets.
+# Counts are read at the sets' own stage (Tower.count_below, _descend), so no
+# count lifts a set past the highest stage of the sets that it compares.
 
 
 def _intersection(s1, e1, s2, e2):
@@ -103,8 +102,8 @@ def _enclosures(tower, stop, hits, esc, where):
 # X_J(d) = |(B_J + d) intersect A_J| for -h_J < d < h_J and 0 beyond: a hit
 # resolved at an earlier stage lifts to hits at J, and what is still in the
 # top m levels at J is exactly what the loop has not resolved.  Lifting both
-# sets one stage gives X_{J+1}(d) = sum over column pairs (i, t) of
-# X_J(d + o_i - o_t).  So one table of X serves every shift: it is counted
+# sets one stage gives X_{J+1}(d) = sum over column pairs (a, b) of
+# X_J(d + o_b - o_a).  So one table of X serves every shift: it is counted
 # at the sets' stage, lifted densely while small, and read through that
 # recursion at the stages above.  A dense table and its indices lie below
 # 2 h_K <= DENSE_MAX + 1, so they are int64 on object-dtype towers too.
@@ -162,11 +161,12 @@ def _lift_table(tower, X, K):
 
 
 def _descend(tower, d, J, K):
-    """Yields (rows, points, weights): X_J(d[row]) is the sum over all yields
-    of weight times X_K at the row's points.  Each stage down keeps the
-    column pairs with |d + o_i - o_t| < h_k, at most two per i as the offsets
-    are h_k or more apart, and merges equal (row, point) pairs, adding their
-    weights.  Depth first, at most CHUNK pairs are made at once."""
+    """Yields (rows, points, weights) for rows d of s shifts, one per shifted
+    set: a count at stage J of d[row] is the sum over the yields of weight
+    times that count at stage K at the row's points.  Per stage down, column
+    o_a of the unshifted set and shift, it keeps the at most two columns o_b
+    with |d + o_b - o_a| < h_k, takes every combination across the shifts and
+    merges equal (row, point) pairs, adding weights; CHUNK choices at once."""
     todo = [(J, np.arange(len(d)), d, np.ones(len(d), dtype=tower.dtype))]
     while todo:
         k, rows, d, w = todo.pop()
@@ -174,20 +174,26 @@ def _descend(tower, d, J, K):
             yield rows, d, w
             continue
         st = tower.stage(k - 1)
-        h, offs = st.h, np.array(st.offsets, dtype=tower.dtype)
-        step = max(1, CHUNK // (2 * len(offs)))
+        h, offs, s = st.h, np.array(st.offsets, dtype=tower.dtype), d.shape[1]
+        step = max(1, CHUNK // (len(offs) << s))
         if len(d) > step:  # the rest waits on the stack as views
             todo.append((k, rows[step:], d[step:], w[step:]))
             rows, d, w = rows[:step], d[:step], w[:step]
-        u = d[:, None] + offs
-        t = np.searchsorted(offs, u - h, side="right")[..., None] + np.arange(2)
-        v = u[..., None] - offs[np.minimum(t, len(offs) - 1)]
-        keep = (t < len(offs)) & (v > -h)
-        rows, w = (np.broadcast_to(x[:, None, None], v.shape)[keep] for x in (rows, w))
-        order = np.lexsort((v[keep], rows))
-        rows, d, w = rows[order], v[keep][order], w[order]
+        u = d.T[:, None] - offs[:, None]  # [shift, a, row]
+        b = np.searchsorted(offs, -h - u, side="right") + np.arange(2).reshape(2, 1, 1, 1)
+        v = u + offs[np.minimum(b, len(offs) - 1)]  # [choice, shift, a, row]
+        ok = (b < len(offs)) & (v < h)
+        # shift j's choice on axis j: [choice 0, ..., choice s - 1, a, row]
+        spread = [(slice(None), j) + (None,) * (s - 1 - j) for j in range(s)]
+        shape = (2,) * s + u.shape[1:]
+        keep = np.logical_and.reduce([np.broadcast_to(ok[i], shape) for i in spread])
+        rows, w = (np.broadcast_to(x, shape)[keep] for x in (rows, w))
+        d = np.stack([np.broadcast_to(v[i], shape)[keep] for i in spread], axis=1)
+        order = np.lexsort((*d.T[::-1], rows))
+        rows, d, w = rows[order], d[order], w[order]
         if len(d):
-            first = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]) | (d[1:] != d[:-1])])
+            new = (rows[1:] != rows[:-1]) | (d[1:] != d[:-1]).any(axis=1)
+            first = np.flatnonzero(np.r_[True, new])
             todo.append((k - 1, rows[first], d[first], np.add.reduceat(w, first)))
 
 
@@ -224,10 +230,10 @@ def pair_enclosure_grid(
             table = _lift_table(tower, table, K)
             K += 1
         at = np.flatnonzero(stop == J)
-        for rows, d, w in _descend(tower, shifts[at], J, K):
-            vals = (table[(d + tower.stage(K).h - 1).astype(np.int64, copy=False)]
+        for rows, d, w in _descend(tower, shifts[at, None], J, K):
+            vals = (table[(d[:, 0] + tower.stage(K).h - 1).astype(np.int64, copy=False)]
                     if table is not None
-                    else _range_counts(tower, A, *tower.range_arrays(B, K), K, d))
+                    else _range_counts(tower, A, *tower.range_arrays(B, K), K, d[:, 0]))
             np.add.at(X, at[rows], w * vals)
     return _enclosures(tower, stop, X, esc, where)
 
@@ -246,10 +252,11 @@ def pair_enclosure(
 
 # -- whole-grid triple correlations ---------------------------------------
 #
-# With t = m + n and stopped at stage J, as for pairs, the triple loop has
-# lo = w_J |A_J intersect (D_J + m)| for D_J = B_J intersect (C_J + n), and
-# slack w_J |C_J intersect [h_J - t, h_J)|.  D_J does not depend on m, so a
-# grid of m with one n needs one intersection per stopping stage.
+# With t = m + n, stopped at stage J as for pairs, the triple loop has
+# lo = w_J Y_J(m, t), Y_J(d, e) = |A_J intersect (B_J + d) intersect (C_J + e)|,
+# and slack w_J |C_J intersect [h_J - t, h_J)|.  Y lifts as X does, so
+# _descend takes (m, t) down to the sets' stage K, where Y_K(d, e) counts A_K
+# under (B_K intersect (C_K + e - d)) + d: one intersection per e - d.
 
 
 def triple_enclosure_grid(
@@ -262,7 +269,7 @@ def triple_enclosure_grid(
     epsilon: Fraction | None = None,
 ) -> list[MeasureEnclosure]:
     """Enclosures of mu(A intersect T^m B intersect T^{m+n} C) for every m
-    of ``ms``, in order, from one D_J per stopping stage (see above)."""
+    of ``ms``, in order, by one two-shift descent (see above)."""
     if n < 0:
         raise ValueError("shift n must be >= 0")
     for X in (A, B, C):
@@ -272,15 +279,21 @@ def triple_enclosure_grid(
         return []
     if epsilon is None:
         epsilon = default_epsilon(tower, A)
+    K = max(A.stage, B.stage, C.stage)
     shifts, where = np.unique(np.array(ms, dtype=tower.dtype), return_inverse=True)
-    stop, esc = _stopping_stages(tower, C, max(A.stage, B.stage, C.stage),
-                                 shifts + n, epsilon)
+    stop, esc = _stopping_stages(tower, C, K, shifts + n, epsilon)
+    cs, ce = tower.range_arrays(C, K)
     hits = np.zeros(len(shifts), dtype=tower.dtype)
     for J in np.unique(stop).tolist():
-        cs, ce = tower.range_arrays(C, J)
-        D = _intersection(cs + n, ce + n, *tower.range_arrays(B, J))
         at = np.flatnonzero(stop == J)
-        hits[at] = _range_counts(tower, A, *D, J, shifts[at])
+        for rows, d, w in _descend(tower, np.stack((shifts[at], shifts[at] + n), axis=1), J, K):
+            e = d[:, 1] - d[:, 0]
+            order = np.argsort(e)
+            rows, d, w, e = rows[order], d[order, 0], w[order], e[order]
+            cuts = np.flatnonzero(np.r_[True, e[1:] != e[:-1], True]).tolist()
+            for i, j in zip(cuts, cuts[1:]):  # one D = B_K intersect (C_K + e) per e
+                D = _intersection(cs + e[i], ce + e[i], *tower.range_arrays(B, K))
+                np.add.at(hits, at[rows[i:j]], w[i:j] * _range_counts(tower, A, *D, K, d[i:j]))
     return _enclosures(tower, stop, hits, esc, where)
 
 

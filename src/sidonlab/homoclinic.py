@@ -150,7 +150,7 @@ class DissipativeMap:
     def __init__(self, tower: Tower, depth: int | None = None):
         self.tower = tower
         self.depth = _checked_depth(tower, depth)
-        self.parts, self.schedule = s_schedule(tower, self.depth)
+        self.parts, _ = s_schedule(tower, self.depth)
         widths = [tower.stage(b).base_measure / c for b, c in self.parts.items()]
         self.L = L = math.lcm(*(w.denominator for w in widths))
         self.stages: dict[int, _StageIndex] = {}

@@ -14,6 +14,7 @@ primitive-polynomial search skips every constant term f_0 whose norm
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -352,6 +353,8 @@ class PsiSpec:
         t = self.table
         if len(t) < 2:
             raise ValueError("table psi needs at least two values")
+        if not all(0 < x <= sys.float_info.max for x in t):
+            raise ValueError("table psi values must be finite numbers > 0")
         for i in range(1, len(t)):
             if t[i] < t[i - 1]:
                 raise ValueError(f"table psi not nondecreasing at m={i + 1}")

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sidonlab
-from sidonlab import LevelSet, Tower, pair_enclosure_grid
+from sidonlab import LevelSet, Tower, pair_enclosure_grid, triple_enclosure_grid
 from sidonlab.cli import main
 from sidonlab.sidon import sidon_property_check
 from tests.conftest import RUNNING_SPEC, deep_spec
@@ -239,6 +240,22 @@ class TestErrors:
         assert err["code"] == 3 and err["message"].startswith("OverflowError")
         assert not (out / "stages.csv").exists()
 
+    # A run that outgrows its memory exits 3 with one JSON diagnostic; the
+    # grid is made to raise, as no small corr run needs that much memory.
+    def test_memory_error_exit3(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("sidonlab.cli.pair_enclosure_grid", out_of_memory)
+        cfg = tmp_path / "corr.json"
+        cfg.write_text(json.dumps({"construction": RUNNING_SPEC.to_dict(), "A": X2, "B": X2,
+                                   "m": 3}))
+        out = tmp_path / "o"
+        assert run_cli(["corr", "--config", str(cfg), "--out", str(out)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["code"] == 3 and "MemoryError" in err["message"]
+        assert not (out / "corr.csv").exists()
+
     def test_out_under_a_file(self, running_config, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "o"
@@ -311,7 +328,10 @@ class TestErrors:
                                      {"kind": "bogus"},
                                      {"kind": "table", "table": [1]},
                                      {"kind": "table", "table": [1, 0.5]},
-                                     {"kind": "table", "table": [1, 2]}])
+                                     {"kind": "table", "table": [1, 2]},
+                                     {"kind": "table", "table": [math.nan] * 100},
+                                     {"kind": "table", "table": [0] * 100},
+                                     {"kind": "table", "table": [10**400] * 100}])
     def test_bad_psi(self, tmp_path, capsys, psi):
         cfg = tmp_path / "decay.json"
         cfg.write_text(json.dumps({"construction": RUNNING_SPEC.to_dict(), "psi": psi,
@@ -596,13 +616,13 @@ class TestCorr:
         assert Fraction(int(row[4]), int(row[5])) == Fraction(1, 2)
 
     # deep_spec's 57-stage tower, A = B = C = {0} at stage 1: m = h_j - 1
-    # stops about ten stages above j.  Pair mode counts on the sets' own
-    # ranges; triple mode still builds D_J = B_J intersect (C_J + n) from
-    # lifted arrays, which outgrow the address-space limit of the child.
+    # stops about ten stages above j.  Both modes count at the sets' own
+    # stage, so neither outgrows the address-space limit of the child.
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="RLIMIT_AS is enforced on Linux")
     @pytest.mark.parametrize("mode, j, code", [("pair", 20, 0), ("pair", 40, 0),
-                                               ("triple", 16, 3)])
+                                               ("triple", 16, 0), ("triple", 20, 0),
+                                               ("triple", 40, 0)])
     def test_deep_tower_under_memory_limit(self, tmp_path, mode, j, code):
         tower = Tower(deep_spec(random.Random(0)), depth=57)
         one = {"stage": 1, "ranges": [[0, 1]]}
@@ -634,7 +654,8 @@ class TestCorr:
         assert proc.stderr == ""
         _, header, (row,) = read_report(out / "corr.csv")
         A = LevelSet.from_ranges(1, [(0, 1)])
-        (enc,) = pair_enclosure_grid(A, A, [m], tower)
+        (enc,) = (triple_enclosure_grid(A, A, A, 0, [m], tower) if mode == "triple"
+                  else pair_enclosure_grid(A, A, [m], tower))
         assert [Fraction(int(row[header.index(f"{k}_num")]), int(row[header.index(f"{k}_den")]))
                 for k in ("lo", "hi")] == [enc.lo, enc.hi]
 
@@ -785,8 +806,11 @@ class TestDecay:
 
     # Decay configs on the running tower with up to two fields replaced or
     # an unknown key added; a replaced psi may be one PsiSpec refuses.
-    BAD_PSI = st.sampled_from([{"kind": "power", "alpha": [1, 0]}, {"kind": "power"},
-                               {"kind": "power", "alpha": "x"}, {"kind": "table"}])
+    BAD_PSI = st.one_of(
+        st.sampled_from([{"kind": "power", "alpha": [1, 0]}, {"kind": "power"},
+                         {"kind": "power", "alpha": "x"}, {"kind": "table"}]),
+        st.builds(lambda x: {"kind": "table", "table": [x] * 40},
+                  st.one_of(st.floats(), st.sampled_from([0, 10**400]))))
     BASE = st.fixed_dictionaries(
         {"psi": st.sampled_from([{"kind": "power", "alpha": [1, 4]}, {"kind": "log"}]),
          "m_grid": st.lists(st.integers(1, 35), min_size=1, max_size=5)},

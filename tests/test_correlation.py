@@ -416,6 +416,18 @@ class TestDeepTower:
         assert peak < 100 * 2**20
         assert 0 < enc.lo < enc.hi
 
+    def test_triple_peak_memory(self, tower):
+        # The descent reads no set above stage 1, whatever the stopping stage.
+        A = LevelSet.from_levels(1, [0])
+        tracemalloc.start()
+        try:
+            (enc,) = triple_enclosure_grid(A, A, A, 0, [tower.stage(12).h - 1], tower)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert (enc.lo, enc.hi) == (Fraction(178749, 524288), Fraction(44815, 131072))
+
     def test_equals_lifted_path(self, tower):
         A = LevelSet.from_levels(1, [0])
         ms = [tower.stage(j).h - 1 for j in (6, 8, 10)]
@@ -530,6 +542,61 @@ class TestTripleGridAgainstPerShift:
             triple_enclosure_grid(a, a, a, 2, [3, -1, 5], demo_tower)
         with pytest.raises(ValueError):
             triple_enclosure_grid(a, a, a, -1, [3], demo_tower)
+
+
+class TestTripleDescent:
+    """The triple grid descends (m, m + n) from each stopping stage to the
+    sets' own stage; against the LevelSet reference loop with the descent
+    cut into chunks of 1, 7 and CHUNK choices."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        return Tower(deep_spec(random.Random(0)), depth=57)
+
+    def test_deep_tower(self, deep, monkeypatch):
+        # n close to h_j, so t = m + n crosses h_j and h_{j+1}, on sets of a
+        # few levels at stages 1 to 3 of deep_spec's 57-stage tower
+        rng = random.Random(54)
+        for i, j in enumerate([4, 5, 6, 7, 8]):
+            h = deep.stage(j).h
+            A, B, C = (LevelSet.from_levels(s, rng.sample(range(deep.stage(s).h), 2))
+                       for s in rng.sample([1, 2, 3], 3))
+            n = h + rng.randint(-3, 3)
+            ms = [0, 1, h - n - 1, h - 1, h, 2 * h - n, 2 * h] + rng.sample(range(2 * h), 3)
+            ms = [m for m in ms if m >= 0]
+            # the default epsilon stops ten stages up, where the reference is slow
+            eps = None if j == 4 else (Fraction(1, 20), Fraction(1, 100))[i % 2]
+            fresh = Tower(deep.spec, deep.depth)
+            want = [reference_triple(A, B, C, m, n, fresh, epsilon=eps) for m in ms]
+            for chunk in (1, 7, CHUNK):
+                monkeypatch.setattr(correlation, "CHUNK", chunk)
+                got = triple_enclosure_grid(A, B, C, n, ms, deep, epsilon=eps)
+                assert [(e.lo, e.hi) for e in got] == [(e.lo, e.hi) for e in want]
+
+    @pytest.mark.parametrize("chunk", [1, 7, CHUNK], ids=["1", "7", "default"])
+    def test_heights_beyond_int64(self, monkeypatch, chunk):
+        monkeypatch.setattr(correlation, "CHUNK", chunk)
+        rng = random.Random(55)
+        for i in range(10):
+            tower = Tower(huge_spec(rng), depth=3)
+            A, B, C = (random_ranges(rng, tower, rng.randint(1, 2), 3) for _ in range(3))
+            n = rng.randrange(tower.stage(3).h // 2)
+            ms = TestTripleGridAgainstPerShift.edge_grid(rng, tower, n, 5)
+            eps = (None, Fraction(0), Fraction(1, 3))[i % 3]
+            fresh = Tower(tower.spec, tower.depth)
+            for m, enc in zip(ms, triple_enclosure_grid(A, B, C, n, ms, tower, epsilon=eps)):
+                assert_same(enc, reference_triple(A, B, C, m, n, fresh, epsilon=eps))
+
+    def test_reads_no_set_above_the_sets_stage(self, demo_spec):
+        # shifts that resolve at stages 3 to 6; the memo keeps every stage read
+        tower = Tower(demo_spec, depth=6)
+        A, B, C = (LevelSet.from_ranges(s, [(0, 2), (5, 6)]) for s in (2, 3, 2))
+        ms = [tower.stage(j).h + k for j in (3, 4, 5) for k in (-1, 0, 5)]
+        pair_enclosure_grid(A, B, ms, tower)
+        triple_enclosure_grid(A, B, C, 4, ms, tower)
+        assert len({tower.resolving_stage(3, m) for m in ms}) > 1
+        for X in (A, B, C):
+            assert max(J for kind, J in tower._memo[X] if kind == "ranges") <= 3
 
 
 def mc_correlation_reference(A, B, m, samples, seed, tower):
