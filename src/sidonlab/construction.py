@@ -10,6 +10,7 @@ offset coordinate, which makes the transformation pointwise deterministic.
 from __future__ import annotations
 
 import bisect
+import random
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -281,24 +282,33 @@ GRID = 1024
 # The oracles first make exactly the random calls that per-point
 # sample_uniform calls would make, keeping the raw integers, and then
 # classify the points of a chunk of samples at once on range arrays.  Chunks
-# keep memory bounded however many points a run draws.
+# keep memory bounded however many points a run draws.  randrange(n) is
+# written out as random.Random's own rule, getrandbits(n.bit_length())
+# redrawn while >= n: the same integers and stream state, without its two
+# Python frames per call.
 
 
-def _draw_points(rng, samples: int, total: int, cells: int, most: int, count=None):
-    """The raw draws of ``samples`` samples of sample_uniform points: a sample is
-    one point, or count(rng.random()) points, and a point is a pick
-    rng.randrange(total) of a level, then a cell rng.randrange(cells) of
-    its offset.  Yields them in chunks of whole samples, each ending once
-    it holds ``most`` points or more: the lists of picks and cells and,
-    with ``count``, the list of points per sample."""
-    randrange = rng.randrange
+def _draw_points(seed, samples: int, total: int, cells: int, most: int, count=None):
+    """The raw draws of ``samples`` samples of sample_uniform points from
+    random.Random(seed): a sample is one point, or count(random()) points,
+    and a point is a pick randrange(total) of a level, then a cell
+    randrange(cells) of its offset.  Yields them in chunks of whole samples,
+    each ending once it holds ``most`` points or more: the lists of picks
+    and cells and, with ``count``, the list of points per sample."""
+    rng = random.Random(seed)
+    bits, tk, ck = rng.getrandbits, total.bit_length(), cells.bit_length()
     if count is None:
         for lo in range(0, samples, most):
             picks, cell = [], []
-            pick, put = picks.append, cell.append
             for _ in range(min(most, samples - lo)):
-                pick(randrange(total))
-                put(randrange(cells))
+                r = bits(tk)
+                while r >= total:
+                    r = bits(tk)
+                picks.append(r)
+                r = bits(ck)
+                while r >= cells:
+                    r = bits(ck)
+                cell.append(r)
             yield picks, cell, None
         return
     rand = rng.random
@@ -307,8 +317,14 @@ def _draw_points(rng, samples: int, total: int, cells: int, most: int, count=Non
         k = count(rand())
         sizes.append(k)
         for _ in range(k):
-            picks.append(randrange(total))
-            cell.append(randrange(cells))
+            r = bits(tk)
+            while r >= total:
+                r = bits(tk)
+            picks.append(r)
+            r = bits(ck)
+            while r >= cells:
+                r = bits(ck)
+            cell.append(r)
         if len(picks) >= most:
             yield picks, cell, sizes
             picks, cell, sizes = [], [], []
@@ -593,6 +609,6 @@ class Tower:
         starts, _, cum = self._own_prefix(A)  # validates A
         if A.is_empty():
             raise ValueError("cannot sample from an empty level set")
-        (picks, cells, _), = _draw_points(rng, 1, A.count(), GRID * self.units[A.stage], 1)
-        level = _pick_levels(starts, cum, np.array(picks, dtype=self.dtype))
-        return PointState(A.stage, int(level[0]), Fraction(cells[0], GRID * self.units[1]))
+        pick, cell = rng.randrange(A.count()), rng.randrange(GRID * self.units[A.stage])
+        level = _pick_levels(starts, cum, np.array([pick], dtype=self.dtype))
+        return PointState(A.stage, int(level[0]), Fraction(cell, GRID * self.units[1]))

@@ -8,7 +8,6 @@ is breadth-first by stage and stops on a mass threshold.
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -329,7 +328,7 @@ def mc_correlation(
     cells = GRID * tower.units[B.stage]
     starts, _, cum = tower._own_prefix(B)
     hits = 0
-    for picks, cell, _ in _draw_points(random.Random(seed), samples, B.count(), cells, CHUNK):
+    for picks, cell, _ in _draw_points(seed, samples, B.count(), cells, CHUNK):
         start = _pick_levels(starts, cum, np.array(picks, dtype=tower.dtype))
         # N < cells, which can pass 2^63 on an int64 tower
         N = np.array(cell, dtype=np.int64 if cells <= 2**63 else object)

@@ -536,7 +536,12 @@ def flow_defect(
 ) -> tuple[float, float]:
     """MC estimate of || chi_R - chi_R o (T^{-n} S^t T^n) ||_2 for the
     rectangle R, where the conjugated flow moves x by phi(coord(T^n y)) * t.
-    Returns (estimate, stderr)."""
+    Returns (estimate, stderr).  Per sample, randrange(2^40) (written out as
+    in _draw_points) and random() are drawn, correlation.CHUNK samples at a
+    time; the chunk is then moved and tested on arrays, and phi is called
+    per sample."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     a, b, c, d = (Fraction(str(v)) for v in params.rect)
     if not (a < b and c < d):
         raise ValueError("rectangle must have positive area")
@@ -560,24 +565,35 @@ def flow_defect(
     grid = 1 << 40
     # At stage J, T^n is the translation y -> y + n*mu(E_J) while the level
     # stays below h_J.  Over one common denominator D, a sample is
-    # y = (Y0 + W*i)/D and its image (Y + n*B)/D; int/int division rounds
-    # correctly, as float(Fraction) does.
+    # y = (Y0 + W*i)/D and its image Z/D, Z = Y + n*B, in the tower iff
+    # 0 <= Z < h*B.  Z/D rounds correctly as int / int, and so on int64
+    # while Z and D stay below 2^53, where int to float is exact.
     w = (d - c) / grid
     D = math.lcm(c.denominator, w.denominator, base.denominator)
     Y0 = c.numerator * (D // c.denominator)
     W = w.numerator * (D // w.denominator)
     B = base.numerator * (D // base.denominator)
+    exact = np.int64 if max(D, abs(Y0) + W * grid + abs(n * B)) < 2**53 else object
     rng = random.Random(seed)
-    out = 0
-    fa, fb = float(a), float(b)
-    for _ in range(samples):
-        Y = Y0 + W * rng.randrange(grid)
-        if n and not 0 <= Y // B + n < h:
+    bits, rand = rng.getrandbits, rng.random
+    out, fa, fb = 0, float(a), float(b)
+    for lo in range(0, samples, correlation.CHUNK):
+        i, u = [], []
+        for _ in range(min(correlation.CHUNK, samples - lo)):
+            r = bits(41)
+            while r >= grid:
+                r = bits(41)
+            i.append(r)
+            u.append(rand())
+        Z = Y0 + n * B + W * np.array(i, dtype=exact)
+        esc = np.flatnonzero((Z < 0) | (Z >= h * B)) if n else ()
+        if len(esc):
+            Y = int(Z[esc[0]]) - n * B
             tower.advance(J, [Y // B], [Y % B], B, n)  # raises NeedsMoreStages
-        y2 = (Y + n * B) / D
-        x2 = fa + (fb - fa) * rng.random() + phi(y2) * params.t
-        if not fa <= x2 <= fb:
-            out += 1
+        f = np.fromiter(map(phi, (Z / D).tolist()), float, len(u))
+        with np.errstate(all="ignore"):  # inf and nan pass silently, as in Python
+            x2 = fa + (fb - fa) * np.array(u) + f * params.t
+            out += len(u) - int(np.count_nonzero((fa <= x2) & (x2 <= fb)))
     p_hat = out / samples
     defect = math.sqrt(2.0 * area * p_hat)
     sigma_p = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / samples) / samples)

@@ -348,9 +348,8 @@ def mc_joint(events: list[CountEvent], samples: int, seed: int, tower: Tower):
     else:
         mu = float(total * tower.stage(top).base_measure)
         hits = 0
-        for picks, _, sizes in _draw_points(random.Random(seed), samples, total,
-                                            GRID * tower.units[top], correlation.CHUNK,
-                                            _poisson_inverse(mu)):
+        for picks, _, sizes in _draw_points(seed, samples, total, GRID * tower.units[top],
+                                            correlation.CHUNK, _poisson_inverse(mu)):
             level = _pick_levels(starts, cum, np.array(picks, dtype=tower.dtype))
             owner = np.repeat(np.arange(len(sizes)), sizes)
             match = np.ones(len(sizes), dtype=bool)

@@ -3,6 +3,7 @@ import gc
 import random
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from sidonlab import (
     build_stages,
     measure_growth,
 )
+from sidonlab import construction, correlation
 from sidonlab.construction import GRID
+from sidonlab.poisson import _poisson_inverse
 from conftest import (RUNNING_SPEC, count_on_lifted, deep_spec, few_levels, huge_spec,
                       reference_advance, reference_in_set)
 
@@ -471,6 +474,56 @@ class TestSamplingAgainstReference:
                 assert got == want[A, q.stage].contains(q.level)
                 hits += got
         assert 0 < hits < 150 * len(sets)
+
+
+class TestDrawPoints:
+    """_draw_points writes randrange(n) out as random.Random's own rule,
+    getrandbits(n.bit_length()) redrawn while >= n.  It must give the
+    integers that randrange gives and leave the same stream state: if a
+    Python release changes how randrange draws, these tests fail."""
+
+    NS = [1, 2, 3, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63, 2**64, 2**64 + 3,
+          2**100 - 1]
+
+    @staticmethod
+    def _draws(monkeypatch, seed, *args):
+        """All chunks of _draw_points(seed, *args), and the state its
+        random.Random(seed) is left in."""
+        own = random.Random(seed)
+        monkeypatch.setattr(construction, "random", SimpleNamespace(Random={seed: own}.__getitem__))
+        return list(construction._draw_points(seed, *args)), own.getstate()
+
+    @staticmethod
+    def _reference(seed, samples, total, cells, most, count=None):
+        """The same chunks from per-point randrange calls."""
+        rng = random.Random(seed)
+        chunks, picks, cell, sizes = [], [], [], []
+        for i in range(samples):
+            k = 1 if count is None else count(rng.random())
+            sizes.append(k)
+            for _ in range(k):
+                picks.append(rng.randrange(total))
+                cell.append(rng.randrange(cells))
+            if len(picks) >= most or i == samples - 1:
+                chunks.append((picks, cell, None if count is None else sizes))
+                picks, cell, sizes = [], [], []
+        return chunks, rng.getstate()
+
+    @pytest.mark.parametrize("n", NS)
+    def test_randrange_rule(self, monkeypatch, n):
+        for seed in range(50):
+            got = self._draws(monkeypatch, seed, 3, n, n, 2)
+            assert got == self._reference(seed, 3, n, n, 2), \
+                f"randrange({n}) no longer draws getrandbits({n.bit_length()}) until < n"
+
+    @pytest.mark.parametrize("most", [1, 7, correlation.CHUNK])
+    @pytest.mark.parametrize("total, cells", [(59983, GRID * 42), (5, 2**66 + 5)])
+    def test_streams(self, monkeypatch, most, total, cells):
+        # the plain stream of mc_correlation and the Poisson-count stream of mc_joint
+        for count in (None, _poisson_inverse(3.0)):
+            for seed in range(10):
+                args = (seed, 150, total, cells, most, count)
+                assert self._draws(monkeypatch, *args) == self._reference(*args)
 
 
 class TestIntegerPointsAgainstReference:

@@ -2,6 +2,7 @@ import bisect
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from sidonlab import (
 )
 from sidonlab import correlation
 from sidonlab.homoclinic import PHI_CATALOG, stage_new_ranges
-from tests.conftest import huge_spec
+from tests.conftest import deep_spec, huge_spec, outcome
 
 
 def reference_flow_defect(tower, params, n, samples, seed):
@@ -682,6 +683,13 @@ class TestFlow:
         d, e = flow_defect(demo_tower, FlowParams("reciprocal", 1.0), 0, 20000, 7)
         assert abs(d - 1.177410) < 4 * max(e, 1e-9)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_no_samples_raises(self, demo_tower, t):
+        # checked before the t = 0 shortcut, as the Monte-Carlo oracles do
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="samples"):
+                flow_defect(demo_tower, FlowParams("reciprocal", t), 5, samples, 0)
+
     def test_unknown_phi(self, demo_tower):
         with pytest.raises(ValueError, match="catalog"):
             flow_defect(demo_tower, FlowParams("nope", 1.0), 0, 10, 0)
@@ -763,3 +771,72 @@ class TestFlowAgainstReference:
             reference_flow_defect(demo_tower, params, n, 500, 5)
         assert str(got.value) == str(want.value)
         assert got.value.required_depth == want.value.required_depth
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_chunks(self, demo_tower, monkeypatch, chunk):
+        if chunk:
+            monkeypatch.setattr(correlation, "CHUNK", chunk)
+        h4, h6 = demo_tower.stage(4).h, demo_tower.stage(6).h
+        for i, (phi, n, band) in enumerate([
+            ("reciprocal", 0, (0.0, 1.0)),
+            ("exp", h4, (0.2, 3.9)),
+            ("exp", -h4, (1.0, 2.5)),
+            ("reciprocal", h6 - 3000, (0.0, 6000 / 3360)),  # levels >= 3000 leave
+        ]):
+            params = FlowParams(phi, 0.5, (0.0, 1.0, *band))
+            assert (outcome(flow_defect, demo_tower, params, n, 50, i)
+                    == outcome(reference_flow_defect, demo_tower, params, n, 50, i))
+
+    def test_chunked_memory(self, demo_tower, monkeypatch):
+        # one unchunked pass of 20,000 samples peaks at about 2.3 MiB
+        monkeypatch.setattr(correlation, "CHUNK", 1024)
+        params = FlowParams("exp", 1.0, (0.0, 1.0, 0.1, 2.9))
+        n = demo_tower.stage(4).h
+        want = flow_defect(demo_tower, params, n, 20_000, 4)  # warm the caches
+        tracemalloc.start()
+        try:
+            got = flow_defect(demo_tower, params, n, 20_000, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want and peak < 1 << 20
+
+    @pytest.mark.parametrize("spec, depth, rect", [
+        (huge_spec, 3, (0.0, 1.0, 0.0, 1.0)),
+        (huge_spec, 3, (0.0, 1.0, 0.1, 1000.0)),
+        (deep_spec, 20, (0.0, 1.0, 0.0, 1.0)),
+    ])
+    def test_exactness_split(self, monkeypatch, spec, depth, rect):
+        # The image numerators pass 2^53 at n = 2^40, and on huge_spec with
+        # the wide rectangle at every n, whose denominator D is no power of
+        # two; below that flow_defect works on int64.  n = -3 leaves
+        # huge_spec's tower, and 2^40 deep_spec's.  phi records the image
+        # coordinates: a last-bit error there seldom moves the estimate.
+        seen = []
+        for seed in range(6):
+            tower = Tower(spec(random.Random(seed)), depth=depth)
+            for phi in ("reciprocal", "exp"):
+                monkeypatch.setitem(PHI_CATALOG, "seen",
+                                    lambda y, f=PHI_CATALOG[phi]: seen.append(y) or f(y))
+                params = FlowParams("seen", 1.0, rect)
+                for n in (0, 1, 5, 1000, 2**40, -3):
+                    def run(fn):
+                        seen.clear()
+                        got = outcome(fn, tower, params, n, 100, seed)
+                        # a chunk that leaves the tower raises before calling phi
+                        return got, seen[:] if isinstance(got[0], float) else None
+
+                    assert run(flow_defect) == run(reference_flow_defect)
+
+    @pytest.mark.parametrize("n", [3059133 - 3360, -3360, -3361])
+    def test_level_edge_samples(self, demo_tower, monkeypatch, n):
+        # getrandbits always 0: every y is 1 = the start of level 3360 of
+        # stage 6, which T^n moves onto h_6 (out), onto 0 (in) and onto -1 (out)
+        class ZeroBits(random.Random):
+            def getrandbits(self, k):
+                return 0
+
+        monkeypatch.setattr(random, "Random", ZeroBits)
+        params = FlowParams("exp", 1.0, (0.0, 1.0, 1.0, 1.0001))
+        assert (outcome(flow_defect, demo_tower, params, n, 20, 0)
+                == outcome(reference_flow_defect, demo_tower, params, n, 20, 0))
