@@ -292,8 +292,8 @@ def cmd_flow(cfg, digest, args):
     if not (isinstance(rect, list) and len(rect) == 4):
         raise ConfigError(f"rect must be a list [a, b, c, d], got {rect!r}", "rect")
     a, b, c, d = (parse_real(v, "rect") for v in rect)
-    if not (a < b and c < d):
-        raise ConfigError(f"rect {rect!r} needs a < b and c < d", "rect")
+    if not (a < b and 0 <= c < d):
+        raise ConfigError(f"rect {rect!r} needs a < b and 0 <= c < d", "rect")
     params = FlowParams(phi, float(parse_real(cfg.get("t", 1.0), "t")), (a, b, c, d))
     samples = parse_int(cfg.get("samples", 10_000), "samples", 1)
     rows = []

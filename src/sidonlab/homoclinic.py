@@ -545,6 +545,8 @@ def flow_defect(
     a, b, c, d = (Fraction(str(v)) for v in params.rect)
     if not (a < b and c < d):
         raise ValueError("rectangle must have positive area")
+    if c < 0:
+        raise ValueError("rectangle must lie in the tower: c >= 0")
     if params.t == 0:
         return 0.0, 0.0
     try:

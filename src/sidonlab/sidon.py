@@ -13,6 +13,7 @@ primitive-polynomial search skips every constant term f_0 whose norm
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -543,7 +544,7 @@ def build_from_psi(
 class SidonCheckRow:
     m: int
     pairs: list  # (source column, target column, mass) with mass > 0
-    # escape returns, one (source, target, level mass w_J, level count) per hit run
+    # escape returns, one (source, target, mass) per column pair, by pair
     resolved_extra: list
     slack: Fraction
     total_mass: Fraction
@@ -568,6 +569,26 @@ class SidonCheckReport:
         return all(r.relaxed_ok for r in self.rows)
 
 
+def _column_pair_hits(offs, h, points):
+    """Keys (row * r + i) * r + t and values w * |(S_i + d) intersect S_t|
+    for the (rows, d, w) of ``points`` and the h-long columns
+    S_i = [o_i, o_i + h): h - |d + o_i - o_t| where positive, for at most
+    two t per i, found by searchsorted.  Rows of one point each get sorted,
+    distinct keys.  CHUNK (point, column) choices per step."""
+    r = len(offs)
+    keys, vals = [np.zeros(0, np.int64)], [np.zeros(0, offs.dtype)]
+    step = max(1, correlation.CHUNK // (2 * r))
+    for rows, d, w in points:
+        for a in range(0, len(d), step):
+            u = d[a:a + step, :1] + offs  # [point, i]
+            t = np.searchsorted(offs, u - h, side="right")[..., None] + np.arange(2)
+            n = h - abs(u[..., None] - offs[np.minimum(t, r - 1)])
+            p, i, c = np.nonzero((t < r) & (n > 0))
+            keys.append((rows[a + p] * r + i) * r + t[p, i, c])
+            vals.append(w[a + p] * n[p, i, c])
+    return np.concatenate(keys), np.concatenate(vals)
+
+
 def sidon_property_check(
     tower: Tower, j: int, depth: int = 1, m_stride: int = 1
 ) -> SidonCheckReport:
@@ -576,85 +597,54 @@ def sidon_property_check(
     nonempty (source, target) pair.  Relaxed reading: total intersection
     mass bounded by one column's worth, mu(X_j)/r_j.
 
-    Every checked m is resolved at once on range arrays, one stage at a
-    time from j+1 to at most j+1+depth.  Each source column's levels below
-    h_J - m, shifted by m, are hits; what is in the top m levels escapes
-    and is lifted to the next stage, and what is left there at the last
-    stage is slack.  A resolved range is at most h_j long, and the copies
-    of X_j at stage J are h_j long, so it meets at most two of them, and
-    copy k lies in column k mod r_j.  Hits at stage j+1 are the direct
-    pairs; later ones are escape returns."""
+    Escapes are resolved up to the stage top = min(depth of the tower,
+    j+1+depth), by the pair grid's identity: for the columns S_i of X_j at
+    stage j+1, the hits of the pair (i, t) up to top count
+    |(S_i,top + m) intersect S_t,top|, which _descend reads at stage j+1,
+    and what is still in the top m levels of X_j at top is slack.  The
+    direct pairs are the same count at stage j+1; the rest of a pair's
+    count is its escape returns.  X_j is counted at its own stage, never
+    lifted."""
     if m_stride < 1:
         raise ValueError("m_stride must be >= 1")
-    st_j = tower.stage(j)
-    h_j1 = tower.stage(j + 1).h
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    st_j, st_j1 = tower.stage(j), tower.stage(j + 1)
     top = min(tower.depth, j + 1 + depth)
-    r = len(st_j.offsets)
-    units = tower.units  # w_J = units[J] / units[1]
+    h, offs, units = st_j.h, np.array(st_j.offsets, dtype=tower.dtype), tower.units
+    r = len(offs)
     report = SidonCheckReport(j=j, depth=depth, m_stride=m_stride,
-                              bound=st_j.h * tower.stage(j + 1).base_measure)
-    xj = tower.full_tower(j)
-    widest = max(len(tower.stage(J).offsets) for J in range(j, top))
-    shifts = range(st_j.h + 1, h_j1 + 1, m_stride)
-    step = max(1, correlation.CHUNK // (r * widest))
-    # the source columns [o_i, o_i + h_j) of X_j at stage j+1
-    cols_s, cols_e = tower.range_arrays(xj, j + 1)
+                              bound=h * st_j1.base_measure)
+    xj, bound = tower.full_tower(j), h * units[j + 1]
+    # masses are counted as integers in units of mu(E_depth); frac makes the
+    # Fractions, which many rows share
+    frac = functools.lru_cache(maxsize=None)(lambda x: Fraction(x, units[1]))
+
+    def by_row(keys, vals):  # per row of ms, its (i, t, mass) in key order
+        at = np.searchsorted(keys, np.arange(len(ms) + 1) * (r * r)).tolist()
+        its = list(zip((keys // r % r).tolist(), (keys % r).tolist(), map(frac, vals.tolist())))
+        return [its[a:b] for a, b in zip(at, at[1:])]
+
+    shifts = range(h + 1, st_j1.h + 1, m_stride)
+    step = max(1, correlation.CHUNK // (2 * r))
     for c in range(0, len(shifts), step):
         ms = shifts[c:c + step]
-        grid = np.array(ms, dtype=tower.dtype)
-        # one group g = row * r + i per (shift, column), ranges sorted by
-        # group and then level
-        s, e = np.tile(cols_s, len(ms)), np.tile(cols_e, len(ms))
-        g = np.arange(len(s))
-        found = []  # per stage: (J, group, target column, run)
-        for J in range(j + 1, top + 1):
-            if J > j + 1:  # lift the escaped ranges, keeping group order
-                s, e = tower.lift_ranges(s, e, J - 1)
-                g = np.tile(g, len(tower.stage(J - 1).offsets))
-                order = np.argsort(g, kind="stable")
-                s, e, g = s[order], e[order], g[order]
-            m = grid[g // r]
-            cut = tower.stage(J).h - m
-            a, b = s + m, np.minimum(e, cut) + m
-            xs, xe = tower.range_arrays(xj, J)
-            k = np.searchsorted(xs, b)[:, None] - np.array([2, 1])
-            kk = np.maximum(k, 0)
-            run = np.minimum(b[:, None], xe[kk]) - np.maximum(a[:, None], xs[kk])
-            hit = (k >= 0) & (run > 0)
-            found.append((np.full(hit.sum(), J), g[np.nonzero(hit)[0]], k[hit] % r,
-                          run[hit]))
-            s = np.maximum(s, cut)
-            keep = e > s
-            s, e, g = s[keep], e[keep], g[keep]
-            if not len(s):
-                break
-        slack = np.zeros(len(ms), dtype=tower.dtype)  # left at the last stage, J
-        np.add.at(slack, g // r, (e - s) * units[J])
-        pairs, extra = [[] for _ in ms], [[] for _ in ms]
-        seen, mass = [set() for _ in ms], [0] * len(ms)
-        # the hits by group, each group's in (stage, level) order
-        Js, gs, ts, runs = (np.concatenate(x) for x in zip(*found))
-        order = np.argsort(gs, kind="stable")
-        for J, gi, t, n in zip(*(x[order].tolist() for x in (Js, gs, ts, runs))):
-            row, src = divmod(gi, r)
-            w = tower.stage(J).base_measure
-            if J == j + 1:
-                pairs[row].append((src, t, n * w))
-            else:
-                extra[row].append((src, t, w, n))
-            seen[row].add((src, t))
-            mass[row] += n * units[J]
-        for row, m in enumerate(ms):
-            left = int(slack[row])
-            report.rows.append(
-                SidonCheckRow(
-                    m=m,
-                    pairs=pairs[row],
-                    resolved_extra=extra[row],
-                    slack=Fraction(left, units[1]),
-                    total_mass=Fraction(mass[row], units[1]),
-                    strict_ok=len(seen[row]) <= 1,
-                    relaxed_ok=mass[row] + left <= st_j.h * units[j + 1],
-                )
-            )
+        grid = np.array(ms, dtype=tower.dtype)[:, None]
+        dk, dn = _column_pair_hits(offs, h, correlation._descend(tower, grid, j + 1, j + 1))
+        keys, n = _column_pair_hits(offs, h, correlation._descend(tower, grid, top, j + 1))
+        order = np.argsort(keys)
+        first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+        keys, n = keys[order][first], np.add.reduceat(n[order], first) * units[top]
+        dn = dn * units[j + 1]
+        back = n.copy()  # the escape returns
+        back[np.searchsorted(keys, dk)] -= dn
+        row, mass = keys // (r * r), np.zeros(len(ms), dtype=tower.dtype)
+        np.add.at(mass, row, n)
+        slack = (h * units[j] // units[top]  # |X_j| at top, less what is below h_top - m
+                 - tower.count_below(xj, top, tower.stage(top).h - grid[:, 0])) * units[top]
+        rows = zip(ms, by_row(dk, dn), by_row(keys[back != 0], back[back != 0]),
+                   np.bincount(row, minlength=len(ms)).tolist(), mass.tolist(), slack.tolist())
+        report.rows += [SidonCheckRow(m, p, x, frac(left), frac(total), seen <= 1,
+                                      total + left <= bound)
+                        for m, p, x, seen, total, left in rows]
     return report

@@ -516,6 +516,7 @@ class TestErrors:
         ("poisson", {"mode": "triple", "mn_grid": [[1, 1]],
                      "events": [{"set": X2, "count": 0}] * 2}, "events"),
         ("homoclinic", {"mode": "sweep"}, "j_range"),
+        ("flow", {"rect": [0, 1, -0.5, 1], "n_grid": [0, 3]}, "rect"),
     ])
     def test_bad_grid_or_sample_type(self, tmp_path, capsys, cmd, extra, field):
         path = self._write_config(tmp_path, cmd, extra)
@@ -618,18 +619,24 @@ class TestCorr:
     # deep_spec's 57-stage tower, A = B = C = {0} at stage 1: m = h_j - 1
     # stops about ten stages above j.  Both modes count at the sets' own
     # stage, so neither outgrows the address-space limit of the child.
+    # check-sidon resolves escapes of X_3 up to the top stage, 57, where
+    # X_3 lifted would be 2^54 ranges; it counts X_3 at its own stage too.
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="RLIMIT_AS is enforced on Linux")
     @pytest.mark.parametrize("mode, j, code", [("pair", 20, 0), ("pair", 40, 0),
                                                ("triple", 16, 0), ("triple", 20, 0),
-                                               ("triple", 40, 0)])
+                                               ("triple", 40, 0), ("check-sidon", 3, 0)])
     def test_deep_tower_under_memory_limit(self, tmp_path, mode, j, code):
         tower = Tower(deep_spec(random.Random(0)), depth=57)
         one = {"stage": 1, "ranges": [[0, 1]]}
         m = tower.stage(j).h - 1
+        cmd, report = "corr", "corr.csv"
         cfg = {"construction": tower.spec.to_dict(), "A": one, "B": one, "m": m}
         if mode == "triple":
             cfg.update({"C": one, "n": 0})
+        elif mode == "check-sidon":
+            cmd, report = mode, "check_sidon.csv"
+            cfg = {"construction": tower.spec.to_dict(), "stage": j, "escape_depth": 53}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out = tmp_path / "o"
@@ -641,7 +648,7 @@ class TestCorr:
         src = str(Path(sidonlab.__file__).resolve().parents[1])
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", child, "corr", "--config", str(path),
+        proc = subprocess.run([sys.executable, "-c", child, cmd, "--config", str(path),
                                "--out", str(out)], env=env, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == code, proc.stderr
@@ -649,10 +656,17 @@ class TestCorr:
             (line,) = proc.stderr.splitlines()
             err = json.loads(line)
             assert err["code"] == 3 and "MemoryError" in err["message"]
-            assert not (out / "corr.csv").exists()
+            assert not (out / report).exists()
             return
         assert proc.stderr == ""
-        _, header, (row,) = read_report(out / "corr.csv")
+        _, header, rows = read_report(out / report)
+        if mode == "check-sidon":
+            want = sidon_property_check(tower, j, depth=53).rows
+            assert rows == [[str(r.m), str(len(r.pairs)), str(len({p[1] for p in r.pairs})),
+                             str(r.strict_ok), str(r.relaxed_ok), str(r.slack.numerator),
+                             str(r.slack.denominator)] for r in want]
+            return
+        (row,) = rows
         A = LevelSet.from_ranges(1, [(0, 1)])
         (enc,) = (triple_enclosure_grid(A, A, A, 0, [m], tower) if mode == "triple"
                   else pair_enclosure_grid(A, A, [m], tower))

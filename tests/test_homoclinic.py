@@ -700,6 +700,13 @@ class TestFlow:
                 demo_tower, FlowParams("exp", 1.0, rect=(0.0, 0.0, 0.0, 1.0)), 0, 10, 0
             )
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_rect_below_the_tower(self, demo_tower, n):
+        # y in [c, d) is a coordinate of the tower, which starts at 0
+        with pytest.raises(ValueError, match="c >= 0"):
+            flow_defect(demo_tower, FlowParams("exp", 1.0, rect=(0.0, 1.0, -0.5, 1.0)),
+                        n, 10, 0)
+
     def test_decreasing_in_n(self, demo_tower):
         params = FlowParams("reciprocal", 1.0)
         d0, e0 = flow_defect(demo_tower, params, 0, 8000, 11)

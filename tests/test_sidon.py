@@ -159,66 +159,45 @@ def reference_descend_level(tower, J, level, target_stage):
 
 
 def reference_property_check(tower, j, depth=1, m_stride=1):
-    """sidon_property_check with one descent and one Fraction add per hit
-    level, as it was before the per-range attribution."""
+    """sidon_property_check as a LevelSet loop.  Per stage J from j+1, each
+    source column's levels below h_J - m, shifted by m, are intersected
+    with each target column lifted to J; the rest is lifted one stage, at
+    most ``depth`` times, and what is left at the last stage is slack.
+    Escape returns are listed per (stage, source, target), so one pair can
+    appear more than once."""
     st_j, st_j1 = tower.stage(j), tower.stage(j + 1)
-    tower.stage(min(tower.depth, j + 1 + depth))
-    h_j, h_j1 = st_j.h, st_j1.h
-    offs = st_j.offsets
-    r = len(offs)
-    base1 = st_j1.base_measure
-    bound = h_j * base1
-    xj_lifts = {}
+    top = min(tower.depth, j + 1 + depth)
+    h_j, offs = st_j.h, st_j.offsets
+    cols = [LevelSet.from_ranges(j + 1, [(o, o + h_j)]) for o in offs]
+    lifts = {}
 
-    def xj_at(J):
-        if J not in xj_lifts:
-            xj_lifts[J] = tower.lift(tower.full_tower(j), J)
-        return xj_lifts[J]
+    def lifted(t, J):  # target column t at stage J; t = None for all of X_j
+        if (t, J) not in lifts:
+            lifts[t, J] = tower.lift(tower.full_tower(j) if t is None else cols[t], J)
+        return lifts[t, J]
 
-    report = SidonCheckReport(j=j, depth=depth, m_stride=m_stride, bound=bound)
-    for m in range(h_j + 1, h_j1 + 1, m_stride):
-        pairs = []
-        total = Fraction(0)
-        esc_by_src = []
-        for i in range(r):
-            lo_lvl, hi_lvl = offs[i], offs[i] + h_j
-            cut = h_j1 - m
-            res_hi = min(hi_lvl, cut)
-            if res_hi > lo_lvl:
-                a, b = lo_lvl + m, res_hi + m
-                i2 = bisect.bisect_right(offs, b - 1) - 1
-                for t in range(max(0, i2 - 1), min(r, i2 + 2)):
-                    ov = min(b, offs[t] + h_j) - max(a, offs[t])
-                    if ov > 0:
-                        pairs.append((i, t, ov * base1))
-                        total += ov * base1
-            if hi_lvl > max(lo_lvl, cut):
-                esc_by_src.append(
-                    (i, LevelSet.from_ranges(j + 1, [(max(lo_lvl, cut), hi_lvl)]))
-                )
-        resolved_extra = []
-        slack = Fraction(0)
-        for src, esc in esc_by_src:
-            J = j + 1
-            cur = esc
-            for _ in range(depth):
-                if J + 1 > tower.depth:
-                    break
-                cur = tower.lift(cur, J + 1)
-                J += 1
+    report = SidonCheckReport(j=j, depth=depth, m_stride=m_stride,
+                              bound=h_j * st_j1.base_measure)
+    for m in range(h_j + 1, st_j1.h + 1, m_stride):
+        pairs, resolved_extra = [], []
+        total = slack = Fraction(0)
+        for i, cur in enumerate(cols):
+            for J in range(j + 1, top + 1):
+                if J > j + 1:
+                    cur = tower.lift(cur, J)
                 stJ = tower.stage(J)
-                hits = cur.clip(0, stJ.h - m).shift(m).intersect(xj_at(J))
-                for lvl in hits.levels():
-                    l1 = reference_descend_level(tower, J, lvl, j + 1)
-                    tgt = bisect.bisect_right(offs, l1) - 1
-                    resolved_extra.append((src, tgt, stJ.base_measure))
-                    total += stJ.base_measure
+                hits = cur.clip(0, stJ.h - m).shift(m).intersect(lifted(None, J))
+                for t in range(len(cols)) if hits.count() else ():
+                    n = hits.intersect(lifted(t, J)).count()
+                    if n:
+                        (pairs if J == j + 1 else resolved_extra).append(
+                            (i, t, n * stJ.base_measure))
+                        total += n * stJ.base_measure
                 cur = cur.clip(stJ.h - m, stJ.h)
                 if cur.is_empty():
                     break
-            if not cur.is_empty():
-                slack += cur.count() * tower.stage(cur.stage).base_measure
-        nonempty = {(a, b) for a, b, _ in pairs} | {(a, b) for a, b, _ in resolved_extra}
+            slack += cur.count() * tower.stage(cur.stage).base_measure
+        nonempty = {(a, b) for a, b, _ in pairs + resolved_extra}
         report.rows.append(
             SidonCheckRow(
                 m=m,
@@ -227,20 +206,22 @@ def reference_property_check(tower, j, depth=1, m_stride=1):
                 slack=slack,
                 total_mass=total,
                 strict_ok=len(nonempty) <= 1,
-                relaxed_ok=total + slack <= bound,
+                relaxed_ok=total + slack <= report.bound,
             )
         )
     return report
 
 
-def expanded(report):
-    """The report with each escape-return run (source, target, w, n) written
-    out as n per-level entries (source, target, w), as
-    ``reference_property_check`` lists them."""
-    assert all(e[3] >= 1 for r in report.rows for e in r.resolved_extra)
-    rows = [dataclasses.replace(r, resolved_extra=[e[:3] for e in r.resolved_extra
-                                                   for _ in range(e[3])])
-            for r in report.rows]
+def per_pair(report):
+    """The report with each row's escape returns summed per (source,
+    target), in pair order, as ``sidon_property_check`` lists them."""
+    rows = []
+    for row in report.rows:
+        mass = {}
+        for src, tgt, w in row.resolved_extra:
+            mass[src, tgt] = mass.get((src, tgt), 0) + w
+        rows.append(dataclasses.replace(
+            row, resolved_extra=[(*pair, w) for pair, w in sorted(mass.items())]))
     return dataclasses.replace(report, rows=rows)
 
 
@@ -520,6 +501,12 @@ class TestPropertyCheck:
         rep = sidon_property_check(demo_tower, 2, m_stride=7)
         assert len(rep.rows) == 10
 
+    @pytest.mark.parametrize("kw, message", [({"m_stride": 0}, "m_stride must be >= 1"),
+                                             ({"depth": -1}, "depth must be >= 0")])
+    def test_bad_arguments(self, demo_tower, kw, message):
+        with pytest.raises(ValueError, match=message):
+            sidon_property_check(demo_tower, 2, **kw)
+
     def test_descend_vs_reference(self, demo_tower):
         rng = random.Random(8)
         for J in range(1, demo_tower.depth + 1):
@@ -535,16 +522,20 @@ class TestPropertyCheck:
     def test_vs_reference_loop(self, demo_tower, j, depth, stride):
         new = sidon_property_check(demo_tower, j, depth=depth, m_stride=stride)
         ref = reference_property_check(demo_tower, j, depth=depth, m_stride=stride)
-        assert expanded(new) == ref
+        assert new == per_pair(ref)
         # the cases attribute escape returns to columns
         assert any(row.resolved_extra for row in new.rows)
 
-    def test_escape_returns_kept_as_runs(self, demo_tower):
-        # 542,765 escape-return levels at (4, 1, 97), in 741 hit runs
+    def test_escape_returns_per_pair(self, demo_tower):
+        # 542,765 escape-return levels of stage 6 at (4, 1, 97), on 741
+        # (shift, pair)s; at m = 59955 each column returns onto itself
         rep = sidon_property_check(demo_tower, 4, m_stride=97)
         extra = [e for row in rep.rows for e in row.resolved_extra]
-        assert len(extra) < 1000
-        assert sum(e[3] for e in extra) == 542_765
+        w6 = demo_tower.stage(6).base_measure
+        assert len(extra) == 741 and sum(e[2] for e in extra) == 542_765 * w6
+        (row,) = (row for row in rep.rows if row.m == 59955)
+        assert row.pairs == [] and row.resolved_extra == sorted(
+            [(i, i, 1435 * w6) for i in range(7)] + [(4, 3, 28 * w6)])
 
     def test_random_specs_vs_reference(self):
         # spacers of 0 put copies of X_j edge to edge, so the reference's
@@ -560,8 +551,8 @@ class TestPropertyCheck:
             for j in range(1, tower.depth):
                 depth, stride = rng.choice([0, 1, 2, 5]), rng.choice([1, 1, 2, 3])
                 new = sidon_property_check(tower, j, depth=depth, m_stride=stride)
-                assert expanded(new) == reference_property_check(tower, j, depth=depth,
-                                                                 m_stride=stride)
+                assert new == per_pair(reference_property_check(tower, j, depth=depth,
+                                                                m_stride=stride))
 
     def test_object_dtype_vs_reference(self):
         # the last spacer passes 2^63, so the ranges are exact Python ints
@@ -570,23 +561,36 @@ class TestPropertyCheck:
         tower = Tower(spec, depth=3)
         assert tower.dtype is object
         new = sidon_property_check(tower, 1)
-        assert expanded(new) == reference_property_check(tower, 1)
+        assert new == per_pair(reference_property_check(tower, 1))
         assert any(row.resolved_extra for row in new.rows)
         new = sidon_property_check(tower, 2, m_stride=2**60 + 1)
-        assert expanded(new) == reference_property_check(tower, 2, m_stride=2**60 + 1)
+        assert new == per_pair(reference_property_check(tower, 2, m_stride=2**60 + 1))
         assert len(new.rows) > 1
 
-    @pytest.mark.parametrize("chunk", [1, 400])  # rows per chunk: 1 and 10
+    @pytest.mark.parametrize("chunk", [1, 400])  # rows per chunk: 1 and 40
     def test_chunked_grid(self, demo_tower, monkeypatch, chunk):
         whole = sidon_property_check(demo_tower, 3, depth=2, m_stride=7)
         monkeypatch.setattr(correlation, "CHUNK", chunk)
         assert sidon_property_check(demo_tower, 3, depth=2, m_stride=7) == whole
-        assert expanded(whole) == reference_property_check(demo_tower, 3, depth=2,
-                                                           m_stride=7)
+        assert whole == per_pair(reference_property_check(demo_tower, 3, depth=2, m_stride=7))
+
+    def test_chunked_wide_stage(self, monkeypatch):
+        # X_2 in r = 102 columns (Singer q = 101): at CHUNK = 64 a chunk is
+        # one shift, and a step of the column counts one point
+        spec = ConstructionSpec(1, (StageParams(2, (0, 1)),
+                                    optimal_stage_params(3, singer_set(101)),
+                                    StageParams(2, (1, 2))))
+        tower = Tower(spec, depth=4)
+        stride = tower.stage(3).h // 12
+        whole = sidon_property_check(tower, 2, m_stride=stride)
+        assert any(row.resolved_extra for row in whole.rows)
+        monkeypatch.setattr(correlation, "CHUNK", 64)
+        assert sidon_property_check(tower, 2, m_stride=stride) == whole
+        assert whole == per_pair(reference_property_check(tower, 2, m_stride=stride))
 
     # one row; escapes lifted to the top stage; every escape left as slack
     @pytest.mark.parametrize("j, depth, stride", [(2, 1, 2**63), (3, 10**30, 7), (1, 0, 1)])
     def test_edge_configs_vs_reference(self, demo_tower, j, depth, stride):
         new = sidon_property_check(demo_tower, j, depth=depth, m_stride=stride)
-        assert expanded(new) == reference_property_check(demo_tower, j, depth=depth,
-                                                         m_stride=stride)
+        assert new == per_pair(reference_property_check(demo_tower, j, depth=depth,
+                                                        m_stride=stride))
