@@ -48,7 +48,7 @@ from .homoclinic import (
     wandering_check,
 )
 from .poisson import mixing_report, triple_mixing_report
-from .sidon import GeneratorBudgetError, sidon_property_check
+from .sidon import GeneratorBudgetError, ShiftBudgetError, sidon_property_check
 
 
 def _fail(code: int, module: str, message: str, context: dict | None = None):
@@ -346,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         _fail(2, "cli", str(e), {"config": args.config})
     try:
         COMMANDS[args.command](cfg, digest, args)
-    except (ConfigError, SpecValidationError) as e:
+    except (ConfigError, SpecValidationError, ShiftBudgetError) as e:
         _fail(2, "cli", str(e), {"field": getattr(e, "field", "")})
     except GeneratorBudgetError as e:
         _fail(2, "sidon", str(e), e.context)

@@ -185,13 +185,16 @@ def parse_epsilon(cfg: dict, args=None) -> Fraction | None:
         raise ConfigError(f"--epsilon-den must be >= 1, got {den}", "epsilon")
     if den is not None and num is None:
         raise ConfigError("--epsilon-den needs --epsilon-num", "epsilon")
+    if num is not None and num < 0:
+        raise ConfigError(f"--epsilon-num must be >= 0, got {num}", "epsilon")
     if num is not None:
         return Fraction(num, den or 1)
     if "epsilon" in cfg:
         e = cfg["epsilon"]
         _require_keys(e, {"num", "den"}, set(), "epsilon")
-        if not (_is_int(e["num"]) and _is_int(e["den"]) and e["den"] >= 1):
-            raise ConfigError("epsilon: num and den must be integers, den >= 1", "epsilon")
+        if not (_is_int(e["num"]) and _is_int(e["den"]) and e["num"] >= 0 and e["den"] >= 1):
+            raise ConfigError("epsilon: num and den must be integers, num >= 0, den >= 1",
+                              "epsilon")
         return Fraction(e["num"], e["den"])
     return None
 

@@ -1,4 +1,4 @@
-"""Certified pair/triple correlation measures under the tower map.
+"""Certified correlation measures of two or more sets under the tower map.
 
 The computations return enclosures: escapes into not-yet-built spacer mass
 are tracked as interval slack instead of being guessed.  Escape recursion
@@ -93,19 +93,21 @@ def _enclosures(tower, stop, hits, esc, where):
     return [encs[i] for i in where.tolist()]
 
 
-# -- whole-grid pair correlations -----------------------------------------
+# -- shift grids: one descent for pairs, triples and every order ----------
 #
-# Stopped at stage J, the per-shift escape loop (resolve B below h_J - m,
-# lift the escaped top, repeat) has lo = w_J X_J(m) and
-# hi - lo = w_J |B_J intersect [h_J - m, h_J)|, where
-# X_J(d) = |(B_J + d) intersect A_J| for -h_J < d < h_J and 0 beyond: a hit
-# resolved at an earlier stage lifts to hits at J, and what is still in the
-# top m levels at J is exactly what the loop has not resolved.  Lifting both
-# sets one stage gives X_{J+1}(d) = sum over column pairs (a, b) of
-# X_J(d + o_b - o_a).  So one table of X serves every shift: it is counted
-# at the sets' stage, lifted densely while small, and read through that
-# recursion at the stages above.  A dense table and its indices lie below
-# 2 h_K <= DENSE_MAX + 1, so they are int64 on object-dtype towers too.
+# With t_i = m + g_i, stopped at stage J, the per-shift escape loop (resolve
+# below h_J - t_s, lift the escaped top, repeat) has lo = w_J Y_J(t) and
+# hi - lo = w_J |B_s,J intersect [h_J - t_s, h_J)|, where
+# Y_J(d) = |A_J intersect (B_1,J + d_1) intersect ... intersect (B_s,J + d_s)|:
+# a hit resolved at an earlier stage lifts to hits at J, and only B_s, with
+# the largest shift, can still be in the top levels.  Lifting every set one
+# stage gives Y_{J+1}(d) = the sum over one column o_a of A and one o_{b_i} of
+# each B_i of Y_J(d_i + o_{b_i} - o_a).  So _descend takes each row t down to
+# the sets' stage K, where Y_K(d) counts A_K under the intersection of the
+# B_i,K + e_i, shifted by d_1, with e_i = d_i - d_1: one chain per tuple e.
+# For s = 1 one table of X = Y serves every shift: counted at the sets'
+# stage, lifted densely while small, read at the stages above.  A dense table
+# and its indices lie below 2 h_K <= DENSE_MAX + 1: int64 on any tower.
 
 # The largest table of X (entries, 8 MiB of int64) that is kept dense.
 DENSE_MAX = 1 << 20
@@ -196,45 +198,54 @@ def _descend(tower, d, J, K):
             todo.append((k - 1, rows[first], d[first], np.add.reduceat(w, first)))
 
 
-def pair_enclosure_grid(
-    A: LevelSet,
-    B: LevelSet,
-    ms,
-    tower: Tower,
-    epsilon: Fraction | None = None,
-) -> list[MeasureEnclosure]:
-    """Enclosures of mu(A intersect T^m B) for every m of ``ms``, in order,
-    from one table of X (see above)."""
-    tower.validate_set(A)
-    tower.validate_set(B)
-    ms = _checked_shifts(tower, ms)
+def _shift_grid(sets, gaps, ms, tower: Tower, epsilon) -> list[MeasureEnclosure]:
+    """Enclosures of mu(A intersect T^{m+g_1} B_1 ... intersect T^{m+g_s} B_s)
+    for sets (A, B_1, ..., B_s), gaps 0 = g_1 <= ... <= g_s and every m of
+    ``ms``, in order, by one descent (see above)."""
+    if any(g < 0 for g in gaps):
+        raise ValueError("shift n must be >= 0")
+    for X in sets:
+        tower.validate_set(X)
+    ms = _checked_shifts(tower, ms, gaps[-1])
     if not ms:
         return []
     if epsilon is None:
-        epsilon = default_epsilon(tower, A)
-    js = max(A.stage, B.stage)
+        epsilon = default_epsilon(tower, sets[0])
+    A, *Bs = sets
+    K = max(X.stage for X in sets)
     shifts, where = np.unique(np.array(ms, dtype=tower.dtype), return_inverse=True)
-    stop, esc = _stopping_stages(tower, B, js, shifts, epsilon)
-
-    # X at each stopping stage, read from the table of X_K: dense and lifted
-    # stage by stage while it has at most DENSE_MAX entries; counted at just
-    # the points read when the sets' own stage is already taller
+    stop, esc = _stopping_stages(tower, Bs[-1], K, shifts + gaps[-1], epsilon)
     size = lambda k: 2 * tower.stage(k).h - 1
-    X = np.zeros(len(shifts), dtype=tower.dtype)
-    K, table = js, None
-    if size(js) <= DENSE_MAX:
-        table = _dense_table(tower, A, B, js)
+    table = _dense_table(tower, A, Bs[0], K) if len(Bs) == 1 and size(K) <= DENSE_MAX else None
+    hits = np.zeros(len(shifts), dtype=tower.dtype)
     for J in np.unique(stop).tolist():
         while table is not None and K < J and size(K + 1) <= DENSE_MAX:
             table = _lift_table(tower, table, K)
             K += 1
         at = np.flatnonzero(stop == J)
-        for rows, d, w in _descend(tower, shifts[at, None], J, K):
-            vals = (table[(d[:, 0] + tower.stage(K).h - 1).astype(np.int64, copy=False)]
-                    if table is not None
-                    else _range_counts(tower, A, *tower.range_arrays(B, K), K, d[:, 0]))
-            np.add.at(X, at[rows], w * vals)
-    return _enclosures(tower, stop, X, esc, where)
+        for rows, d, w in _descend(tower, shifts[at, None] + np.array(gaps, dtype=tower.dtype),
+                                   J, K):
+            if table is not None:
+                vals = table[(d[:, 0] + tower.stage(K).h - 1).astype(np.int64, copy=False)]
+                np.add.at(hits, at[rows], w * vals)
+                continue
+            e = d[:, 1:] - d[:, :1]
+            order = np.lexsort((d[:, 0], *e.T[::-1]))
+            rows, d, w, e = rows[order], d[order, 0], w[order], e[order]
+            cuts = np.flatnonzero(np.r_[True, (e[1:] != e[:-1]).any(axis=1), True]).tolist()
+            for i, j in zip(cuts, cuts[1:]):  # one D = B_1 cap (B_2 + e_2) cap ... per e
+                D = tower.range_arrays(Bs[0], K)
+                for B, x in zip(Bs[1:], e[i]):
+                    s, t = tower.range_arrays(B, K)
+                    D = _intersection(s + x, t + x, *D)
+                np.add.at(hits, at[rows[i:j]], w[i:j] * _range_counts(tower, A, *D, K, d[i:j]))
+    return _enclosures(tower, stop, hits, esc, where)
+
+
+def pair_enclosure_grid(A: LevelSet, B: LevelSet, ms, tower: Tower,
+                        epsilon: Fraction | None = None) -> list[MeasureEnclosure]:
+    """Enclosures of mu(A intersect T^m B) for every m of ``ms``, in order."""
+    return _shift_grid((A, B), (0,), ms, tower, epsilon)
 
 
 def pair_enclosure(
@@ -249,51 +260,11 @@ def pair_enclosure(
     return pair_enclosure_grid(A, B, [m], tower, epsilon)[0]
 
 
-# -- whole-grid triple correlations ---------------------------------------
-#
-# With t = m + n, stopped at stage J as for pairs, the triple loop has
-# lo = w_J Y_J(m, t), Y_J(d, e) = |A_J intersect (B_J + d) intersect (C_J + e)|,
-# and slack w_J |C_J intersect [h_J - t, h_J)|.  Y lifts as X does, so
-# _descend takes (m, t) down to the sets' stage K, where Y_K(d, e) counts A_K
-# under (B_K intersect (C_K + e - d)) + d: one intersection per e - d.
-
-
-def triple_enclosure_grid(
-    A: LevelSet,
-    B: LevelSet,
-    C: LevelSet,
-    n: int,
-    ms,
-    tower: Tower,
-    epsilon: Fraction | None = None,
-) -> list[MeasureEnclosure]:
+def triple_enclosure_grid(A: LevelSet, B: LevelSet, C: LevelSet, n: int, ms, tower: Tower,
+                          epsilon: Fraction | None = None) -> list[MeasureEnclosure]:
     """Enclosures of mu(A intersect T^m B intersect T^{m+n} C) for every m
-    of ``ms``, in order, by one two-shift descent (see above)."""
-    if n < 0:
-        raise ValueError("shift n must be >= 0")
-    for X in (A, B, C):
-        tower.validate_set(X)
-    ms = _checked_shifts(tower, ms, n)
-    if not ms:
-        return []
-    if epsilon is None:
-        epsilon = default_epsilon(tower, A)
-    K = max(A.stage, B.stage, C.stage)
-    shifts, where = np.unique(np.array(ms, dtype=tower.dtype), return_inverse=True)
-    stop, esc = _stopping_stages(tower, C, K, shifts + n, epsilon)
-    cs, ce = tower.range_arrays(C, K)
-    hits = np.zeros(len(shifts), dtype=tower.dtype)
-    for J in np.unique(stop).tolist():
-        at = np.flatnonzero(stop == J)
-        for rows, d, w in _descend(tower, np.stack((shifts[at], shifts[at] + n), axis=1), J, K):
-            e = d[:, 1] - d[:, 0]
-            order = np.argsort(e)
-            rows, d, w, e = rows[order], d[order, 0], w[order], e[order]
-            cuts = np.flatnonzero(np.r_[True, e[1:] != e[:-1], True]).tolist()
-            for i, j in zip(cuts, cuts[1:]):  # one D = B_K intersect (C_K + e) per e
-                D = _intersection(cs + e[i], ce + e[i], *tower.range_arrays(B, K))
-                np.add.at(hits, at[rows[i:j]], w[i:j] * _range_counts(tower, A, *D, K, d[i:j]))
-    return _enclosures(tower, stop, hits, esc, where)
+    of ``ms``, in order."""
+    return _shift_grid((A, B, C), (0, n), ms, tower, epsilon)
 
 
 def triple_enclosure(

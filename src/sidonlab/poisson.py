@@ -20,7 +20,6 @@ import numpy as np
 from .construction import (GRID, LevelSet, NeedsMoreStages, Tower, _draw_points, _inside,
                            _pick_levels)
 from . import correlation
-from .correlation import pair_enclosure_grid, triple_enclosure_grid
 from .enclosure import MeasureEnclosure
 
 
@@ -120,40 +119,42 @@ def normalization_check(mu: Fraction) -> tuple[float, int]:
 # joint probabilities via disjoint-atom decomposition
 
 
-def _triple_joint(
-    mu, pairs, t: float, counts: tuple[int, int, int]
-) -> float:
-    mu_a, mu_b, mu_c = mu
-    cab, cac, cbc = pairs
-    na, nb, nc = counts
-    atoms = {
-        "t": t,
-        "ab": cab - t,
-        "ac": cac - t,
-        "bc": cbc - t,
-        "a": mu_a - cab - cac + t,
-        "b": mu_b - cab - cbc + t,
-        "c": mu_c - cac - cbc + t,
-    }
-    if any(v < 0 for v in atoms.values()):
+def _atom_law(mus, overlaps, counts) -> float:
+    """P(each event i has counts[i] points) for k events whose sets measure
+    ``mus`` and whose intersection over each subset S of two or more events
+    measures overlaps[S].  The 2^k - 1 Venn atoms hold independent Poisson
+    counts; an atom's mass is, by Moebius inversion, its subset's measure
+    less and plus those of the subset's supersets, in (size, lex) order.
+    The shared atoms' counts are summed over largest subset first, and each
+    singleton atom takes what is left of its event's count."""
+    k = len(mus)
+    subsets = [S for n in range(1, k + 1) for S in combinations(range(k), n)]
+    measure = {**{(i,): mu for i, mu in enumerate(mus)}, **overlaps}
+    mass = {}
+    for S in subsets:
+        v = measure[S]
+        for T in subsets:
+            if len(T) > len(S) and set(S).issubset(T):
+                v = v - measure[T] if (len(T) - len(S)) % 2 else v + measure[T]
+        mass[S] = v
+    if any(v < 0 for v in mass.values()):
         raise ValueError("negative atom mass")
+    shared = sorted(subsets[k:], key=len, reverse=True)
     total = 0.0
-    for kt in range(0, min(na, nb, nc) + 1):
-        for kab in range(0, min(na - kt, nb - kt) + 1):
-            for kac in range(0, min(na - kt - kab, nc - kt) + 1):
-                for kbc in range(0, min(nb - kt - kab, nc - kt - kac) + 1):
-                    ka = na - kt - kab - kac
-                    kb = nb - kt - kab - kbc
-                    kc = nc - kt - kac - kbc
-                    total += (
-                        poisson_pmf(atoms["t"], kt)
-                        * poisson_pmf(atoms["ab"], kab)
-                        * poisson_pmf(atoms["ac"], kac)
-                        * poisson_pmf(atoms["bc"], kbc)
-                        * poisson_pmf(atoms["a"], ka)
-                        * poisson_pmf(atoms["b"], kb)
-                        * poisson_pmf(atoms["c"], kc)
-                    )
+
+    def walk(at, left, p):  # p: the product of the shared atoms' factors so far
+        nonlocal total
+        if at == len(shared):
+            for i in range(k):
+                p *= poisson_pmf(mass[i,], left[i])
+            total += p
+            return
+        S = shared[at]
+        for c in range(min(left[i] for i in S) + 1):
+            walk(at + 1, [x - c if i in S else x for i, x in enumerate(left)],
+                 p * poisson_pmf(mass[S], c))
+
+    walk(0, counts, 1.0)
     return total
 
 
@@ -165,33 +166,26 @@ def _interval_grid(enc: MeasureEnclosure) -> list[float]:
 
 
 def overlap_enclosures(rows, tower: Tower, epsilon=None):
-    """For each row of events: the events sorted by shift, the intersection
-    enclosures of their shifted sets keyed by event pair (i, k), and for 3
-    events the triple one, reduced to nonnegative relative shifts.  All rows
-    share one pair grid per ordered pair of sets and one triple grid per
-    (sets, n)."""
+    """For each row of events: the events sorted by shift, and the
+    intersection enclosure of the shifted sets of each subset S of two or
+    more of them, keyed by S in (size, lex) order and reduced to nonnegative
+    relative shifts.  All rows share one shift grid per (sets, gaps)."""
     rows = [sorted(events, key=lambda e: e.shift) for events in rows]
-    shifts = {}  # (grid, its sets and n) -> the shifts asked of it, in row order
+    shifts = {}  # (sets, gaps) of a grid -> the shifts asked of it, in row order
     asked = []
     for evs in rows:
         keys = {}
-        for i, k in combinations(range(len(evs)), 2):
-            # mu(T^a A cap T^b B) = mu(A cap T^{b-a} B), b >= a
-            m = evs[k].shift - evs[i].shift
-            tower.resolving_stage(1, m)  # the first shift error, in row order
-            keys[i, k] = (pair_enclosure_grid, evs[i].set, evs[k].set)
-            shifts.setdefault(keys[i, k], []).append(m)
-        if len(evs) == 3:
-            keys["triple"] = (triple_enclosure_grid, *(e.set for e in evs),
-                              evs[2].shift - evs[1].shift)
-            shifts.setdefault(keys["triple"], []).append(evs[1].shift - evs[0].shift)
+        for S in (S for n in range(2, len(evs) + 1) for S in combinations(range(len(evs)), n)):
+            # mu(T^a A cap T^b B cap ...) = mu(A cap T^{b-a} B cap ...), a <= b <= ...
+            at = [evs[i].shift for i in S]
+            tower.resolving_stage(1, at[-1] - at[0])  # the first shift error, in row order
+            keys[S] = (tuple(evs[i].set for i in S), tuple(x - at[1] for x in at[1:]))
+            shifts.setdefault(keys[S], []).append(at[1] - at[0])
         asked.append(keys)
-    encs = {key: iter(key[0](*key[1:], ms, tower, epsilon)) for key, ms in shifts.items()}
-    out = []
-    for evs, keys in zip(rows, asked):
-        got = {q: next(encs[key]) for q, key in keys.items()}
-        out.append((evs, got, got.pop("triple", None)))
-    return out
+    encs = {key: iter(correlation._shift_grid(*key, ms, tower, epsilon))
+            for key, ms in shifts.items()}
+    return [(evs, {S: next(encs[key]) for S, key in keys.items()})
+            for evs, keys in zip(rows, asked)]
 
 
 def joint_prob(
@@ -210,31 +204,45 @@ def joint_prob(
     if len(events) == 1:
         v = marginal_prob(events[0], tower).value()
         return ProbEnclosure(v, v)
-    return _joint_law(tower, *overlap_enclosures([events], tower, epsilon)[0])
+    return _joint_law(*_law_grid(tower, *overlap_enclosures([events], tower, epsilon)[0]))
 
 
-def _joint_law(tower: Tower, evs, pairs, triple) -> ProbEnclosure:
-    """``joint_prob`` of 2 or 3 events sorted by shift, from their overlap
-    enclosures.  Two events are three with an empty third set, whose
-    overlaps are exact zeros: each factor they add is poisson_pmf(0.0, 0)."""
-    pad = 3 - len(evs)
-    mus = [float(tower.set_measure(e.set)) for e in evs] + [0.0] * pad
-    counts = tuple(e.count for e in evs) + (0,) * pad
-    zero = MeasureEnclosure(Fraction(0), Fraction(0))
-    grids = [_interval_grid(x or zero) for x in (pairs[0, 1], pairs.get((0, 2)),
-                                                 pairs.get((1, 2)), triple)]
+# The most convolution terms that one row's joint law may take over its grid
+# points: the product over the shared atoms of (their least count + 1) and
+# of the points per overlap.
+LAW_TERMS_MAX = 1 << 22
+
+
+def _law_grid(tower: Tower, evs, overlaps):
+    """The measures, counts and overlap grid points of the joint law of 2
+    or more events sorted by shift, from their overlap enclosures; a row
+    past LAW_TERMS_MAX terms is refused."""
+    mus = [float(tower.set_measure(e.set)) for e in evs]
+    counts = tuple(e.count for e in evs)
+    grids = {S: _interval_grid(enc) for S, enc in overlaps.items()}
+    terms = math.prod(len(g) * (min(counts[i] for i in S) + 1) for S, g in grids.items())
+    if terms > LAW_TERMS_MAX:
+        raise ValueError(f"the joint law of event counts {list(counts)} takes up to {terms} "
+                         f"terms, more than {LAW_TERMS_MAX}")
+    return mus, counts, grids
+
+
+def _joint_law(mus, counts, grids) -> ProbEnclosure:
+    """``joint_prob`` from ``_law_grid``: the atom law at every grid point,
+    each overlap clamped to those of its subsets one smaller, in (size, lex)
+    order; a point whose atoms stay negative is skipped."""
     clamped = False
     values = []
-    for cab, cac, cbc, t in product(*grids):
-        # clamp to a consistent atom system
-        c = (min(cab, mus[0], mus[1]), min(cac, mus[0], mus[2]), min(cbc, mus[1], mus[2]))
-        t2 = min(t, *c)
+    for point in product(*grids.values()):
+        c = {(i,): mu for i, mu in enumerate(mus)}
+        for S, x in zip(grids, point):
+            c[S] = min(x, *(c[T] for T in combinations(S, len(S) - 1)))
         try:
-            values.append(_triple_joint(tuple(mus), c, t2, counts))
+            values.append(_atom_law(mus, {S: c[S] for S in grids}, counts))
         except ValueError:
             clamped = True
             continue
-        clamped |= (*c, t2) != (cab, cac, cbc, t)
+        clamped |= any(c[S] != x for S, x in zip(grids, point))
     if not values:
         return ProbEnclosure(0.0, 1.0, clamped=True)
     return ProbEnclosure(min(values), max(values), clamped=clamped)
@@ -380,10 +388,11 @@ def _report_rows(marginals, rows, tower: Tower, epsilon, mc_samples: int):
     and with ``mc_samples`` the mc_joint estimate at that seed."""
     prod = math.prod(marginal_prob(e, tower).value() for e in marginals)
     rows = list(rows)
-    overlaps = overlap_enclosures([evs for _, evs, _ in rows], tower, epsilon)
+    laws = [_law_grid(tower, *overlap)  # every row is checked before any law is evaluated
+            for overlap in overlap_enclosures([evs for _, evs, _ in rows], tower, epsilon)]
     out = []
-    for (keys, evs, seed), overlap in zip(rows, overlaps):
-        joint = _joint_law(tower, *overlap)
+    for (keys, evs, seed), law in zip(rows, laws):
+        joint = _joint_law(*law)
         dev_lo, dev_hi = _deviation_interval(joint, prod)
         row = {**keys, "joint_lo": joint.lo, "joint_hi": joint.hi, "product": prod,
                "dev_lo": dev_lo, "dev_hi": dev_hi}

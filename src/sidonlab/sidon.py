@@ -589,6 +589,16 @@ def _column_pair_hits(offs, h, points):
     return np.concatenate(keys), np.concatenate(vals)
 
 
+# The most shifts one property check reads: each is a report row, held in memory.
+CHECK_SHIFTS_MAX = 1 << 32
+
+
+class ShiftBudgetError(ValueError):
+    """A property check of more than CHECK_SHIFTS_MAX shifts."""
+
+    field = "m_stride"  # the option that checks fewer shifts
+
+
 def sidon_property_check(
     tower: Tower, j: int, depth: int = 1, m_stride: int = 1
 ) -> SidonCheckReport:
@@ -610,6 +620,10 @@ def sidon_property_check(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     st_j, st_j1 = tower.stage(j), tower.stage(j + 1)
+    count = (st_j1.h - st_j.h - 1) // m_stride + 1  # the shifts checked
+    if count > CHECK_SHIFTS_MAX:
+        raise ShiftBudgetError(f"stage {j} has {count} shifts to check at m_stride {m_stride}, "
+                               f"more than {CHECK_SHIFTS_MAX}; raise m_stride")
     top = min(tower.depth, j + 1 + depth)
     h, offs, units = st_j.h, np.array(st_j.offsets, dtype=tower.dtype), tower.units
     r = len(offs)

@@ -229,6 +229,36 @@ class TestErrors:
         assert header[:4] == ["n", "joint_lo", "joint_hi", "product"]
         assert rows == [["0", "0.0", "0.0", "0.0", "0.0", "0.0"]]
 
+    # h_3 - h_2 = 2^64 + 3 shifts to check at stride 1
+    def test_check_sidon_too_many_shifts(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "construction": {"h1": 1, "stages": [{"r": 2, "s": [0, 1]},
+                                                 {"r": 2, "s": [0, 2**64]}]},
+            "stage": 2, "escape_depth": 0}))
+        out = tmp_path / "o"
+        assert run_cli(["check-sidon", "--config", str(cfg), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["context"]["field"] == "m_stride"
+        assert f"{2**64 + 3} shifts" in err["message"]
+        assert not out.exists()
+
+    # A Poisson triple of 1000 points per event: about 4e10 convolution
+    # terms, refused before any law is evaluated
+    def test_poisson_counts_past_the_term_bound(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "construction": RUNNING_SPEC.to_dict(), "mode": "triple", "mn_grid": [[0, 1]],
+            "events": [{"set": X2, "count": 1000}] * 3}))
+        out = tmp_path / "o"
+        assert run_cli(["poisson", "--config", str(cfg), "--out", str(out)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["code"] == 3 and err["message"].startswith("ValueError")
+        assert "[1000, 1000, 1000]" in err["message"]
+        assert not out.exists()
+
     def test_summary_past_float_range(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"construction": {"h1": 1, "stages": [{"r": 2,
@@ -308,7 +338,8 @@ class TestErrors:
                                       ["flow", "--seed", "0", "--epsilon-den", "2"],
                                       ["wandering", "--epsilon-num", "1"],
                                       ["retention", "--epsilon-num", "0",
-                                       "--epsilon-den", "3"]])
+                                       "--epsilon-den", "3"],
+                                      ["--epsilon-num", "-5"]])
     def test_bad_flag(self, tmp_path, capsys, flag):
         name, flags = (flag[0], flag[1:]) if flag[0] in self.FLAG_RUNS else ("corr", flag)
         cmd, keys = self.FLAG_RUNS[name]
@@ -341,17 +372,19 @@ class TestErrors:
         assert err["context"]["field"] == "psi"
 
     def test_config_epsilon_den_zero(self, tmp_path, capsys):
-        cfg = tmp_path / "corr.json"
-        cfg.write_text(json.dumps({
-            "construction": RUNNING_SPEC.to_dict(),
-            "A": {"stage": 2, "ranges": [[0, 3]]},
-            "B": {"stage": 2, "ranges": [[0, 3]]},
-            "m": 3,
-            "epsilon": {"num": 1, "den": 0},
-        }))
-        assert run_cli(["corr", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["context"]["field"] == "epsilon"
+        # and a negative num, which would run as epsilon = 0
+        for epsilon in ({"num": 1, "den": 0}, {"num": -1, "den": 1}):
+            cfg = tmp_path / "corr.json"
+            cfg.write_text(json.dumps({
+                "construction": RUNNING_SPEC.to_dict(),
+                "A": {"stage": 2, "ranges": [[0, 3]]},
+                "B": {"stage": 2, "ranges": [[0, 3]]},
+                "m": 3,
+                "epsilon": epsilon,
+            }))
+            assert run_cli(["corr", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["context"]["field"] == "epsilon"
 
     def test_singer_walk_over_budget_refused_fast(self, tmp_path, capsys):
         # numStages=5 at alpha=1/4 asks for q = 9941: ~10^8 powers in GF(q^3)

@@ -105,6 +105,31 @@ def reference_triple(A, B, C, m, n, tower, epsilon=None):
         J += 1
 
 
+def reference_shifts(sets, ts, tower, epsilon=None):
+    """reference_triple for any number of sets: the LevelSet escape loop
+    for mu(A cap T^{t_1} B_1 cap ... cap T^{t_s} B_s), t_1 <= ... <= t_s."""
+    A, *Bs = sets
+    if epsilon is None:
+        epsilon = default_epsilon(tower, A)
+    J = tower.resolving_stage(max(X.stage for X in sets), ts[-1])
+    esc = tower.lift(Bs[-1], J)
+    lo = Fraction(0)
+    while True:
+        st = tower.stage(J)
+        hits = esc.clip(0, st.h - ts[-1])
+        # shift by t_s - t_{s-1} and meet B_{s-1}, ..., then by t_1 and meet A
+        for X, d in zip([A, *Bs[:-1]][::-1], np.diff([0, *ts])[::-1].tolist()):
+            if not hits.is_empty():
+                hits = hits.shift(d).intersect(tower.lift(X, J))
+        lo += hits.count() * st.base_measure
+        escaped = esc.clip(st.h - ts[-1], st.h)
+        esc_mass = escaped.count() * st.base_measure
+        if esc_mass == 0 or esc_mass <= epsilon or J == tower.depth:
+            return MeasureEnclosure(lo, lo + esc_mass)
+        esc = tower.lift(escaped, J + 1)
+        J += 1
+
+
 def brute_force_pair(tower, A, B, m):
     """mu(A cap T^m B) by direct shifted intersection at a stage deep
     enough that nothing escapes; None if no such stage is built."""
@@ -805,3 +830,59 @@ class TestReports:
         r0 = rows[0]
         assert r0["lo"] == demo_tower.set_measure(a.intersect(supp))
         assert all(r["lo"] <= r["hi"] for r in rows)
+
+
+class TestShiftGridOrders:
+    """The one shift grid past triples: four sets (three shifts m + g_i)
+    against the LevelSet reference loop, with the descent cut into chunks
+    of 1, 7 and CHUNK choices."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, CHUNK], ids=["1", "7", "default"])
+    def test_random_specs_four_sets(self, monkeypatch, chunk):
+        monkeypatch.setattr(correlation, "CHUNK", chunk)
+        rng = random.Random(57)
+        for i in range(30):
+            spec = random_spec(rng)
+            tower = Tower(spec, depth=rng.randint(2, len(spec.stages) + 1))
+            sets = []
+            for _ in range(4):  # dense sets, so that four of them meet
+                s = rng.randint(1, tower.depth)
+                levels = [x for x in range(tower.stage(s).h) if rng.random() < 0.8]
+                sets.append(LevelSet.from_levels(s, levels or [0]))
+            top = tower.stage(tower.depth).h
+            gaps = (0, *sorted(rng.randrange(top // 4 + 1) for _ in range(2)))
+            ms = [rng.randrange(top - gaps[-1]) for _ in range(8)]
+            eps = (None, Fraction(0), Fraction(1, 3))[i % 3]
+            fresh = Tower(spec, tower.depth)
+            got = correlation._shift_grid(sets, gaps, ms, tower, eps)
+            for m, enc in zip(ms, got, strict=True):
+                assert_same(enc, reference_shifts(sets, [m + g for g in gaps], fresh, eps))
+
+    def test_deep_tower(self, monkeypatch):
+        # gaps close to h_j, so m + g_i cross h_j and h_{j+1}, on sets of a
+        # few levels at stages 1 to 3 of deep_spec's 57-stage tower
+        deep = Tower(deep_spec(random.Random(0)), depth=57)
+        rng = random.Random(58)
+        for i, j in enumerate([4, 5, 6]):
+            h = deep.stage(j).h
+            sets = [LevelSet.from_levels(s, rng.sample(range(deep.stage(s).h), 2))
+                    for s in (1, 2, 3, rng.randint(1, 3))]
+            gaps = (0, h // 2 + rng.randint(-3, 3), h + rng.randint(-3, 3))
+            ms = [0, 1, h - gaps[2] - 1, h - 1, h, 2 * h] + rng.sample(range(2 * h), 3)
+            ms = [m for m in ms if m >= 0]
+            eps = (Fraction(1, 20), Fraction(1, 100))[i % 2]
+            fresh = Tower(deep.spec, deep.depth)
+            want = [reference_shifts(sets, [m + g for g in gaps], fresh, eps) for m in ms]
+            for chunk in (1, 7, CHUNK):
+                monkeypatch.setattr(correlation, "CHUNK", chunk)
+                got = correlation._shift_grid(sets, gaps, ms, deep, eps)
+                assert [(e.lo, e.hi) for e in got] == [(e.lo, e.hi) for e in want]
+
+    def test_pairs_and_triples_are_its_calls(self, demo_tower):
+        rng = random.Random(59)
+        A, B, C = (LevelSet.from_levels(3, rng.sample(range(77), 20)) for _ in range(3))
+        ms = [0, 5, 76, 77, 1500, 20_000]
+        assert pair_enclosure_grid(A, B, ms, demo_tower) == correlation._shift_grid(
+            (A, B), (0,), ms, demo_tower, None)
+        assert triple_enclosure_grid(A, B, C, 9, ms, demo_tower) == correlation._shift_grid(
+            (A, B, C), (0, 9), ms, demo_tower, None)

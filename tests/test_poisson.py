@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations, product
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,10 @@ from sidonlab import (
     triple_mixing_report,
 )
 from sidonlab import correlation
-from sidonlab.poisson import (overlap_enclosures, poisson_pmf, sample_poisson_count,
-                              shifted_level_set)
+from sidonlab.enclosure import MeasureEnclosure
+from sidonlab import poisson
+from sidonlab.poisson import (ProbEnclosure, _atom_law, overlap_enclosures, poisson_pmf,
+                              sample_poisson_count, shifted_level_set)
 from tests.conftest import deep_spec, few_levels, huge_spec, outcome, reference_draw
 
 
@@ -37,6 +40,78 @@ def reference_poisson_count(mean, rng):
         k += 1
         acc += poisson_pmf(mean, k)
     return k
+
+
+def reference_triple_joint(mu, pairs, t: float, counts: tuple[int, int, int]) -> float:
+    """The hand-written 7-atom law of three events that _atom_law replaced;
+    two events were three with an empty third set, of exact zero overlaps."""
+    mu_a, mu_b, mu_c = mu
+    cab, cac, cbc = pairs
+    na, nb, nc = counts
+    atoms = {
+        "t": t,
+        "ab": cab - t,
+        "ac": cac - t,
+        "bc": cbc - t,
+        "a": mu_a - cab - cac + t,
+        "b": mu_b - cab - cbc + t,
+        "c": mu_c - cac - cbc + t,
+    }
+    if any(v < 0 for v in atoms.values()):
+        raise ValueError("negative atom mass")
+    total = 0.0
+    for kt in range(0, min(na, nb, nc) + 1):
+        for kab in range(0, min(na - kt, nb - kt) + 1):
+            for kac in range(0, min(na - kt - kab, nc - kt) + 1):
+                for kbc in range(0, min(nb - kt - kab, nc - kt - kac) + 1):
+                    ka = na - kt - kab - kac
+                    kb = nb - kt - kab - kbc
+                    kc = nc - kt - kac - kbc
+                    total += (
+                        poisson_pmf(atoms["t"], kt)
+                        * poisson_pmf(atoms["ab"], kab)
+                        * poisson_pmf(atoms["ac"], kac)
+                        * poisson_pmf(atoms["bc"], kbc)
+                        * poisson_pmf(atoms["a"], ka)
+                        * poisson_pmf(atoms["b"], kb)
+                        * poisson_pmf(atoms["c"], kc)
+                    )
+    return total
+
+
+def reference_joint_law(mus, counts, grids):
+    """The padded clamp-and-grid loop that _joint_law replaced: two events
+    were three with an empty third set, of exact zero overlaps."""
+    pad = 3 - len(mus)
+    mus, counts = [*mus] + [0.0] * pad, (*counts,) + (0,) * pad
+    clamped = False
+    values = []
+    for cab, cac, cbc, t in product(*(grids.get(S, [0.0])
+                                      for S in ((0, 1), (0, 2), (1, 2), (0, 1, 2)))):
+        c = (min(cab, mus[0], mus[1]), min(cac, mus[0], mus[2]), min(cbc, mus[1], mus[2]))
+        t2 = min(t, *c)
+        try:
+            values.append(reference_triple_joint(tuple(mus), c, t2, counts))
+        except ValueError:
+            clamped = True
+            continue
+        clamped |= (*c, t2) != (cab, cac, cbc, t)
+    if not values:
+        return ProbEnclosure(0.0, 1.0, clamped=True)
+    return ProbEnclosure(min(values), max(values), clamped=clamped)
+
+
+def random_atom_system(rng, k):
+    """The measures, overlaps and counts of k events, the measures summed
+    from random atom masses; in about a third of the systems one of them is
+    redrawn, so that some atoms come out negative."""
+    subsets = [S for n in range(1, k + 1) for S in combinations(range(k), n)]
+    atoms = {S: rng.choice([0.0, rng.uniform(0, 2), rng.expovariate(5)]) for S in subsets}
+    measure = {S: sum(atoms[T] for T in subsets if set(S) <= set(T)) for S in subsets}
+    if rng.random() < 0.3:
+        measure[rng.choice(subsets)] = rng.uniform(0, 3)
+    return ([measure[i,] for i in range(k)], {S: measure[S] for S in subsets[k:]},
+            tuple(rng.randint(0, 5) for _ in range(k)))
 
 
 def mc_joint_reference(events, samples, seed, tower):
@@ -184,6 +259,79 @@ class TestJoint:
             est, err = mc_joint(evs, 1500, 9000 + i, demo_tower)
             err = max(err, 1e-9)
             assert enc.lo - 4 * err <= est <= enc.hi + 4 * err
+
+
+class TestAtomLaw:
+    """_atom_law against the 7-atom law it replaced: the same floats (==),
+    and the same error where an atom is negative."""
+
+    def test_three_events(self):
+        rng = random.Random(61)
+        negative = 0
+        for _ in range(1500):
+            mus, ov, counts = random_atom_system(rng, 3)
+            got = outcome(_atom_law, mus, ov, counts)
+            assert got == outcome(reference_triple_joint, tuple(mus),
+                                  (ov[0, 1], ov[0, 2], ov[1, 2]), ov[0, 1, 2], counts)
+            negative += not isinstance(got, float)
+        assert 100 < negative < 1400
+
+    def test_two_events_are_the_padded_three(self):
+        rng = random.Random(62)
+        negative = 0
+        for _ in range(1500):
+            mus, ov, counts = random_atom_system(rng, 2)
+            got = outcome(_atom_law, mus, ov, counts)
+            assert got == outcome(reference_triple_joint, (*mus, 0.0), (ov[0, 1], 0.0, 0.0),
+                                  0.0, (*counts, 0))
+            negative += not isinstance(got, float)
+        assert 100 < negative < 1400
+
+    # Grid points of 1 or 3 values around each overlap, some past the
+    # measures of its subsets, so that clamping and skipped points show.
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_joint_law_over_grids(self, k):
+        rng = random.Random(63 + k)
+        clamped = 0
+        for _ in range(200):
+            mus, ov, _ = random_atom_system(rng, k)
+            counts = tuple(rng.randint(0, 3) for _ in range(k))
+            grids = {S: ([x] if rng.random() < 0.4 else
+                         [x * (1 - w) + x * w * i for i in range(3)])
+                     for S, x in ov.items() for w in [rng.uniform(0, 0.6)]}
+            got = poisson._joint_law(mus, counts, grids)
+            assert got == reference_joint_law(mus, counts, grids)
+            clamped += got.clamped
+        assert 20 < clamped < 180
+
+    # The term bound of a row is the product over the shared atoms of (the
+    # least count of their events + 1), times the grid points: here
+    # 3 x 3 x 3 x 4 = 108 at one point per overlap (no shift, so all are
+    # exact).  One set cannot hold 2, 3 and 4 points at once.
+    def test_term_bound(self, demo_tower, monkeypatch):
+        a = LevelSet.from_ranges(2, [(0, 3)])
+        evs = [CountEvent(a, 2), CountEvent(a, 3), CountEvent(a, 4)]
+        monkeypatch.setattr(poisson, "LAW_TERMS_MAX", 108)
+        assert joint_prob(evs, demo_tower) == ProbEnclosure(0.0, 0.0)
+        monkeypatch.setattr(poisson, "LAW_TERMS_MAX", 107)
+        with pytest.raises(ValueError, match=r"counts \[2, 3, 4\] takes up to 108 terms"):
+            joint_prob(evs, demo_tower)
+        # an inexact overlap is 3 grid points: 3 x (4 + 1) = 15 terms
+        pair = [CountEvent(a, 4), CountEvent(a, 6)]
+        loose = {(0, 1): MeasureEnclosure(Fraction(1, 10), Fraction(1, 5))}
+        monkeypatch.setattr(poisson, "LAW_TERMS_MAX", 15)
+        assert len(poisson._law_grid(demo_tower, pair, loose)[2][0, 1]) == 3
+        monkeypatch.setattr(poisson, "LAW_TERMS_MAX", 14)
+        with pytest.raises(ValueError, match=r"counts \[4, 6\] takes up to 15 terms"):
+            poisson._law_grid(demo_tower, pair, loose)
+
+    def test_large_counts_refused_fast(self, demo_tower):
+        # about 4e10 convolution terms; refused before any law is evaluated
+        a = LevelSet.from_ranges(2, [(0, 3)])
+        b = LevelSet.from_ranges(2, [(2, 6)])
+        with pytest.raises(ValueError, match=r"counts \[1000, 1000, 1000\]"):
+            triple_mixing_report(CountEvent(a, 1000), CountEvent(b, 1000), CountEvent(a, 1000),
+                                 [(0, 0), (3, 4)], demo_tower)
 
 
 class TestMonteCarloOracle:
@@ -387,12 +535,39 @@ class TestMixing:
         assert got[0][1] == {(0, 1): pair_enclosure(W.set, V.set, 40, tower)}
         assert got[1][1] == {(0, 1): pair_enclosure(V.set, W.set, 40, tower)}
         assert got[0][1] != got[1][1]
-        evs, pairs, triple = got[2]
+        evs, overlaps = got[2]
         assert [e.set for e in evs] == [V.set, W.set, U.set]
-        assert pairs == {(0, 1): pair_enclosure(V.set, W.set, 20, tower),
-                         (0, 2): pair_enclosure(V.set, U.set, 30, tower),
-                         (1, 2): pair_enclosure(W.set, U.set, 10, tower)}
-        assert triple == triple_enclosure(V.set, W.set, U.set, 20, 10, tower)
+        assert overlaps == {(0, 1): pair_enclosure(V.set, W.set, 20, tower),
+                            (0, 2): pair_enclosure(V.set, U.set, 30, tower),
+                            (1, 2): pair_enclosure(W.set, U.set, 10, tower),
+                            (0, 1, 2): triple_enclosure(V.set, W.set, U.set, 20, 10, tower)}
+
+    def test_one_grid_per_sets_and_gaps(self, demo_spec, monkeypatch):
+        U, V, W = self.events(demo_spec)
+        tower, fresh = Tower(demo_spec, depth=6), Tower(demo_spec, depth=6)
+        calls = []
+        grid = correlation._shift_grid
+
+        def counted(sets, gaps, *rest):
+            calls.append((sets, gaps))
+            return grid(sets, gaps, *rest)
+
+        monkeypatch.setattr(correlation, "_shift_grid", counted)
+        rows = [[CountEvent(V.set, 0, 40), CountEvent(W.set, 0, 0)],
+                [CountEvent(V.set, 0, 7), CountEvent(W.set, 0, -3)],
+                [CountEvent(U.set, 0, 0), CountEvent(V.set, 0, 10), CountEvent(W.set, 0, 30)],
+                [CountEvent(U.set, 0, 5), CountEvent(V.set, 0, 20), CountEvent(W.set, 0, 40)],
+                [CountEvent(U.set, 0, 0), CountEvent(V.set, 0, 10), CountEvent(W.set, 0, 31)]]
+        got = overlap_enclosures(rows, tower)
+        # (W, V) for the two pairs; (U, V), (U, W), (V, W) for the triples'
+        # pairs; (U, V, W) at gaps (0, 20) and (0, 21)
+        assert len(calls) == len(set(calls)) == 6
+        assert set(calls) == {((W.set, V.set), (0,)), ((U.set, V.set), (0,)),
+                              ((U.set, W.set), (0,)), ((V.set, W.set), (0,)),
+                              ((U.set, V.set, W.set), (0, 20)),
+                              ((U.set, V.set, W.set), (0, 21))}
+        monkeypatch.setattr(correlation, "_shift_grid", grid)
+        assert got == [overlap_enclosures([evs], fresh)[0] for evs in rows]
 
     @pytest.mark.parametrize("eps", [None, Fraction(0), Fraction(1, 3)])
     def test_grouped_mixing_rows_equal_joint_prob(self, demo_spec, eps):

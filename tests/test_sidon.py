@@ -507,6 +507,17 @@ class TestPropertyCheck:
         with pytest.raises(ValueError, match=message):
             sidon_property_check(demo_tower, 2, **kw)
 
+    # h_2 = 3 and h_3 = 2^64 + 6: 2^64 + 3 shifts at stride 1, refused by
+    # their count (a stride of 2^62 leaves 5), before len() of the shift
+    # range could overflow
+    def test_too_many_shifts(self):
+        tower = Tower(ConstructionSpec(1, (StageParams(2, (0, 1)),
+                                           StageParams(2, (0, 2**64)))), depth=3)
+        with pytest.raises(ValueError, match=f"stage 2 has {2**64 + 3} shifts to check"):
+            sidon_property_check(tower, 2, depth=0)
+        rep = sidon_property_check(tower, 2, depth=0, m_stride=2**62)
+        assert [r.m for r in rep.rows] == [4 + k * 2**62 for k in range(5)]
+
     def test_descend_vs_reference(self, demo_tower):
         rng = random.Random(8)
         for J in range(1, demo_tower.depth + 1):
