@@ -114,9 +114,13 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int_at_least(x, minimum: int | None) -> bool:
+    return _is_int(x) and (minimum is None or x >= minimum)
+
+
 def parse_int(x, where: str, minimum: int | None = None) -> int:
     """A config integer (not a bool), at least `minimum` if given."""
-    if not _is_int(x) or (minimum is not None and x < minimum):
+    if not _int_at_least(x, minimum):
         at_least = "" if minimum is None else f" >= {minimum}"
         raise ConfigError(f"{where} must be an integer{at_least}, got {x!r}", where)
     return x
@@ -141,7 +145,8 @@ def parse_int_grid(xs, where: str, width: int = 1, minimum: int | None = None) -
         if not (isinstance(row, list) and len(row) == width):
             raise ConfigError(f"{where}[{i}] must be a list of {width} integers", where)
         for v in row:
-            parse_int(v, f"{where}[{i}]", minimum)
+            if not _int_at_least(v, minimum):  # the location is built only to report it
+                parse_int(v, f"{where}[{i}]", minimum)
     return xs
 
 
@@ -203,15 +208,37 @@ def parse_epsilon(cfg: dict, args=None) -> Fraction | None:
 # CSV output
 
 
-def write_csv(path, columns: list[str], rows: list[dict], digest: str):
+def write_csv(path, columns: list[str], rows, digest: str):
     """RFC-4180 body preceded by provenance comments; written atomically.
     Each row is a dict holding every column; a fraction column "x/" reads
-    row["x"] and is written as the three columns x_num, x_den, x."""
-    keys = [c.removesuffix("/") for c in columns]
-    fracs = [k != c for k, c in zip(keys, columns)]
+    row["x"] and is written as the three columns x_num, x_den, x.  Rows may
+    be any iterable: they are streamed to csv.writer, and each distinct
+    fraction-column object is formatted once per call."""
+    cols = [(c.removesuffix("/"), c.endswith("/")) for c in columns]
     header = []
-    for k, frac in zip(keys, fracs):
+    for k, frac in cols:
         header += [f"{k}_num", f"{k}_den", k] if frac else [k]
+    texts: dict[int, tuple] = {}  # id(x) -> x's three cells
+    alive = []  # each x formatted, so that its id is not reused within the call
+
+    def cells(row):
+        out = []
+        for k, frac in cols:
+            x = row[k]
+            if not frac:
+                out.append(x)
+                continue
+            try:
+                out += texts[id(x)]
+            except KeyError:
+                f = x if isinstance(x, Fraction) else Fraction(x)
+                num, den = f.numerator, f.denominator
+                # num / den is float(f): int true division, OverflowError and all
+                texts[id(x)] = text = (str(num), str(den), repr(num / den))
+                alive.append(x)
+                out += text
+        return out
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -220,14 +247,5 @@ def write_csv(path, columns: list[str], rows: list[dict], digest: str):
         fh.write(f"# tool_version={__version__}\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            cells = []
-            for k, frac in zip(keys, fracs):
-                x = row[k]
-                if frac:
-                    f = x if isinstance(x, Fraction) else Fraction(x)
-                    cells += (f.numerator, f.denominator, float(f))
-                else:
-                    cells.append(x)
-            w.writerow(cells)
+        w.writerows(map(cells, rows))
     tmp.replace(path)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .construction import GRID, LevelSet, Tower, _draw_points, _pick_levels
-from .enclosure import MeasureEnclosure
+from .enclosure import ZERO, MeasureEnclosure
 
 
 def default_epsilon(tower: Tower, A: LevelSet) -> Fraction:
@@ -88,7 +88,8 @@ def _enclosures(tower, stop, hits, esc, where):
         if key not in made:
             J, x, e = key
             w = tower.stage(J).base_measure
-            made[key] = MeasureEnclosure(x * w, (x + e) * w)
+            lo = x * w
+            made[key] = MeasureEnclosure(lo, (x + e) * w if e else lo)
         encs.append(made[key])
     return [encs[i] for i in where.tolist()]
 
@@ -357,7 +358,7 @@ def sidon_bound_report(
                     "slack_exceeds": enc.hi > corrected,
                     "slack": enc.slack,
                     "equality": enc.lo == bound,
-                    "excess": max(Fraction(0), enc.lo - bound),
+                    "excess": max(ZERO, enc.lo - bound),
                 }
             )
     return rows

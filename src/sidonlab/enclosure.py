@@ -4,6 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+# The zero every report row shares: config.write_csv formats each distinct
+# value object once, so rows that read 0 should all hold this one.
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -18,9 +23,10 @@ class MeasureEnclosure:
         if self.lo < 0 or self.lo > self.hi:
             raise ValueError(f"bad enclosure [{self.lo}, {self.hi}]")
 
-    @property
+    @cached_property
     def slack(self) -> Fraction:
-        return self.hi - self.lo
+        """hi - lo, computed on first use and kept (ZERO when exact)."""
+        return ZERO if self.lo == self.hi else self.hi - self.lo
 
     def is_exact(self) -> bool:
         return self.lo == self.hi

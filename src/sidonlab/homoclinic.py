@@ -30,7 +30,7 @@ import numpy as np
 from . import correlation
 from .construction import LevelSet, NeedsMoreStages, PointState, Tower
 from .correlation import _checked_shifts, _stopping_stages, default_epsilon
-from .enclosure import MeasureEnclosure
+from .enclosure import ZERO, MeasureEnclosure
 
 
 class NeedsMoreBlocks(RuntimeError):
@@ -443,7 +443,7 @@ def lemma61_defect_grid(tower: Tower, j: int, pairs, epsilon: Fraction | None = 
             "partial_slack": pa * unit,
         }
         hi = Fraction(min(fd + cp + pa + res, den), den)
-        made.append((MeasureEnclosure(Fraction(0), hi), info))
+        made.append((MeasureEnclosure(ZERO, hi), info))
     return [made[i] for i in where]
 
 
@@ -485,13 +485,14 @@ def homoclinic_sweep(
         # lemma61_defect_grid's enclosure tops and slacks, from its integers
         where, classes, unit, den = _defect_classes(tower, j, pairs, epsilon)
         his = [min(fd + cp + pa + res, den) for _, _, _, res, cp, pa, _, fd in classes]
-        made = [(Fraction(hi, den), (res + cp + pa) * unit)
-                for hi, (_, _, _, res, cp, pa, _, _) in zip(his, classes)]
+        gaps = [res + cp + pa for _, _, _, res, cp, pa, _, _ in classes]
+        # one Fraction per distinct top and slack, shared by the rows that read it
+        tops = {hi: Fraction(hi, den) for hi in set(his)}
+        slacks = {g: g * unit for g in set(gaps)}
         for (kk, nn), i in zip(pairs, where):
-            hi, slack = made[i]
-            rows.append({"j": j, "k": kk, "n": nn, "defect_lo": Fraction(0),
-                         "defect_hi": hi, "slack": slack})
-        stage_max[j] = max(stage_max.get(j, Fraction(0)), Fraction(max(his), den))
+            rows.append({"j": j, "k": kk, "n": nn, "defect_lo": ZERO,
+                         "defect_hi": tops[his[i]], "slack": slacks[gaps[i]]})
+        stage_max[j] = max(stage_max.get(j, ZERO), tops[max(his)])
     return rows, stage_max
 
 

@@ -23,8 +23,8 @@ from sidonlab import (
 from sidonlab import correlation
 from sidonlab.construction import GRID
 from sidonlab.correlation import CHUNK, DENSE_MAX, decay_report, default_epsilon
-from sidonlab.enclosure import MeasureEnclosure
-from sidonlab.sidon import PsiSpec, build_from_psi
+from sidonlab.enclosure import ZERO, MeasureEnclosure
+from sidonlab.sidon import PsiSpec
 from tests.conftest import (count_on_lifted, deep_spec, few_levels, huge_spec, outcome,
                             reference_advance, reference_ascend, reference_draw,
                             reference_in_set)
@@ -809,6 +809,18 @@ class TestReports:
             if not r["passed"]:
                 assert r["excess"] > 0
                 assert r["lo"] <= r["corrected_bound"]
+
+    def test_rows_share_value_objects(self, demo_tower):
+        # one enclosure per (stage, hits, escape), its slack computed once, and
+        # one zero: the report writer formats each value object once
+        a = LevelSet.from_ranges(2, [(0, 1)])
+        encs = pair_enclosure_grid(a, a, range(7, 78), demo_tower)
+        assert len({id(enc) for enc in encs}) < len(encs) / 2
+        assert all(enc.slack is enc.slack for enc in encs)
+        assert all(enc.slack is ZERO for enc in encs if enc.is_exact())
+        assert all(enc.slack == enc.hi - enc.lo for enc in encs)
+        rows = sidon_bound_report(demo_tower, a, a, [2, 3], 40, exhaustive_limit=100)
+        assert all(r["excess"] is ZERO for r in rows if r["passed"])
 
     def test_decay_c_max_finite(self, demo_tower):
         psi = PsiSpec("power", alpha=Fraction(1, 4))

@@ -666,6 +666,15 @@ class TestSweep:
                 for enc, info in grid]
             assert stage_max[j] == max(enc.hi for enc, _ in grid)
 
+    def test_equal_values_share_one_object(self, demo_tower):
+        # the report writer formats each value object once
+        rows, _ = homoclinic_sweep(demo_tower, [2, 3], 40, seed=1)
+        assert len({id(r["defect_lo"]) for r in rows}) == 1
+        for j in (2, 3):
+            mine = [r for r in rows if r["j"] == j]
+            for key in ("defect_hi", "slack"):
+                assert len({id(r[key]) for r in mine}) == len({r[key] for r in mine}) < 40
+
     def test_min_two_pairs(self, demo_tower):
         rows, _ = homoclinic_sweep(demo_tower, [2], 0)
         assert len(rows) == 2

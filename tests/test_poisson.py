@@ -9,8 +9,6 @@ from scipy import stats
 from sidonlab import (
     CountEvent,
     LevelSet,
-    StageParams,
-    ConstructionSpec,
     Tower,
     cylinder_prob,
     joint_prob,
