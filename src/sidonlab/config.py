@@ -242,10 +242,14 @@ def write_csv(path, columns: list[str], rows, digest: str):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_sha256={digest}\n")
-        fh.write(f"# tool_version={__version__}\n")
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(map(cells, rows))
-    tmp.replace(path)
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.write(f"# config_sha256={digest}\n")
+            fh.write(f"# tool_version={__version__}\n")
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(map(cells, rows))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # a failed write leaves no report
+        raise

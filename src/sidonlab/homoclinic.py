@@ -500,9 +500,12 @@ def homoclinic_sweep(
 # skew-product flow conjugation defect
 
 
+# phi on a float64 array.  1.0 / (1.0 + y) is IEEE add and divide, as in
+# Python; np.exp differs from math.exp in the last bit on some inputs, so
+# exp stays math.exp per element.
 PHI_CATALOG = {
     "reciprocal": lambda y: 1.0 / (1.0 + y),
-    "exp": lambda y: math.exp(-y),
+    "exp": lambda y: np.fromiter(map(math.exp, (-y).tolist()), float, len(y)),
 }
 
 
@@ -519,13 +522,44 @@ class FlowParams:
             raise ValueError(
                 f"unknown phi {self.phi!r}; catalog: {sorted(PHI_CATALOG)}"
             ) from None
-        grid = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0]
-        vals = [fn(y) for y in grid]
+        vals = fn(np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0])).tolist()
         if any(v <= 0 for v in vals) or any(
             v2 > v1 + 1e-12 for v1, v2 in zip(vals, vals[1:])
         ):
             raise ValueError(f"phi {self.phi!r} must be positive and nonincreasing")
         return fn
+
+
+def _flow_draws(rng, count: int, pairs):
+    """The next ``count`` samples (randrange(2^40), random()) of rng, read
+    from its 32-bit output words.  ``pairs`` holds the words the last call
+    drew but did not decode; returns (offsets, xs, pairs left over).
+
+    CPython builds each of these draws from two consecutive words, low word
+    first, so a little-endian uint64 holds one draw's pair w0 | w1 << 32.
+    An attempt getrandbits(41) is w0 | (w1 >> 23) << 32, kept iff w1's top
+    bit is 0; random() is ((w0 >> 5) 2^26 + (w1 >> 6)) / 2^53, exact in
+    float64.  The pair after a rejected attempt is an attempt, after a kept
+    one its x, after an x an attempt.  From the last rejection on, attempts
+    and x alternate, so an x with the top bit set lies an even distance
+    after it: a pair is an attempt iff it lies an odd distance after the
+    last earlier pair with the top bit set."""
+    offs, xs = [], []
+    while count:
+        # a sample takes 3 pairs on average, variance 2: draw one sd more
+        m = 3 * count + math.isqrt(2 * count) + 1
+        new = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
+        pairs = np.concatenate((pairs, new))
+        top = pairs >> 63 == 1
+        k = np.arange(len(pairs))
+        odd = (k - np.maximum.accumulate(np.where(top, k, -1))) & 1 == 1
+        kept = np.flatnonzero((odd & ~top)[:-1])[:count]  # each with its x after it
+        w, x = pairs[kept], pairs[kept + 1]
+        offs.append((w & 0xFFFFFFFF | w >> 55 << 32).astype(np.int64))
+        xs.append(((x & 0xFFFFFFFF) >> 5) * 67108864.0 + (x >> 38))
+        count -= len(kept)
+        pairs = pairs[kept[-1] + 2 if len(kept) else 0:]
+    return np.concatenate(offs), np.concatenate(xs) * (1.0 / 9007199254740992.0), pairs
 
 
 def flow_defect(
@@ -537,10 +571,10 @@ def flow_defect(
 ) -> tuple[float, float]:
     """MC estimate of || chi_R - chi_R o (T^{-n} S^t T^n) ||_2 for the
     rectangle R, where the conjugated flow moves x by phi(coord(T^n y)) * t.
-    Returns (estimate, stderr).  Per sample, randrange(2^40) (written out as
-    in _draw_points) and random() are drawn, correlation.CHUNK samples at a
-    time; the chunk is then moved and tested on arrays, and phi is called
-    per sample."""
+    Returns (estimate, stderr).  Per sample, randrange(2^40) gives y's
+    offset index and random() gives x; correlation.CHUNK samples at a time
+    are decoded from the generator's words by _flow_draws, then moved,
+    passed to phi and tested on arrays."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     a, b, c, d = (Fraction(str(v)) for v in params.rect)
@@ -578,24 +612,18 @@ def flow_defect(
     B = base.numerator * (D // base.denominator)
     exact = np.int64 if max(D, abs(Y0) + W * grid + abs(n * B)) < 2**53 else object
     rng = random.Random(seed)
-    bits, rand = rng.getrandbits, rng.random
+    pairs = np.zeros(0, np.uint64)
     out, fa, fb = 0, float(a), float(b)
     for lo in range(0, samples, correlation.CHUNK):
-        i, u = [], []
-        for _ in range(min(correlation.CHUNK, samples - lo)):
-            r = bits(41)
-            while r >= grid:
-                r = bits(41)
-            i.append(r)
-            u.append(rand())
-        Z = Y0 + n * B + W * np.array(i, dtype=exact)
+        i, u, pairs = _flow_draws(rng, min(correlation.CHUNK, samples - lo), pairs)
+        Z = Y0 + n * B + W * i.astype(exact)
         esc = np.flatnonzero((Z < 0) | (Z >= h * B)) if n else ()
         if len(esc):
             Y = int(Z[esc[0]]) - n * B
             tower.advance(J, [Y // B], [Y % B], B, n)  # raises NeedsMoreStages
-        f = np.fromiter(map(phi, (Z / D).tolist()), float, len(u))
+        f = phi(np.asarray(Z / D, dtype=float))
         with np.errstate(all="ignore"):  # inf and nan pass silently, as in Python
-            x2 = fa + (fb - fa) * np.array(u) + f * params.t
+            x2 = fa + (fb - fa) * u + f * params.t
             out += len(u) - int(np.count_nonzero((fa <= x2) & (x2 <= fb)))
     p_hat = out / samples
     defect = math.sqrt(2.0 * area * p_hat)

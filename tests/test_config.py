@@ -120,6 +120,12 @@ class TestWriteCsv:
         write_csv(tmp_path / "r.csv", ["x/", "y/", "z/"], rows, DIGEST)
         assert Counted.reads == 2
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        with pytest.raises(OverflowError):
+            write_csv(path, ["f/"], [{"f": Fraction(1, 2)}, {"f": Fraction(10**400)}], DIGEST)
+        assert list(tmp_path.iterdir()) == []  # neither r.csv nor r.csv.tmp
+
     @pytest.mark.parametrize("x", [Fraction(10**400, 3), Fraction(-(10**400), 7), 10**400,
                                    math.inf, math.nan])
     def test_unwritable_fraction_raises_as_before(self, tmp_path, x):

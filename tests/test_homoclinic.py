@@ -5,6 +5,7 @@ import re
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,13 +29,14 @@ from sidonlab import (
     wandering_check,
 )
 from sidonlab import correlation
-from sidonlab.homoclinic import PHI_CATALOG, stage_new_ranges
+from sidonlab.homoclinic import PHI_CATALOG, _flow_draws, stage_new_ranges
 from tests.conftest import deep_spec, huge_spec, outcome
 
 
 def reference_flow_defect(tower, params, n, samples, seed):
     """The Fraction loop that flow_defect replaced: sample y at the deepest
-    stage, iterate the point n steps, read its coordinate back there."""
+    stage, iterate the point n steps, read its coordinate back there.  One
+    randrange and one random() call per sample; phi on a one-element array."""
     a, b, c, d = (Fraction(str(v)) for v in params.rect)
     if params.t == 0:
         return 0.0, 0.0
@@ -51,7 +53,7 @@ def reference_flow_defect(tower, params, n, samples, seed):
         p = PointState(J, int(lvl), off)
         q = tower.point_to_stage(tower.iterate(p, n) if n else p, J)
         y2 = float(q.level * base + q.offset)
-        x2 = fa + (fb - fa) * rng.random() + phi(y2) * params.t
+        x2 = fa + (fb - fa) * rng.random() + float(phi(np.array([y2]))[0]) * params.t
         if not fa <= x2 <= fb:
             out += 1
     p_hat = out / samples
@@ -739,6 +741,49 @@ class TestFlow:
             assert abs(d - math.sqrt(2 * self.CLOSED_FORM[phi](float(n * w)))) <= 4 * e
 
 
+class CountingRandom(random.Random):
+    """random.Random counting its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+class TestFlowDraws:
+    """_flow_draws decodes (randrange(2^40), random()) samples from the
+    generator's 32-bit words.  It must give the per-call draws' numbers: if a
+    Python release changes how getrandbits or random() assemble words,
+    these tests fail."""
+
+    @staticmethod
+    def _reference(seed, count):
+        rng = random.Random(seed)
+        return [(rng.randrange(1 << 40), rng.random()) for _ in range(count)]
+
+    # 5000 samples sometimes need a second draw of words within the call
+    @pytest.mark.parametrize("count", [1, 2, 3, 7, 1000, 5000])
+    def test_word_layout(self, count):
+        redrawn = 0
+        for seed in range(200):
+            rng = CountingRandom(seed)
+            i, u, _ = _flow_draws(rng, count, np.zeros(0, np.uint64))
+            assert list(zip(i.tolist(), u.tolist())) == self._reference(seed, count), \
+                f"getrandbits or random() no longer read words as assumed (seed {seed})"
+            redrawn += rng.calls > 1
+        if count == 5000:
+            assert redrawn
+
+    def test_left_over_words_continue_the_stream(self):
+        for seed in range(20):
+            rng, pairs, got = random.Random(seed), np.zeros(0, np.uint64), []
+            for count in (7, 1, 300, 2, 5000):
+                i, u, pairs = _flow_draws(rng, count, pairs)
+                got += zip(i.tolist(), u.tolist())
+            assert got == self._reference(seed, len(got))
+
+
 class TestFlowAgainstReference:
     """The integer translation must give the old Fraction loop's numbers."""
 
@@ -753,7 +798,8 @@ class TestFlowAgainstReference:
     def test_same_coordinates(self, demo_tower, monkeypatch):
         # phi sees the image coordinate y2 of every sample: record them all
         seen = []
-        monkeypatch.setitem(PHI_CATALOG, "record", lambda y: seen.append(y) or 1.0)
+        monkeypatch.setitem(PHI_CATALOG, "record",
+                            lambda y: seen.extend(y.tolist()) or np.ones(len(y)))
         params = FlowParams("record", 1.0, (0.0, 1.0, 0.3, 23.9))
         for n in (0, 1, 59983, -1234):
             seen.clear()
@@ -833,7 +879,7 @@ class TestFlowAgainstReference:
             tower = Tower(spec(random.Random(seed)), depth=depth)
             for phi in ("reciprocal", "exp"):
                 monkeypatch.setitem(PHI_CATALOG, "seen",
-                                    lambda y, f=PHI_CATALOG[phi]: seen.append(y) or f(y))
+                                    lambda y, f=PHI_CATALOG[phi]: seen.extend(y.tolist()) or f(y))
                 params = FlowParams("seen", 1.0, rect)
                 for n in (0, 1, 5, 1000, 2**40, -3):
                     def run(fn):
@@ -847,10 +893,14 @@ class TestFlowAgainstReference:
     @pytest.mark.parametrize("n", [3059133 - 3360, -3360, -3361])
     def test_level_edge_samples(self, demo_tower, monkeypatch, n):
         # getrandbits always 0: every y is 1 = the start of level 3360 of
-        # stage 6, which T^n moves onto h_6 (out), onto 0 (in) and onto -1 (out)
+        # stage 6, which T^n moves onto h_6 (out), onto 0 (in) and onto -1 (out).
+        # flow_defect reads x from the same words, so random() is 0.0 too.
         class ZeroBits(random.Random):
             def getrandbits(self, k):
                 return 0
+
+            def random(self):
+                return 0.0
 
         monkeypatch.setattr(random, "Random", ZeroBits)
         params = FlowParams("exp", 1.0, (0.0, 1.0, 1.0, 1.0001))
