@@ -27,7 +27,7 @@ from .config import (
     parse_level_set,
     parse_psi,
     parse_real,
-    write_csv,
+    write_reports,
 )
 from .construction import (
     NeedsMoreStages,
@@ -35,7 +35,7 @@ from .construction import (
     Tower,
     measure_growth,
 )
-from .correlation import (decay_report, mc_correlation, pair_enclosure_grid,
+from .correlation import (decay_report, mc_correlation_grid, pair_enclosure_grid,
                           triple_enclosure_grid)
 from .homoclinic import (
     PHI_CATALOG,
@@ -107,12 +107,12 @@ def cmd_build(cfg, digest, args):
     summary = (f"built {tower.depth} stages; h_max={tower.stage(tower.depth).h}; "
                f"mu(X)={total} ({float(total):.4f}); "
                f"divergence partial sum={float(partials[-1]) if partials else 0:.4f}")
-    write_csv(_out(args, "stages.csv"), ["j", "h_j", "r_j", "mu_Ej_num", "mu_Ej_den",
-                                         "mu_Xj_num", "mu_Xj_den"], rows, digest)
+    reports = [(_out(args, "stages.csv"), ["j", "h_j", "r_j", "mu_Ej_num", "mu_Ej_den",
+                                           "mu_Xj_num", "mu_Xj_den"], rows)]
     if ledger is not None:
-        write_csv(_out(args, "generator_ledger.csv"),
-                  ["j", "h_j", "r_j", "N_j", "q", "span", "h_next", "sqrt_ineq_ok"],
-                  ledger, digest)
+        reports.append((_out(args, "generator_ledger.csv"),
+                        ["j", "h_j", "r_j", "N_j", "q", "span", "h_next", "sqrt_ineq_ok"], ledger))
+    write_reports(digest, *reports)
     print(summary)
 
 
@@ -129,9 +129,9 @@ def cmd_check_sidon(cfg, digest, args):
              "verdictStrict": r.strict_ok, "verdictRelaxed": r.relaxed_ok,
              "slack_num": r.slack.numerator, "slack_den": r.slack.denominator}
             for r in report.rows]
-    write_csv(_out(args, "check_sidon.csv"), ["m", "pairs", "columns", "verdictStrict",
-                                              "verdictRelaxed", "slack_num", "slack_den"],
-              rows, digest)
+    write_reports(digest, (_out(args, "check_sidon.csv"),
+                           ["m", "pairs", "columns", "verdictStrict", "verdictRelaxed",
+                            "slack_num", "slack_den"], rows))
     print(f"stage {j}: strict={report.strict_all} relaxed={report.relaxed_all} "
           f"bound={report.bound} rows={len(report.rows)}")
 
@@ -166,16 +166,13 @@ def cmd_corr(cfg, digest, args):
         encs = pair_enclosure_grid(A, B, ms, tower, epsilon=eps)
     else:
         encs = triple_enclosure_grid(A, B, C, n, ms, tower, epsilon=eps)
-    rows = []
-    for m, enc in zip(ms, encs):
-        row = {"m": m, "lo": enc.lo, "hi": enc.hi, "slack": enc.slack}
-        if mc:
-            row["mc_estimate"], row["mc_stderr"] = mc_correlation(A, B, m, mc, args.seed + m,
-                                                                  tower)
-        rows.append(row)
-    write_csv(_out(args, "corr.csv"),
-              ["m", "lo/", "hi/", "slack/"] + (["mc_estimate", "mc_stderr"] if mc else []),
-              rows, digest)
+    rows = [{"m": m, "lo": enc.lo, "hi": enc.hi, "slack": enc.slack} for m, enc in zip(ms, encs)]
+    if mc:
+        for row, est in zip(rows, mc_correlation_grid(A, B, ms, mc, [args.seed + m for m in ms],
+                                                      tower)):
+            row["mc_estimate"], row["mc_stderr"] = est
+    write_reports(digest, (_out(args, "corr.csv"), ["m", "lo/", "hi/", "slack/"]
+                           + (["mc_estimate", "mc_stderr"] if mc else []), rows))
     print(f"{len(rows)} rows -> {_out(args, 'corr.csv')}")
 
 
@@ -200,11 +197,10 @@ def cmd_decay(cfg, digest, args):
     parse_int_grid(ms, "m_grid", minimum=1)
     eps = parse_epsilon(cfg, args)
     rows, c_max, ledger = decay_report(tower, psi, A, ms, epsilon=eps)
-    write_csv(_out(args, "decay.csv"),
-              ["m", "lo/", "hi/", "envelope", "c_of_m", "slack/", "warning"],
-              [{**r, "warning": warning} for r in rows], digest)
-    write_csv(_out(args, "decay_ledger.csv"), ["j", "h_j", "h_next", "sqrt_ineq_ok"],
-              ledger, digest)
+    write_reports(digest, (_out(args, "decay.csv"),
+                           ["m", "lo/", "hi/", "envelope", "c_of_m", "slack/", "warning"],
+                           [{**r, "warning": warning} for r in rows]),
+                  (_out(args, "decay_ledger.csv"), ["j", "h_j", "h_next", "sqrt_ineq_ok"], ledger))
     print(f"C_max={c_max:.6f} over {len(rows)} m-values"
           + (f"; warning: {warning}" if warning else ""))
 
@@ -236,9 +232,9 @@ def cmd_poisson(cfg, digest, args):
         rows = triple_mixing_report(*events, grid, tower, epsilon=eps, mc_samples=mc,
                                     seed=seed)
         first, last = ["m", "n"], ["exact_zero_dev"]
-    write_csv(_out(args, "poisson.csv"),
-              [*first, "joint_lo", "joint_hi", "product", "dev_lo", "dev_hi", *last]
-              + (["mc", "mc_stderr"] if mc else []), rows, digest)
+    write_reports(digest, (_out(args, "poisson.csv"),
+                           [*first, "joint_lo", "joint_hi", "product", "dev_lo", "dev_hi", *last]
+                           + (["mc", "mc_stderr"] if mc else []), rows))
     print(f"{len(rows)} rows -> {_out(args, 'poisson.csv')}")
 
 
@@ -264,19 +260,20 @@ def cmd_homoclinic(cfg, digest, args):
             tower, range(jr[0], jr[1] + 1), samples, seed=seed,
             epsilon=parse_epsilon(cfg, args),
         )
-        write_csv(out, ["j", "k", "n", "defect_lo/", "defect_hi/", "slack/"], rows, digest)
+        write_reports(digest, (out, ["j", "k", "n", "defect_lo/", "defect_hi/", "slack/"], rows))
         print("max defect hi per stage: "
               + ", ".join(f"j={j}: {float(v):.4f}" for j, v in sorted(stage_max.items())))
     elif mode == "wandering":
         dm = DissipativeMap(tower)
         res = wandering_check(dm, parse_int(cfg.get("zmax", 50), "zmax", 0))
-        write_csv(out, ["zmax", "passed", "pieces", "covered_fraction/"], [res], digest)
+        write_reports(digest, (out, ["zmax", "passed", "pieces", "covered_fraction/"], [res]))
         print(f"wandering |z|<={res['zmax']}: passed={res['passed']} "
               f"covered={float(res['covered_fraction']):.4f}")
     else:
         dm = DissipativeMap(tower)
         rows = retention_audit(dm)
-        write_csv(out, ["stage", "blocks", "parts", "retention/", "bound/", "ok"], rows, digest)
+        write_reports(digest, (out, ["stage", "blocks", "parts", "retention/", "bound/", "ok"],
+                               rows))
         print(f"retention audit: {sum(r['blocks'] for r in rows)} blocks, "
               f"all ok={all(r['ok'] for r in rows)}")
 
@@ -301,8 +298,8 @@ def cmd_flow(cfg, digest, args):
         est, err = flow_defect(tower, params, n, samples, seed + i)
         rows.append({"n": n, "t": params.t, "estimate": est, "stderr": err,
                      "samples": samples, "seed": seed + i})
-    write_csv(_out(args, "flow.csv"), ["n", "t", "estimate", "stderr", "samples", "seed"],
-              rows, digest)
+    write_reports(digest, (_out(args, "flow.csv"),
+                           ["n", "t", "estimate", "stderr", "samples", "seed"], rows))
     for r in rows:
         print(f"n={r['n']}: defect={r['estimate']:.4f} +- {r['stderr']:.4f}")
 

@@ -209,11 +209,13 @@ def parse_epsilon(cfg: dict, args=None) -> Fraction | None:
 
 
 def write_csv(path, columns: list[str], rows, digest: str):
-    """RFC-4180 body preceded by provenance comments; written atomically.
-    Each row is a dict holding every column; a fraction column "x/" reads
-    row["x"] and is written as the three columns x_num, x_den, x.  Rows may
-    be any iterable: they are streamed to csv.writer, and each distinct
-    fraction-column object is formatted once per call."""
+    """RFC-4180 body preceded by provenance comments, written at path; a
+    write that raises removes the file.  write_reports writes each report
+    of a run through it, atomically.  Each row is a dict holding every
+    column; a fraction column "x/" reads row["x"] and is written as the
+    three columns x_num, x_den, x.  Rows may be any iterable: they are
+    streamed to csv.writer, and each distinct fraction-column object is
+    formatted once per call."""
     cols = [(c.removesuffix("/"), c.endswith("/")) for c in columns]
     header = []
     for k, frac in cols:
@@ -241,15 +243,36 @@ def write_csv(path, columns: list[str], rows, digest: str):
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(f"# config_sha256={digest}\n")
             fh.write(f"# tool_version={__version__}\n")
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
             w.writerows(map(cells, rows))
-        tmp.replace(path)
     except BaseException:
-        tmp.unlink(missing_ok=True)  # a failed write leaves no report
+        path.unlink(missing_ok=True)  # a failed write leaves no file
+        raise
+
+
+def write_reports(digest: str, *reports):
+    """Writes the reports (path, columns, rows) of one run with write_csv,
+    each to <path>.tmp, and renames them into place only once all are
+    written: a run that fails leaves none of them.  On failure every .tmp
+    is removed, and so is every report this call has already renamed (a
+    rename fails on a directory in a report's place)."""
+    paths = [Path(path) for path, _, _ in reports]
+    tmps = [path.with_suffix(path.suffix + ".tmp") for path in paths]
+    done = 0
+    try:
+        for tmp, (_, columns, rows) in zip(tmps, reports):
+            write_csv(tmp, columns, rows, digest)
+        for tmp, path in zip(tmps, paths):
+            tmp.replace(path)
+            done += 1
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        for path in paths[:done]:
+            path.unlink()
         raise

@@ -294,7 +294,10 @@ def _draw_points(seed, samples: int, total: int, cells: int, most: int, count=No
     and a point is a pick randrange(total) of a level, then a cell
     randrange(cells) of its offset.  Yields them in chunks of whole samples,
     each ending once it holds ``most`` points or more: the lists of picks
-    and cells and, with ``count``, the list of points per sample."""
+    and cells, or with ``count`` the list of picks, None and the list of
+    points per sample.  ``count`` is a _poisson_inverse count, whose table
+    is read inline; its caller, mc_joint, reads no cell, so the cells are
+    drawn and dropped."""
     rng = random.Random(seed)
     bits, tk, ck = rng.getrandbits, total.bit_length(), cells.bit_length()
     if count is None:
@@ -311,25 +314,24 @@ def _draw_points(seed, samples: int, total: int, cells: int, most: int, count=No
                 cell.append(r)
             yield picks, cell, None
         return
-    rand = rng.random
-    picks, cell, sizes = [], [], []
+    rand, cum, grow, left = rng.random, count.cum, count.grow, bisect.bisect_left
+    picks, sizes = [], []
     for _ in range(samples):
-        k = count(rand())
+        u = rand()
+        k = left(cum, u) if u <= cum[-1] else grow(u)
         sizes.append(k)
         for _ in range(k):
             r = bits(tk)
             while r >= total:
                 r = bits(tk)
             picks.append(r)
-            r = bits(ck)
-            while r >= cells:
-                r = bits(ck)
-            cell.append(r)
+            while bits(ck) >= cells:
+                pass
         if len(picks) >= most:
-            yield picks, cell, sizes
-            picks, cell, sizes = [], [], []
+            yield picks, None, sizes
+            picks, sizes = [], []
     if sizes:
-        yield picks, cell, sizes
+        yield picks, None, sizes
 
 
 def _pick_levels(starts, cum, picks):
@@ -522,23 +524,27 @@ class Tower:
         """T^n of the points (stage, level, N/d) of the arrays level and N (N
         may be an object array), as arrays (J, level, N): each point climbs
         to the first stage J >= stage where its level plus n stays inside
-        the tower.  The first point that leaves the top raises."""
+        the tower.  n is one shift, or an array of one shift per point.  The
+        first point that leaves the top raises."""
         J = np.full(len(level), stage)
         start, level, N = level, np.array(level, dtype=self.dtype), np.array(N)
         live = np.arange(len(level))
+        each = np.ndim(n) > 0
+        n = np.asarray(n) if each else n
         # |n| >= h_depth resolves no point, and need not fit the dtype
-        for k in range(stage, self.depth + 1 if abs(n) < self._h[-1] else stage):
+        for k in range(stage, self.depth + 1 if each or abs(n) < self._h[-1] else stage):
             if k > stage:
                 level[live], N[live] = self.climb(k - 1, level[live], N[live], d)
-            x = level[live] + n
+            x = level[live] + (n[live] if each else n)
             ok = (x >= 0) & (x < self._h[k])
             level[live[ok]], J[live[ok]] = x[ok], k
             live = live[~ok]
             if not len(live):
                 break
         if len(live):
-            raise NeedsMoreStages(f"iterating by {n} from stage {stage} level {start[live[0]]} "
-                                  f"exceeds built depth {self.depth}", self.depth + 1)
+            i = live[0]
+            raise NeedsMoreStages(f"iterating by {n[i] if each else n} from stage {stage} level "
+                                  f"{start[i]} exceeds built depth {self.depth}", self.depth + 1)
         return J, level, N
 
     def in_set(self, J, level, N, d: int, A: LevelSet):

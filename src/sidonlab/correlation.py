@@ -282,33 +282,72 @@ def triple_enclosure(
     return triple_enclosure_grid(A, B, C, n, [m], tower, epsilon)[0]
 
 
-def mc_correlation(
-    A: LevelSet, B: LevelSet, m: int, samples: int, seed: int, tower: Tower
-):
-    """Monte-Carlo oracle for mu(A intersect T^m B): sample uniformly in B,
-    iterate m steps forward, test membership in A.  Deterministic per seed.
+def mc_correlation_grid(A: LevelSet, B: LevelSet, ms, samples: int, seeds, tower: Tower):
+    """Monte-Carlo oracle for mu(A intersect T^m B) for every m of ``ms``, in
+    order, the row of m drawing from random.Random(seed) for its seed of
+    ``seeds``: sample uniformly in B, iterate m steps forward, test
+    membership in A.  Returns (estimate, stderr) per row, and raises the
+    first error that one mc_correlation call per row would.
 
-    The points are sample_uniform's, drawn first.  Each chunk of them is
-    then walked with Tower.advance and tested with Tower.in_set, on A's own
-    ranges: A is never lifted."""
+    Each row's points are sample_uniform's, drawn first.  The points of
+    consecutive rows are then walked together, CHUNK or fewer at a time, by
+    one Tower.advance with one shift per point, and tested with
+    Tower.in_set on A's own ranges: A is never lifted."""
+    ms, seeds = list(ms), list(seeds)
+    if len(ms) != len(seeds):
+        raise ValueError("mc_correlation_grid needs one seed per shift m")
+    if not ms:
+        return []
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    mu_b = tower.set_measure(B)
+    mu_b = float(tower.set_measure(B))
     tower.validate_set(A)
     if B.is_empty():
         raise ValueError("cannot sample from an empty level set")
-    cells = GRID * tower.units[B.stage]
+    total, cells, top = B.count(), GRID * tower.units[B.stage], tower.stage(tower.depth).h
     starts, _, cum = tower._own_prefix(B)
-    hits = 0
-    for picks, cell, _ in _draw_points(seed, samples, B.count(), cells, CHUNK):
+    # N < cells, which can pass 2^63 on an int64 tower
+    n_type = np.int64 if cells <= 2**63 else object
+
+    def batches():
+        """(rows, points per row, picks, cells) of the draws, CHUNK points
+        or fewer per batch."""
+        rows, counts, picks, cell = [], [], [], []
+        for i, (m, seed) in enumerate(zip(ms, seeds)):
+            if abs(m) >= top:  # no point resolves, and m need not fit the dtype
+                yield rows, counts, picks, cell
+                p, c, _ = next(_draw_points(seed, 1, total, cells, 1))
+                tower.advance(B.stage, _pick_levels(starts, cum, np.array(p, dtype=tower.dtype)),
+                              np.array(c, dtype=n_type), GRID, m)  # raises at the first point
+            for p, c, _ in _draw_points(seed, samples, total, cells, CHUNK):
+                if len(picks) + len(p) > CHUNK:
+                    yield rows, counts, picks, cell
+                    rows, counts, picks, cell = [], [], [], []
+                rows.append(i)
+                counts.append(len(p))
+                picks += p
+                cell += c
+        yield rows, counts, picks, cell
+
+    hits = np.zeros(len(ms), dtype=np.int64)
+    for rows, counts, picks, cell in batches():
+        if not picks:
+            continue
         start = _pick_levels(starts, cum, np.array(picks, dtype=tower.dtype))
-        # N < cells, which can pass 2^63 on an int64 tower
-        N = np.array(cell, dtype=np.int64 if cells <= 2**63 else object)
-        hits += int(tower.in_set(*tower.advance(B.stage, start, N, GRID, m), GRID, A).sum())
-    f = hits / samples
-    est = float(mu_b) * f
-    stderr = float(mu_b) * math.sqrt(f * (1.0 - f) / samples)
-    return est, stderr
+        shift = np.repeat(np.array([ms[i] for i in rows], dtype=tower.dtype), counts)
+        J, level, N = tower.advance(B.stage, start, np.array(cell, dtype=n_type), GRID, shift)
+        hits += np.bincount(np.repeat(rows, counts)[tower.in_set(J, level, N, GRID, A)],
+                            minlength=len(ms))
+    fs = [x / samples for x in hits.tolist()]
+    return [(mu_b * f, mu_b * math.sqrt(f * (1.0 - f) / samples)) for f in fs]
+
+
+def mc_correlation(
+    A: LevelSet, B: LevelSet, m: int, samples: int, seed: int, tower: Tower
+):
+    """Monte-Carlo oracle for mu(A intersect T^m B), deterministic per seed:
+    the one-m call of ``mc_correlation_grid``."""
+    return mc_correlation_grid(A, B, [m], samples, [seed], tower)[0]
 
 
 def sidon_bound_report(

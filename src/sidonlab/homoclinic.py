@@ -463,6 +463,25 @@ def lemma61_defect(tower: Tower, j: int, k: int, n: int, epsilon: Fraction | Non
     return enc, info
 
 
+def _sweep_pairs(rng, h_j: int, h_next: int, count: int) -> list[tuple[int, int]]:
+    """``count`` pairs (randint(0, h_j), randint(h_j, h_next)) from rng, with
+    randint written out as random.Random's own rule, as in
+    construction._draw_points: getrandbits of the width's bit length,
+    redrawn while not below the width."""
+    bits, a, b = rng.getrandbits, h_j + 1, h_next - h_j + 1
+    ka, kb = a.bit_length(), b.bit_length()
+    pairs = []
+    for _ in range(count):
+        k = bits(ka)
+        while k >= a:
+            k = bits(ka)
+        n = bits(kb)
+        while n >= b:
+            n = bits(kb)
+        pairs.append((k, h_j + n))
+    return pairs
+
+
 def homoclinic_sweep(
     tower: Tower,
     j_range,
@@ -479,9 +498,7 @@ def homoclinic_sweep(
     for j in j_range:
         h_j = tower.stage(j).h
         h_next = tower.stage(j + 1).h
-        pairs = [(0, h_j), (0, h_next)]
-        while len(pairs) < max(2, samples_per_stage):
-            pairs.append((rng.randint(0, h_j), rng.randint(h_j, h_next)))
+        pairs = [(0, h_j), (0, h_next)] + _sweep_pairs(rng, h_j, h_next, samples_per_stage - 2)
         # lemma61_defect_grid's enclosure tops and slacks, from its integers
         where, classes, unit, den = _defect_classes(tower, j, pairs, epsilon)
         his = [min(fd + cp + pa + res, den) for _, _, _, res, cp, pa, _, fd in classes]

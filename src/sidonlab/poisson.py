@@ -261,12 +261,16 @@ def _poisson_inverse(mean: float):
     u <= pmf(0) + ... + pmf(k), summed in that order.  One table of the
     sums serves every u; it grows only as far as some u needs, and never
     past POISSON_MAX.  Past the mode, once a term no longer changes the sum,
-    the sum is final, and a u above it gets the last k that did."""
+    the sum is final, and a u above it gets the last k that did.
+
+    Returns count(u).  A loop may read the table inline instead, as count
+    does: count.cum is the table, and count.grow(u), for a u above its top,
+    extends it and returns u's count."""
     if not (math.isfinite(mean) and mean >= 0):
         raise ValueError(f"Poisson mean must be finite and >= 0, got {mean}")
     cum = [poisson_pmf(mean, 0)]
 
-    def count(u: float) -> int:
+    def grow(u: float) -> int:
         while u > cum[-1] and len(cum) <= POISSON_MAX:
             k = len(cum)
             acc = cum[-1] + poisson_pmf(mean, k)
@@ -275,6 +279,10 @@ def _poisson_inverse(mean: float):
             cum.append(acc)
         return min(bisect.bisect_left(cum, u), len(cum) - 1)
 
+    def count(u: float) -> int:
+        return bisect.bisect_left(cum, u) if u <= cum[-1] else grow(u)
+
+    count.cum, count.grow = cum, grow
     return count
 
 
@@ -337,8 +345,9 @@ def mc_joint(events: list[CountEvent], samples: int, seed: int, tower: Tower):
 
     The draws are sample_configuration's, of which only the levels are
     read: per sample a Poisson count, then that many sample_uniform points of
-    the union.  They are drawn first; the levels, and each event's count
-    per sample, are then found on arrays."""
+    the union, whose offset cells are drawn and dropped.  They are drawn
+    first; the levels, and each event's count per sample, are then found on
+    arrays."""
     if not events:
         raise ValueError("mc_joint needs at least one event")
     if samples < 1:

@@ -37,6 +37,26 @@ def test_reports_equal_stored_reference(tmp_path, workload):
         assert worker.read_outputs(jobs) == run.stored_reference(workload, seed)
 
 
+@pytest.mark.parametrize("workload", ["exact-sweep", "orbit-mc"])
+def test_traced_later_pass_equals_stored_reference(tmp_path, workload):
+    """A second pass in the same process, traced as worker.py traces its
+    passes, gives the stored reports too: what one pass leaves behind must
+    not change the next one's reports, and neither may the tracer."""
+    run, worker, tracing = perfbench_modules("run", "worker", "tracing")
+    jobs = run.write_jobs(tmp_path, workload, 0, tiny=False)
+    for traced in (False, True):
+        worker.clear_outputs(jobs)
+        tracer = tracing.Tracer()
+        if traced:
+            tracer.install()
+        try:
+            _, rcs, errs = worker.run_pass(cli, jobs)
+        finally:
+            tracer.uninstall()
+        assert rcs == [0] * len(jobs), errs
+        assert worker.read_outputs(jobs) == run.stored_reference(workload, 0), traced
+
+
 def test_traced_names_resolve():
     """Every name perfbench/tracing.py wraps exists, and uninstalling the
     tracer puts every original back."""

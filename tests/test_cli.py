@@ -294,6 +294,25 @@ class TestErrors:
         err = json.loads(line)
         assert err["code"] == 2 and err["context"] == {"out": str(out)}
 
+    # build and decay write two reports, both to .tmp files before either is
+    # renamed: when the second cannot be written, neither is left.
+    @pytest.mark.parametrize("cmd, extra, first, second", [
+        ("build", {}, "stages.csv", "generator_ledger.csv"),
+        ("decay", {"m_grid": [1, 2]}, "decay.csv", "decay_ledger.csv")])
+    def test_two_reports_or_none(self, tmp_path, capsys, cmd, extra, first, second):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"construction": {"generator": GENERATOR}, **extra}))
+        out = tmp_path / "o"
+        assert run_cli([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+        assert {p.name for p in out.iterdir()} == {first, second}
+        out = tmp_path / "blocked"
+        (out / second).mkdir(parents=True)
+        assert run_cli([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["context"] == {"out": str(out)}
+        assert [p.name for p in out.iterdir()] == [second]  # no first report, no .tmp
+        assert (out / second).is_dir()
+
     @pytest.mark.parametrize("bad", [[0, 99], [0, 10**30]])
     @pytest.mark.parametrize("cmd", ["corr", "decay", "poisson"])
     def test_level_set_past_stage_height(self, tmp_path, capsys, cmd, bad):

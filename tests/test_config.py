@@ -1,4 +1,5 @@
-"""config.write_csv against the per-cell writer it replaced, byte for byte."""
+"""config.write_csv against the per-cell writer it replaced, byte for byte,
+and config.write_reports against write_csv."""
 
 import csv
 import gc
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from sidonlab import __version__
-from sidonlab.config import write_csv
+from sidonlab.config import write_csv, write_reports
 
 DIGEST = "0" * 64
 
@@ -138,3 +139,37 @@ class TestWriteCsv:
             assert not path.exists()
             errors.append((e.type, str(e.value)))
         assert errors[0] == errors[1]
+
+
+class TestWriteReports:
+    """write_reports writes each report's bytes as write_csv does, but every
+    one to its .tmp file before any is renamed: a failing run leaves none."""
+
+    REPORTS = [("a.csv", ["i", "f/"], [{"i": 1, "f": Fraction(1, 3)}, {"i": 2, "f": 0.5}]),
+               ("b.csv", ["x"], [{"x": "y,z"}])]
+
+    def test_same_bytes_as_write_csv(self, tmp_path):
+        write_reports(DIGEST, *((tmp_path / "new" / n, c, r) for n, c, r in self.REPORTS))
+        for name, columns, rows in self.REPORTS:
+            write_csv(tmp_path / "ref" / name, columns, rows, DIGEST)
+        assert sorted(p.name for p in (tmp_path / "new").iterdir()) == ["a.csv", "b.csv"]
+        for name, _, _ in self.REPORTS:
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_failed_second_write_keeps_the_old_reports(self, tmp_path):
+        (tmp_path / "a.csv").write_text("old")
+        with pytest.raises(OverflowError):
+            write_reports(DIGEST, (tmp_path / "a.csv", ["f/"], [{"f": Fraction(1, 2)}]),
+                          (tmp_path / "b.csv", ["f/"], [{"f": Fraction(10**400)}]))
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]  # no b.csv, no .tmp
+        assert (tmp_path / "a.csv").read_text() == "old"
+
+    # a directory in a report's place fails its rename: when it is the
+    # second's, the first report, already renamed, is removed again
+    @pytest.mark.parametrize("blocked", ["a.csv", "b.csv"])
+    def test_failed_rename_leaves_no_report(self, tmp_path, blocked):
+        (tmp_path / blocked).mkdir()
+        with pytest.raises(OSError):
+            write_reports(DIGEST, *((tmp_path / n, c, r) for n, c, r in self.REPORTS))
+        assert [p.name for p in tmp_path.iterdir()] == [blocked]
+        assert (tmp_path / blocked).is_dir()

@@ -495,7 +495,8 @@ class TestDrawPoints:
 
     @staticmethod
     def _reference(seed, samples, total, cells, most, count=None):
-        """The same chunks from per-point randrange calls."""
+        """The same chunks from per-point randrange calls; with ``count``,
+        the cells are drawn and dropped."""
         rng = random.Random(seed)
         chunks, picks, cell, sizes = [], [], [], []
         for i in range(samples):
@@ -505,7 +506,7 @@ class TestDrawPoints:
                 picks.append(rng.randrange(total))
                 cell.append(rng.randrange(cells))
             if len(picks) >= most or i == samples - 1:
-                chunks.append((picks, cell, None if count is None else sizes))
+                chunks.append((picks, cell, None) if count is None else (picks, None, sizes))
                 picks, cell, sizes = [], [], []
         return chunks, rng.getstate()
 
@@ -519,8 +520,9 @@ class TestDrawPoints:
     @pytest.mark.parametrize("most", [1, 7, correlation.CHUNK])
     @pytest.mark.parametrize("total, cells", [(59983, GRID * 42), (5, 2**66 + 5)])
     def test_streams(self, monkeypatch, most, total, cells):
-        # the plain stream of mc_correlation and the Poisson-count stream of mc_joint
-        for count in (None, _poisson_inverse(3.0)):
+        # the plain stream of mc_correlation and the Poisson-count streams of
+        # mc_joint, whose counts are read inline from the table
+        for count in (None, *map(_poisson_inverse, (0.1, 3.0, 40.0))):
             for seed in range(10):
                 args = (seed, 150, total, cells, most, count)
                 assert self._draws(monkeypatch, *args) == self._reference(*args)
@@ -618,6 +620,41 @@ class TestPointEngine:
         got = outcome(lambda: list(zip(*(x.tolist() for x in
                                          tower.advance(stage, level, N, d, n)))))
         assert got == want
+
+    # One call with a shift per point equals one call per distinct shift, or
+    # raises the error of the first point that leaves the tower, which that
+    # point's shift's call raises too.
+    @given(kind=st.sampled_from(["running", "demo", "huge", "deep"]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_shift_per_point(self, running_tower, demo_tower, kind, seed):
+        rng = random.Random(seed)
+        tower = self._tower(running_tower, demo_tower, kind, rng)
+        d = rng.choice([GRID, 3, 10**9 + 7])
+        stage = rng.randint(1, tower.depth)
+        _, level, N = self._points(rng, tower, [stage], d)
+        level = np.array(level, dtype=tower.dtype)
+        h = tower.stage(rng.randint(stage, tower.depth)).h
+        top = tower.stage(tower.depth).h
+        shifts = [rng.randrange(-h, h), rng.randrange(-h, h), rng.randint(0, tower.stage(stage).h)]
+        if rng.random() < 0.3:
+            shifts.append(rng.choice([1, -1]) * (top + rng.randint(-1, 3)))
+        n = [rng.choice(shifts) for _ in level]
+        got = outcome(lambda: [x.tolist() for x in tower.advance(
+            stage, level, N, d, np.array(n, dtype=tower.dtype))])
+        want, errors = [[None] * len(n) for _ in range(3)], {}
+        for v in set(n):
+            at = [i for i, x in enumerate(n) if x == v]
+            res = outcome(lambda: tower.advance(stage, level[at], N[at], d, v))
+            if isinstance(res[0], str):
+                errors[v] = res
+                continue
+            for out, x in zip(want, res):
+                for i, y in zip(at, x.tolist()):
+                    out[i] = y
+        leaves = [i for i, v in enumerate(n)
+                  if isinstance(outcome(tower.advance, stage, level[[i]], N[[i]], d, v)[0], str)]
+        assert got == (errors[n[leaves[0]]] if leaves else want)
 
     @given(kind=st.sampled_from(["running", "demo", "huge", "deep"]),
            seed=st.integers(0, 2**32 - 1))

@@ -13,6 +13,7 @@ from sidonlab import (
     StageParams,
     Tower,
     mc_correlation,
+    mc_correlation_grid,
     pair_enclosure,
     pair_enclosure_grid,
     sidon_bound_report,
@@ -756,6 +757,98 @@ class TestMonteCarlo:
         a = LevelSet.from_ranges(2, [(0, 1)])
         with pytest.raises(ValueError, match="samples must be >= 1"):
             mc_correlation(a, a, 3, samples, 0, demo_tower)
+
+
+def mc_rows(A, B, ms, samples, seeds, tower):
+    """One mc_correlation call per row: the rows' results, or the error of
+    the first row that raises."""
+    out = []
+    for m, seed in zip(ms, seeds):
+        got = outcome(mc_correlation, A, B, m, samples, seed, tower)
+        if isinstance(got[0], type):
+            return got
+        out.append(got)
+    return out
+
+
+@pytest.fixture
+def advance_sizes(monkeypatch):
+    """The number of points of each Tower.advance call."""
+    sizes, advance = [], Tower.advance
+
+    def spy(self, stage, level, *args):
+        sizes.append(len(level))
+        return advance(self, stage, level, *args)
+
+    monkeypatch.setattr(Tower, "advance", spy)
+    return sizes
+
+
+class TestMonteCarloGrid:
+    """mc_correlation_grid walks the points of all rows together; it must
+    give each row's floats, or the first row's error, as one mc_correlation
+    call per row does, with no more than CHUNK points at once."""
+
+    @pytest.mark.parametrize("chunk", [CHUNK, 7])
+    @pytest.mark.parametrize("kind", ["demo", "running", "huge", "deep"])
+    def test_grid_equals_rows(self, demo_tower, running_tower, monkeypatch, advance_sizes,
+                              kind, chunk):
+        rng = random.Random(f"{kind}{chunk}")
+        monkeypatch.setattr(correlation, "CHUNK", chunk)
+        towers = {"demo": lambda: demo_tower, "running": lambda: running_tower,
+                  "huge": lambda: Tower(huge_spec(rng), depth=3),
+                  "deep": lambda: Tower(deep_spec(rng), depth=57)}
+        raised = 0
+        for _ in range(25):
+            tower = towers[kind]()
+            top = min(3, tower.depth)
+            A = rng.choice([few_levels, random_ranges])(rng, tower, rng.randint(1, top), 3)
+            B = few_levels(rng, tower, rng.randint(1, top), 6)
+            rows = rng.randint(1, 5)
+            ms = [random_mc_shift(rng, tower, B.stage, large=kind != "deep")
+                  if rng.random() < 0.2 else rng.randint(0, tower.stage(B.stage).h)
+                  for _ in range(rows)]
+            args = (A, B, ms, rng.randint(1, 40), [rng.randrange(10**6) for _ in ms], tower)
+            want = mc_rows(*args)
+            advance_sizes.clear()
+            assert outcome(mc_correlation_grid, *args) == want
+            assert max(advance_sizes, default=0) <= chunk
+            raised += isinstance(want[0], type)
+        assert 3 <= raised <= 22
+
+    # Rows that escape the tower after good rows: the first of them raises,
+    # at its first escaping point, and an m at or past h_depth is never put
+    # in an int64 array (2^70 would not fit).
+    @pytest.mark.parametrize("ms", [[5, 70, "edge", 2**70], [5, 2**70, "edge"],
+                                    [70, "edge", 5], [70, "top", 5], [5, -(2**70), 70]])
+    def test_first_failing_row_raises(self, demo_tower, ms):
+        B = LevelSet.from_ranges(2, [(0, 7)])
+        top = demo_tower.stage(demo_tower.depth).h
+        ms = [{"edge": top - 4, "top": top}.get(m, m) for m in ms]
+        args = (LevelSet.from_ranges(3, [(0, 40)]), B, ms, 50, [3, 1, 4, 1][:len(ms)], demo_tower)
+        want = mc_rows(*args)
+        assert want[0] is NeedsMoreStages
+        assert outcome(mc_correlation_grid, *args) == want
+
+    def test_rows_past_chunk(self, demo_tower, advance_sizes):
+        A, B = LevelSet.from_ranges(3, [(0, 40)]), LevelSet.from_ranges(2, [(0, 3), (5, 6)])
+        ms, samples = [0, 50, 1400], CHUNK // 2 + 1
+        args = (A, B, ms, samples, [7, 8, 9], demo_tower)
+        want = mc_rows(*args)
+        advance_sizes.clear()
+        assert mc_correlation_grid(*args) == want
+        assert sum(advance_sizes) == 3 * samples and max(advance_sizes) <= CHUNK
+
+    def test_errors_before_any_draw(self, demo_tower):
+        a, empty = LevelSet.from_ranges(2, [(0, 1)]), LevelSet(2, ())
+        for args in [(a, a, [3, 4], 0, [0, 1]), (a, empty, [3], 5, [0]),
+                     (a, a, [2**70], -1, [0])]:
+            want = mc_rows(*args, demo_tower)
+            assert want[0] is ValueError
+            assert outcome(mc_correlation_grid, *args, demo_tower) == want
+        assert mc_correlation_grid(a, a, [], 0, [], demo_tower) == []
+        with pytest.raises(ValueError, match="one seed per shift"):
+            mc_correlation_grid(a, a, [1, 2], 5, [0], demo_tower)
 
 
 class TestTriple:

@@ -29,7 +29,7 @@ from sidonlab import (
     wandering_check,
 )
 from sidonlab import correlation
-from sidonlab.homoclinic import PHI_CATALOG, _flow_draws, stage_new_ranges
+from sidonlab.homoclinic import PHI_CATALOG, _flow_draws, _sweep_pairs, stage_new_ranges
 from tests.conftest import deep_spec, huge_spec, outcome
 
 
@@ -680,6 +680,19 @@ class TestSweep:
     def test_min_two_pairs(self, demo_tower):
         rows, _ = homoclinic_sweep(demo_tower, [2], 0)
         assert len(rows) == 2
+
+    # The sampled pairs write randint out as random.Random's own rule: the
+    # same integers and stream state as randint, or a Python release changed
+    # how randint draws.
+    @pytest.mark.parametrize("h_j, h_next", [
+        (1, 1), (1, 7), (7, 77), (59983, 3059133), (2**31, 2**32), (2**32 - 1, 2**32 + 1),
+        (2**63 - 1, 2**64), (5, 2**100 - 1), (2**99, 2**100)])
+    def test_pairs_are_randint(self, h_j, h_next):
+        for seed in range(50):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = _sweep_pairs(rng, h_j, h_next, 7)
+            assert got == [(ref.randint(0, h_j), ref.randint(h_j, h_next)) for _ in range(7)]
+            assert rng.getstate() == ref.getstate()
 
 
 class TestFlow:

@@ -1,7 +1,9 @@
+import bisect
 import math
 import random
 from itertools import combinations, product
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from scipy import stats
@@ -21,11 +23,11 @@ from sidonlab import (
     triple_enclosure,
     triple_mixing_report,
 )
-from sidonlab import correlation
+from sidonlab import construction, correlation
 from sidonlab.enclosure import MeasureEnclosure
 from sidonlab import poisson
-from sidonlab.poisson import (ProbEnclosure, _atom_law, overlap_enclosures, poisson_pmf,
-                              sample_poisson_count, shifted_level_set)
+from sidonlab.poisson import (ProbEnclosure, _atom_law, _poisson_inverse, overlap_enclosures,
+                              poisson_pmf, sample_poisson_count, shifted_level_set)
 from tests.conftest import deep_spec, few_levels, huge_spec, outcome, reference_draw
 
 
@@ -38,6 +40,23 @@ def reference_poisson_count(mean, rng):
         k += 1
         acc += poisson_pmf(mean, k)
     return k
+
+
+def reference_inverse(mean):
+    """The count closure that _poisson_inverse's inline table read replaced,
+    which grew the table inside every call, and its table."""
+    cum = [poisson_pmf(mean, 0)]
+
+    def count(u):
+        while u > cum[-1] and len(cum) <= poisson.POISSON_MAX:
+            k = len(cum)
+            acc = cum[-1] + poisson_pmf(mean, k)
+            if acc == cum[-1] and k > mean:
+                break
+            cum.append(acc)
+        return min(bisect.bisect_left(cum, u), len(cum) - 1)
+
+    return count, cum
 
 
 def reference_triple_joint(mu, pairs, t: float, counts: tuple[int, int, int]) -> float:
@@ -619,3 +638,55 @@ class TestMixing:
             assert r["dev_lo"] <= r["dev_hi"]
             if r["exact_zero_dev"]:
                 assert r["dev_lo"] == r["dev_hi"] == 0.0
+
+
+class ScriptedRandom(random.Random):
+    """random() reads a script of u values; getrandbits is seed 0's stream."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.script = iter(script)
+
+    def random(self):
+        return next(self.script)
+
+
+class TestInlineCount:
+    """The count read inline from the table (a bisection while u is below
+    its top, grown as _poisson_inverse grew it otherwise) equals the
+    closure that grew the table on every call.  At mean 800, pmf(0)
+    underflows to 0.0, so the table starts with zeros."""
+
+    MEANS = [0.0, 0.1, 7.0, 800.0, 1e5]
+
+    @staticmethod
+    def us(mean):
+        """u = 0, every entry of the full table and its float neighbours,
+        and the largest u, 1 - 2^-53."""
+        count, cum = reference_inverse(mean)
+        count(1 - 2**-53)
+        us = {0.0, 1 - 2**-53}
+        for c in cum:
+            us |= {c, math.nextafter(c, 0), math.nextafter(c, 1)}
+        return sorted(u for u in us if u < 1)
+
+    @pytest.mark.parametrize("mean", MEANS)
+    def test_counts_and_table(self, mean):
+        us = self.us(mean)
+        assert mean != 800.0 or poisson_pmf(mean, 0) == 0.0
+        for order in (us, random.Random(mean).sample(us, len(us))):
+            count, (ref, cum) = _poisson_inverse(mean), reference_inverse(mean)
+            assert [count(u) for u in order] == [ref(u) for u in order]
+            assert count.cum == cum
+
+    # _draw_points reads the same table inline; each u draws its count of
+    # points, so the large means take every 40th u
+    @pytest.mark.parametrize("mean", MEANS[:4])
+    def test_draw_points_sizes(self, monkeypatch, mean):
+        us = self.us(mean)[::40 if mean > 100 else 1]
+        rng = ScriptedRandom(us)
+        monkeypatch.setattr(construction, "random", SimpleNamespace(Random=lambda seed: rng))
+        sizes = [k for _, _, chunk in construction._draw_points(
+            0, len(us), 1, 1, correlation.CHUNK, _poisson_inverse(mean)) for k in chunk]
+        ref, _ = reference_inverse(mean)
+        assert sizes == [ref(u) for u in us]
