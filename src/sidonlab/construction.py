@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import lt
+from operator import index, lt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +24,12 @@ import numpy as np
 
 class SpecValidationError(ValueError):
     """Construction parameters are malformed; the message names the stage."""
+
+
+def _as_int(x):
+    """An integer, numpy's too, as an int; anything else, a bool too, as it
+    is, for ConstructionSpec.validate to refuse."""
+    return x if isinstance(x, bool) or not hasattr(x, "__index__") else index(x)
 
 
 class NeedsMoreStages(RuntimeError):
@@ -42,7 +48,8 @@ class StageParams:
     s: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "s", tuple(int(x) for x in self.s))
+        object.__setattr__(self, "r", _as_int(self.r))
+        object.__setattr__(self, "s", tuple(map(_as_int, self.s)))
 
     def total_spacers(self) -> int:
         return sum(self.s)
@@ -56,14 +63,21 @@ class ConstructionSpec:
     stages: tuple[StageParams, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "h1", _as_int(self.h1))
         object.__setattr__(self, "stages", tuple(self.stages))
 
     def validate(self) -> None:
+        if type(self.h1) is not int:
+            raise SpecValidationError(f"h1 must be an integer, got {self.h1!r}")
         if self.h1 < 1:
             raise SpecValidationError(f"h1 must be >= 1, got {self.h1}")
         if not self.stages:
             raise SpecValidationError("stage list is empty")
         for j, p in enumerate(self.stages, start=1):
+            if type(p.r) is not int or any(type(x) is not int for x in p.s):
+                raise SpecValidationError(
+                    f"stage {j}: r and the spacer counts must be integers, got r={p.r!r}, "
+                    f"s={p.s!r}")
             if p.r < 2:
                 raise SpecValidationError(f"stage {j}: column count r={p.r} < 2")
             if len(p.s) != p.r:
@@ -76,8 +90,8 @@ class ConstructionSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ConstructionSpec":
         try:
-            stages = tuple(StageParams(int(st["r"]), tuple(st["s"])) for st in d["stages"])
-            spec = cls(int(d["h1"]), stages)
+            stages = tuple(StageParams(st["r"], st["s"]) for st in d["stages"])
+            spec = cls(d["h1"], stages)
         except (KeyError, TypeError) as exc:
             raise SpecValidationError(f"bad construction dict: {exc}") from exc
         spec.validate()

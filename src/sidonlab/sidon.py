@@ -3,12 +3,14 @@
 Two generators: the greedy Mian-Chowla sequence for small exact examples,
 and Singer perfect difference sets (density ~ sqrt(N)) as the default for
 optimal constructions.  The Singer sets come from the classical projective
-plane construction over GF(q^3); the q^2 + q + 1 powers of a primitive
-element that decide the set are walked in blocks of companion-matrix
-products, so prime powers up to a few thousand stay cheap.  The
-primitive-polynomial search skips every constant term f_0 whose norm
-(-1)^d f_0 does not generate F_p^*: the norm of a primitive x does
-(Lidl-Niederreiter, Finite Fields, Thm 3.18).
+plane construction over GF(q^3) (J. Singer, Trans. AMS 43 (1938)): the
+exponents i mod q^2 + q + 1 with x^i on one line of PG(2, q), for a
+primitive x.  GF(q^3) is held only as the companion matrix M of x's minimal
+polynomial: powers of M test primitivity, matrix traces of their products
+give the line's test rows, and blocks of products with M walk the powers of
+x, so prime powers up to a few thousand stay cheap.  The search for f skips
+every constant term f_0 whose norm (-1)^d f_0 does not generate F_p^*: the
+norm of a primitive x does (Lidl-Niederreiter, Finite Fields, Thm 3.18).
 """
 
 from __future__ import annotations
@@ -102,7 +104,7 @@ def mian_chowla(n: int) -> SidonSet:
 
 
 # ---------------------------------------------------------------------------
-# GF(p^d) helpers (dense polynomial arithmetic mod p, small fields only)
+# GF(p^d) as F_p[x]/(f), by the companion matrix of f
 
 
 def _prime_factors(n: int):
@@ -149,47 +151,37 @@ def _generates_units(g: int, p: int) -> bool:
     return all(pow(g, (p - 1) // l, p) != 1 for l in _prime_factors(p - 1))
 
 
-def _poly_mulmod(a, b, f, p):
-    # a, b lists little-endian, f monic of degree d
+def _companion(f, p: int) -> np.ndarray:
+    """Matrix of multiplication by x modulo the monic f (coefficients
+    little-endian), on coefficient columns: column c is x^(c+1) mod f."""
     d = len(f) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for k, bk in enumerate(b):
-                res[i + k] = (res[i + k] + ai * bk) % p
-    for i in range(len(res) - 1, d - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for k in range(d + 1):
-                res[i - d + k] = (res[i - d + k] - c * f[k]) % p
-    res = res[:d]
-    res += [0] * (d - len(res))
-    return res
+    M = np.zeros((d, d), dtype=np.int64)
+    M[1:, :-1] = np.eye(d - 1, dtype=np.int64)
+    M[:, -1] = [-c % p for c in f[:-1]]
+    return M
 
 
-def _poly_powmod(a, e, f, p):
-    d = len(f) - 1
-    out = [1] + [0] * (d - 1)
-    base = list(a)
+def _mat_pow_mod(M: np.ndarray, e: int, p: int) -> np.ndarray:
+    out = np.eye(M.shape[0], dtype=np.int64)
+    base = M % p
     while e:
         if e & 1:
-            out = _poly_mulmod(out, base, f, p)
-        base = _poly_mulmod(base, base, f, p)
+            out = (out @ base) % p
+        base = (base @ base) % p
         e >>= 1
     return out
 
 
 def _x_is_primitive(f, p):
-    """x has order p^d - 1 modulo f: x^(p^d - 1) = 1, and x^((p^d - 1)/l) != 1
-    for each prime l dividing p^d - 1.  Then the powers of x are p^d - 1
-    distinct units, so every nonzero residue is a unit and f is irreducible."""
-    d = len(f) - 1
-    order = p**d - 1
-    x, one = [0, 1] + [0] * (d - 2), [1] + [0] * (d - 1)
-    if _poly_powmod(x, order, f, p) != one:
+    """x has order p^d - 1 modulo f: M^(p^d - 1) = I, and M^((p^d - 1)/l) != I
+    for each prime l dividing p^d - 1, where M is f's companion matrix.  Then
+    the powers of x are p^d - 1 distinct units, so every nonzero residue is a
+    unit and f is irreducible."""
+    M = _companion(f, p)
+    order, one = p ** len(M) - 1, np.eye(len(M), dtype=np.int64)
+    if not (_mat_pow_mod(M, order, p) == one).all():
         return False
-    return all(_poly_powmod(x, order // l, f, p) != one for l in _prime_factors(order))
+    return all((_mat_pow_mod(M, order // l, p) != one).any() for l in _prime_factors(order))
 
 
 def _find_primitive_poly(p: int, d: int):
@@ -209,56 +201,12 @@ def _find_primitive_poly(p: int, d: int):
     raise RuntimeError(f"no primitive polynomial of degree {d} found over F_{p}")
 
 
-def _rref_mod_p(mat: np.ndarray, p: int):
-    """Row-reduce mod p; returns (rref, pivot column list)."""
-    m = mat.astype(np.int64) % p
-    rows, cols = m.shape
-    piv = []
-    r = 0
-    for c in range(cols):
-        sel = None
-        for rr in range(r, rows):
-            if m[rr, c] % p:
-                sel = rr
-                break
-        if sel is None:
-            continue
-        m[[r, sel]] = m[[sel, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        for rr in range(rows):
-            if rr != r and m[rr, c]:
-                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
-        piv.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m[:r], piv
-
-
-def _nullspace_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Columns span the kernel of mat over F_p."""
-    rref, piv = _rref_mod_p(mat, p)
-    cols = mat.shape[1]
-    free = [c for c in range(cols) if c not in piv]
-    basis = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[fc] = 1
-        for r, pc in enumerate(piv):
-            v[pc] = (-rref[r, fc]) % p
-        basis.append(v % p)
-    return np.array(basis, dtype=np.int64).T if basis else np.zeros((cols, 0), np.int64)
-
-
-def _mat_pow_mod(M: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.eye(M.shape[0], dtype=np.int64)
-    base = M % p
-    while e:
-        if e & 1:
-            out = (out @ base) % p
-        base = (base @ base) % p
-        e >>= 1
+def _powers(A: np.ndarray, n: int, p: int) -> np.ndarray:
+    """A^0, ..., A^(n-1) mod p, stacked."""
+    out = np.empty((n, *A.shape), dtype=np.int64)
+    out[0] = np.eye(A.shape[0], dtype=np.int64)
+    for i in range(1, n):
+        out[i] = (out[i - 1] @ A) % p
     return out
 
 
@@ -272,35 +220,22 @@ def singer_set(q: int) -> SidonSet:
     p, k = pk
     d = 3 * k
     N = q * q + q + 1
-    f = _find_primitive_poly(p, d)
-    # companion matrix of multiplication by x in GF(p^d)
-    M = np.zeros((d, d), dtype=np.int64)
-    for i in range(d - 1):
-        M[i + 1, i] = 1
-    for i in range(d):
-        M[i, d - 1] = (-f[i]) % p
+    M = _companion(_find_primitive_poly(p, d), p)
 
-    # F_p-basis of the subfield GF(q) = fixed points of Frobenius^k
-    frob = np.zeros((d, d), dtype=np.int64)
-    for jcol in range(d):
-        e = [0] * d
-        e[jcol] = 1
-        fp = _poly_powmod(e, p**k, f, p)
-        frob[:, jcol] = fp
-    subf = _nullspace_mod_p((frob - np.eye(d, dtype=np.int64)) % p, p)
-    assert subf.shape[1] == k, "subfield dimension mismatch"
-    # W = GF(q)-span of {1, x}: F_p-span of {b, x b}
-    wcols = np.concatenate([subf, (M @ subf) % p], axis=1)
-    ann = _nullspace_mod_p(wcols.T % p, p)  # annihilator of W
-    C = ann.T % p
-    assert C.shape[0] == d - 2 * k
+    # The residues i mod N with x^i in one line of PG(2, q): the kernel of
+    # the trace Tr: GF(q^3) -> GF(q).  g = x^N has order q - 1, so 1, g, ...,
+    # g^(k-1) span GF(q) over F_p, and as GF(q)'s trace form over F_p is
+    # nondegenerate, Tr(y) = 0 iff Tr_p(g^j y) = 0 for every j < k, where
+    # Tr_p(z), the trace to F_p, is the matrix trace of multiplication by z.
+    # So row j of C, on y = x^c, is trace(G^j M^c) mod p with G = M^N.
+    C = np.einsum("jab,cba->jc", _powers(_mat_pow_mod(M, N, p), k, p), _powers(M, d, p)) % p
 
-    # x^N lies in GF(q)*, and W is closed under GF(q)* scaling, so whether
-    # x^i lies in W depends only on i mod N: test x^i, i < N, in blocks of
-    # columns, x^(base + c) = M^base X[:, c], by walking C M^base.  The
-    # products run in float64, which numpy hands to BLAS (int64 it does
-    # not): their entries are below d * p^2 < 2^53, so exact.  X is built
-    # by doubling: columns [n, 2n) are M^n X[:, :n].
+    # Tr(x^(i+N)) = g Tr(x^i), so whether x^i lies in ker Tr depends only on
+    # i mod N: test x^i, i < N, in blocks of columns, x^(base + c) =
+    # M^base X[:, c], by walking C M^base.  The products run in float64,
+    # which numpy hands to BLAS (int64 it does not): their entries are below
+    # d * p^2 < 2^53, so exact.  X is built by doubling: columns [n, 2n) are
+    # M^n X[:, :n].
     width = min(4096, N)
     X = np.zeros((d, width))
     X[0, 0] = 1
@@ -318,7 +253,10 @@ def singer_set(q: int) -> SidonSet:
     rs = rs[rs < N]  # the last block may run past N
     if len(rs) != q + 1:
         raise RuntimeError(f"Singer construction failed for q={q}: got {len(rs)} residues")
-    # rotate so the largest cyclic gap wraps around: minimal-span translate
+    # Every line's residues are a translate of one set mod N (x permutes the
+    # lines regularly), and the cyclic gaps of a perfect difference set are
+    # distinct differences, so its largest gap is unique: rotating it to the
+    # wrap-around gives one minimal-span set for every line.
     start = rs[(np.argmax(np.diff(rs, append=rs[0] + N)) + 1) % len(rs)]
     return SidonSet(tuple(np.sort((rs - start) % N + 1).tolist()), N)
 
@@ -450,8 +388,9 @@ def optimal_stage_params(h: int, S: SidonSet) -> StageParams:
 
 
 # Longest walk of powers of x in GF(q^3), q^2 + q + 1 of them, that
-# build_from_psi starts.  It admits q <= 3161: singer_set(211) takes ~3 ms
-# and singer_set(3137) ~0.5 s (2 vCPUs, numpy 2.4).
+# build_from_psi starts.  It admits q <= 3161: singer_set(211) takes ~4 ms,
+# singer_set(3137) ~0.2 s and singer_set(3125), with d = 15, ~1 s (2 vCPUs,
+# Python 3.11, numpy 2.4).
 SINGER_WALK_BUDGET = 10**7
 
 # Most greedy terms that build_from_psi asks of mian_chowla, whose time

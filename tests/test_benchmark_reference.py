@@ -27,6 +27,14 @@ def perfbench_modules(*names):
         sys.path.remove(str(PERFBENCH))
 
 
+def test_demo_tower_reproduced(monkeypatch):
+    """run.py's precondition: singer_set and optimal_stage_params still give
+    the frozen demo tower that both workloads run on."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py adds src to it
+    (run,) = perfbench_modules("run")
+    assert run.demo_tower_reproduced()
+
+
 @pytest.mark.parametrize("workload", ["exact-sweep", "orbit-mc"])
 def test_reports_equal_stored_reference(tmp_path, workload):
     run, worker = perfbench_modules("run", "worker")

@@ -151,6 +151,27 @@ class TestStageTable:
         with pytest.raises(SpecValidationError):
             build_stages(RUNNING_SPEC, 4)
 
+    @pytest.mark.parametrize("h1, r, s", [(1.5, 2, [0, 1]), (1, 2.7, [0, 1]), (1, 2.0, [0, 1]),
+                                          (1, 3, [1.9, 0, 3]), (True, 2, [0, 1]),
+                                          (1, True, [0]), (1, 2, [0, False]),
+                                          (1, np.bool_(True), [0])])
+    def test_parameters_are_integers(self, h1, r, s):
+        # a float or a bool is refused, not truncated
+        spec = ConstructionSpec(h1, (StageParams(r, s),))
+        with pytest.raises(SpecValidationError):
+            spec.validate()
+        with pytest.raises(SpecValidationError):
+            Tower(spec, 2)
+        with pytest.raises(SpecValidationError):
+            ConstructionSpec.from_dict({"h1": h1, "stages": [{"r": r, "s": s}]})
+
+    def test_numpy_integers_become_ints(self):
+        spec = ConstructionSpec(np.int64(1), [StageParams(np.int32(2), np.array([0, 1]))])
+        assert spec == ConstructionSpec(1, (StageParams(2, (0, 1)),))
+        assert {type(spec.h1), type(spec.stages[0].r), *map(type, spec.stages[0].s)} == {int}
+        assert ConstructionSpec.from_dict({"h1": np.int64(1), "stages": [
+            {"r": np.int8(2), "s": np.array([0, 1])}]}) == spec
+
     def test_roundtrip_dict(self):
         d = RUNNING_SPEC.to_dict()
         assert ConstructionSpec.from_dict(d) == RUNNING_SPEC

@@ -34,7 +34,6 @@ from sidonlab.sidon import (
     _find_primitive_poly,
     _generates_units,
     _mat_pow_mod,
-    _poly_powmod,
     _prime_factors,
     _x_is_primitive,
     next_prime_power,
@@ -104,6 +103,38 @@ def reference_mian_chowla(n):
     return tuple(elems)
 
 
+def poly_mulmod(a, b, f, p):
+    """a * b modulo the monic f over F_p, on little-endian coefficient lists."""
+    d = len(f) - 1
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bk in enumerate(b):
+                res[i + k] = (res[i + k] + ai * bk) % p
+    for i in range(len(res) - 1, d - 1, -1):
+        c = res[i]
+        if c:
+            res[i] = 0
+            for k in range(d + 1):
+                res[i - d + k] = (res[i - d + k] - c * f[k]) % p
+    res = res[:d]
+    res += [0] * (d - len(res))
+    return res
+
+
+def poly_powmod(a, e, f, p):
+    """a^e modulo the monic f over F_p, by square and multiply."""
+    d = len(f) - 1
+    out = [1] + [0] * (d - 1)
+    base = list(a)
+    while e:
+        if e & 1:
+            out = poly_mulmod(out, base, f, p)
+        base = poly_mulmod(base, base, f, p)
+        e >>= 1
+    return out
+
+
 def is_irreducible(f, p):
     """Rabin's test: x^(p^d) = x mod f, and x^(p^(d/l)) != x for each
     prime l dividing d."""
@@ -111,13 +142,13 @@ def is_irreducible(f, p):
     x = [0, 1] + [0] * (d - 2) if d > 1 else [0]
     acc = list(x)
     for _ in range(d):
-        acc = _poly_powmod(acc, p, f, p)
+        acc = poly_powmod(acc, p, f, p)
     if acc != x:
         return False
     for l in _prime_factors(d):
         acc = list(x)
         for _ in range(d // l):
-            acc = _poly_powmod(acc, p, f, p)
+            acc = poly_powmod(acc, p, f, p)
         if acc == x:
             return False
     return True
@@ -129,7 +160,7 @@ def reference_x_is_primitive(f, p):
     d = len(f) - 1
     order = p**d - 1
     x, one = [0, 1] + [0] * (d - 2), [1] + [0] * (d - 1)
-    return all(_poly_powmod(x, order // l, f, p) != one for l in _prime_factors(order))
+    return all(poly_powmod(x, order // l, f, p) != one for l in _prime_factors(order))
 
 
 def reference_find_primitive_poly(p, d):
@@ -322,9 +353,10 @@ class TestSinger:
         assert _find_primitive_poly(p, 3 * k) == reference_find_primitive_poly(p, 3 * k)
 
     # x of order p^d - 1 implies f irreducible: the one order check gives
-    # Rabin's verdict on every monic f with f_0 != 0
-    @pytest.mark.parametrize("p, d", [(2, 2), (2, 5), (2, 8), (3, 3), (3, 5), (5, 4),
-                                      (7, 3), (13, 3)])
+    # Rabin's verdict on every monic f with f_0 != 0; (2, 6), (3, 6) and
+    # (2, 9) are Singer degrees d = 3k with k > 1
+    @pytest.mark.parametrize("p, d", [(2, 2), (2, 5), (2, 6), (2, 8), (2, 9), (3, 3), (3, 5),
+                                      (3, 6), (5, 4), (7, 3), (13, 3)])
     def test_primitive_verdict_vs_irreducibility_test(self, p, d):
         for tail in product(range(p), repeat=d - 1):
             for f0 in range(1, p):
@@ -395,6 +427,17 @@ class TestNumberTheory:
                 h.update(repr((q, singer_set(q).elements)).encode())
         assert h.hexdigest() == (
             "ffc7828710ace07e5e96f6024880bde6a4c57787d86f28d4cbe0fd8bb93149bc")
+
+    def test_singer_sets_pinned_past_139(self):
+        # SHA-256 over (q, elements) for the 83 prime powers 140 <= q < 600,
+        # computed with the subfield-and-annihilator construction that the
+        # trace kernel replaced
+        h = hashlib.sha256()
+        for q in range(140, 600):
+            if prime_power_decompose(q):
+                h.update(repr((q, singer_set(q).elements)).encode())
+        assert h.hexdigest() == (
+            "142cd247bee9e561f4d005054212832daa41e11df6fb034c9f6c0e23df063e3a")
 
 
 class TestOptimalStages:
