@@ -57,6 +57,10 @@ def load_config(path: str) -> tuple[dict, str]:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigError(f"malformed JSON at line {e.lineno} col {e.colno}: {e.msg}")
+    except ValueError as e:  # not UTF-8, or an integer past int's digit limit
+        raise ConfigError(f"malformed JSON: {e}")
+    except RecursionError:
+        raise ConfigError("malformed JSON: nested too deeply to parse")
     if not isinstance(cfg, dict):
         raise ConfigError("top-level config must be an object")
     return cfg, digest

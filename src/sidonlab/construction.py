@@ -302,19 +302,19 @@ GRID = 1024
 # Python frames per call.
 
 
-def _draw_points(seed, samples: int, total: int, cells: int, most: int, count=None):
+def _draw_points(seed, samples: int, total: int, cells: int, most: int, poisson=None):
     """The raw draws of ``samples`` samples of sample_uniform points from
-    random.Random(seed): a sample is one point, or count(random()) points,
-    and a point is a pick randrange(total) of a level, then a cell
-    randrange(cells) of its offset.  Yields them in chunks of whole samples,
-    each ending once it holds ``most`` points or more: the lists of picks
-    and cells, or with ``count`` the list of picks, None and the list of
-    points per sample.  ``count`` is a _poisson_inverse count, whose table
-    is read inline; its caller, mc_joint, reads no cell, so the cells are
-    drawn and dropped."""
+    random.Random(seed): a sample is one point, or the Poisson count that
+    random() inverts to, and a point is a pick randrange(total) of a level,
+    then a cell randrange(cells) of its offset.  Yields them in chunks of
+    whole samples, each ending once it holds ``most`` points or more: the
+    lists of picks and cells, or with ``poisson`` the list of picks, None
+    and the list of points per sample.  ``poisson`` is the (table, grow)
+    pair of _poisson_inverse, whose table is read inline; its caller,
+    mc_joint, reads no cell, so the cells are drawn and dropped."""
     rng = random.Random(seed)
     bits, tk, ck = rng.getrandbits, total.bit_length(), cells.bit_length()
-    if count is None:
+    if poisson is None:
         for lo in range(0, samples, most):
             picks, cell = [], []
             for _ in range(min(most, samples - lo)):
@@ -328,7 +328,7 @@ def _draw_points(seed, samples: int, total: int, cells: int, most: int, count=No
                 cell.append(r)
             yield picks, cell, None
         return
-    rand, cum, grow, left = rng.random, count.cum, count.grow, bisect.bisect_left
+    (cum, grow), rand, left = poisson, rng.random, bisect.bisect_left
     picks, sizes = [], []
     for _ in range(samples):
         u = rand()

@@ -12,14 +12,12 @@ Every sub-block width mu(E_b)/c_b is a multiple of 1/L, L the lcm of their
 denominators, and so are delta, the stage bases and the bands: a map keeps
 them, and its set action its pieces, as Python ints in units of 1/L.  The
 Lemma 6.1 defect adds its classes as ints in units of mu(E_depth)/C.  The
-API edge stays Fraction: delta, M_pos, M_neg, w, pos_base, neg_base,
-b1_start, locate, apply and the reports' values.
+reports' values are Fractions.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -28,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import correlation
-from .construction import LevelSet, NeedsMoreStages, PointState, Tower
+from .construction import LevelSet, NeedsMoreStages, Tower
 from .correlation import _checked_shifts, _stopping_stages, default_epsilon
 from .enclosure import ZERO, MeasureEnclosure
 
@@ -115,9 +113,6 @@ def enumerate_new_blocks(tower: Tower, depth: int | None = None):
 @dataclass
 class _StageIndex:
     b: int
-    ranges: tuple[tuple[int, int], ...]
-    starts: list[int]
-    cum: list[int]  # cumulative level counts per range
     n: int
     c: int
     K: int  # first global block index of this stage
@@ -125,23 +120,9 @@ class _StageIndex:
     first_odd: int
     n_even: int
     n_odd: int
-    w: Fraction  # sub-block width
-    pos_base: Fraction  # where the stage's even blocks start, and
-    neg_base: Fraction  # minus where its odd blocks end
-    W: int  # w, pos_base and neg_base in units of 1/L
-    pos: int
-    neg: int
-
-    def rank(self, level: int) -> int:
-        i = bisect.bisect_right(self.starts, level) - 1
-        a, e = self.ranges[i]
-        if not a <= level < e:
-            raise ValueError(f"level {level} is not a new-block level of stage {self.b}")
-        return self.cum[i] + (level - a)
-
-    def select(self, ordinal: int) -> int:
-        i = bisect.bisect_right(self.cum, ordinal) - 1
-        return self.ranges[i][0] + (ordinal - self.cum[i])
+    W: int  # sub-block width, in units of 1/L
+    pos: int  # where the stage's even blocks start, and
+    neg: int  # minus where its odd blocks end, in units of 1/L
 
 
 class DissipativeMap:
@@ -156,22 +137,15 @@ class DissipativeMap:
         self.stages: dict[int, _StageIndex] = {}
         K = pos = neg = 0
         for b, w in enumerate(widths, 1):
-            ranges = stage_new_ranges(tower, b)
-            cum = list(itertools.accumulate((e - a for a, e in ranges), initial=0))
-            n_b = cum.pop()
+            n_b = sum(e - a for a, e in stage_new_ranges(tower, b))
             W = w.numerator * (L // w.denominator)
-            first_even, first_odd = K + K % 2, K + 1 - K % 2
             n_even = (n_b + 1 - K % 2) // 2
             n_odd = n_b - n_even
-            self.stages[b] = _StageIndex(
-                b, ranges, [a for a, _ in ranges], cum, n_b, self.parts[b], K, first_even,
-                first_odd, n_even, n_odd, w, Fraction(pos, L), Fraction(neg, L), W, pos, neg,
-            )
+            self.stages[b] = _StageIndex(b, n_b, self.parts[b], K, K + K % 2, K + 1 - K % 2,
+                                         n_even, n_odd, W, pos, neg)
             K, pos, neg = K + n_b, pos + n_even * W, neg + n_odd * W
         self.total_blocks = K
-        self.M_pos, self.M_neg = Fraction(pos, L), Fraction(neg, L)
-        self.delta = self.stages[1].w
-        # contiguous coordinate bands over [-M_neg, M_pos), in units of 1/L
+        # contiguous coordinate bands, in units of 1/L
         sis = list(self.stages.values())
         self.bands = [(-(si.neg + si.n_odd * si.W), -si.neg, si.b)  # (lo, hi, stage)
                       for si in reversed(sis) if si.n_odd]
@@ -180,10 +154,6 @@ class DissipativeMap:
 
     # -- block/coordinate bookkeeping -----------------------------------
 
-    def block_of(self, stage: int, level: int) -> int:
-        si = self.stages[stage]
-        return si.K + si.rank(level)
-
     def block_stage(self, k: int) -> _StageIndex:
         for b in range(1, self.depth + 1):
             si = self.stages[b]
@@ -191,60 +161,21 @@ class DissipativeMap:
                 return si
         raise NeedsMoreBlocks(f"block {k} beyond enumerated depth {self.depth}")
 
-    def block_level(self, k: int) -> tuple[int, int]:
-        si = self.block_stage(k)
-        return si.b, si.select(k - si.K)
-
     def _start(self, k: int) -> int:
-        """b1_start(k) in units of 1/L."""
+        """Where block k's first sub-block starts, in units of 1/L."""
         si = self.block_stage(k)
         if k % 2 == 0:
             return si.pos + (k - si.first_even) // 2 * si.W
         return -(si.neg + ((k - si.first_odd) // 2 + 1) * si.W)
 
-    def b1_start(self, k: int) -> Fraction:
-        return Fraction(self._start(k), self.L)
-
-    def _band_at(self, x):
-        """The band (lo, hi, stage) holding the coordinate x/L; x is an int,
-        or a Fraction for locate."""
+    def _band_at(self, x: int):
+        """The band (lo, hi, stage) holding the coordinate x/L."""
         i = bisect.bisect_right(self._band_los, x) - 1
         if i < 0 or x >= self.bands[i][1]:
+            lo, hi = (Fraction(y, self.L) for y in (self.bands[0][0], self.bands[-1][1]))
             raise NeedsMoreBlocks(f"coordinate {Fraction(x, self.L)} outside the enumerated "
-                                  f"range [{-self.M_neg}, {self.M_pos})")
+                                  f"range [{lo}, {hi})")
         return self.bands[i]
-
-    def locate(self, x: Fraction) -> tuple[int, Fraction]:
-        """Coordinate -> (block, offset within its first sub-block)."""
-        x = x * self.L
-        si = self.stages[self._band_at(x)[2]]
-        if x >= 0:
-            q, r = divmod(x - si.pos, si.W)
-            return si.first_even + 2 * int(q), Fraction(r, self.L)
-        q, r = divmod(-x - si.neg, si.W)
-        if r == 0:
-            return si.first_odd + 2 * (int(q) - 1), Fraction(0)
-        return si.first_odd + 2 * int(q), Fraction(si.W - r, self.L)
-
-    # -- pointwise action -------------------------------------------------
-
-    def apply(self, p: PointState, inverse: bool = False) -> PointState:
-        p = self.tower.normalize_point(p)
-        if p.stage > self.depth:
-            raise NeedsMoreBlocks(f"point born at stage {p.stage} beyond enumerated depth "
-                                  f"{self.depth}")
-        si = self.stages[p.stage]
-        k = si.K + si.rank(p.level)
-        i, uo = divmod(p.offset, si.w)
-        i = int(i) + (-1 if inverse else 1)
-        if 0 <= i < si.c:  # the rotation
-            return PointState(p.stage, p.level, i * si.w + uo)
-        # P: from the last sub-block into the first one of the block delta
-        # further on, and back
-        k2, off2 = self.locate(self.b1_start(k) + uo + (-self.delta if inverse else self.delta))
-        si2 = self.block_stage(k2)
-        return PointState(si2.b, si2.select(k2 - si2.K),
-                          (si2.c - 1) * si2.w + off2 if inverse else off2)
 
     # -- set action on (band, footprint interval, phase) pieces -----------
 

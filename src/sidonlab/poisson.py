@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -263,9 +262,9 @@ def _poisson_inverse(mean: float):
     past POISSON_MAX.  Past the mode, once a term no longer changes the sum,
     the sum is final, and a u above it gets the last k that did.
 
-    Returns count(u).  A loop may read the table inline instead, as count
-    does: count.cum is the table, and count.grow(u), for a u above its top,
-    extends it and returns u's count."""
+    Returns (cum, grow): the table, read inline as bisect_left(cum, u)
+    while u <= cum[-1], and grow(u), which for a u above the top extends
+    the table and returns u's count."""
     if not (math.isfinite(mean) and mean >= 0):
         raise ValueError(f"Poisson mean must be finite and >= 0, got {mean}")
     cum = [poisson_pmf(mean, 0)]
@@ -279,25 +278,7 @@ def _poisson_inverse(mean: float):
             cum.append(acc)
         return min(bisect.bisect_left(cum, u), len(cum) - 1)
 
-    def count(u: float) -> int:
-        return bisect.bisect_left(cum, u) if u <= cum[-1] else grow(u)
-
-    count.cum, count.grow = cum, grow
-    return count
-
-
-def sample_poisson_count(mean: float, rng: random.Random) -> int:
-    """Inversion sampling of a Poisson count; deterministic per rng state."""
-    return _poisson_inverse(mean)(rng.random())
-
-
-def sample_configuration(region: LevelSet, tower: Tower, rng: random.Random):
-    """A Poisson configuration restricted to a finite-measure region:
-    Poisson count, then i.i.d. uniform points."""
-    if region.is_empty():
-        return []
-    n = sample_poisson_count(float(tower.set_measure(region)), rng)
-    return [tower.sample_uniform(region, rng) for _ in range(n)]
+    return cum, grow
 
 
 def _shift_stage(A: LevelSet, n: int, tower: Tower) -> int:
@@ -319,14 +300,6 @@ def _shift_stage(A: LevelSet, n: int, tower: Tower) -> int:
     return J
 
 
-def shifted_level_set(A: LevelSet, n: int, tower: Tower) -> LevelSet:
-    """Exact representation of T^n A (n >= 0) as a level set, at the first
-    stage deep enough that no level escapes the top."""
-    if n < 0:
-        raise ValueError("only forward shifts are represented exactly")
-    return tower.lift(A, _shift_stage(A, n, tower)).shift(n)
-
-
 def _union(ranges):
     """Sorted disjoint range arrays of the union of several such pairs."""
     starts = np.concatenate([s for s, _ in ranges])
@@ -343,11 +316,11 @@ def mc_joint(events: list[CountEvent], samples: int, seed: int, tower: Tower):
     """Monte-Carlo oracle for joint_prob: sample Poisson configurations on
     the union of the shifted sets and count matching events.
 
-    The draws are sample_configuration's, of which only the levels are
-    read: per sample a Poisson count, then that many sample_uniform points of
-    the union, whose offset cells are drawn and dropped.  They are drawn
-    first; the levels, and each event's count per sample, are then found on
-    arrays."""
+    Per sample, random() inverts to a Poisson count of the union's measure
+    (_poisson_inverse), and each point is a uniform level of the union and
+    an offset cell, as sample_uniform draws them; only the levels are read,
+    so the cells are drawn and dropped.  The draws are made first; the
+    levels, and each event's count per sample, are then found on arrays."""
     if not events:
         raise ValueError("mc_joint needs at least one event")
     if samples < 1:

@@ -1,12 +1,16 @@
 import bisect
+import itertools
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sidonlab import ConstructionSpec, LevelSet, NeedsMoreStages, StageParams, Tower, singer_set
+from sidonlab import (ConstructionSpec, LevelSet, NeedsMoreBlocks, NeedsMoreStages, PointState,
+                      StageParams, Tower, s_schedule, singer_set)
 from sidonlab.construction import GRID
+from sidonlab.homoclinic import stage_new_ranges
 from sidonlab.sidon import optimal_stage_params
 
 
@@ -121,6 +125,89 @@ def reference_in_set(tower, J, level, N, d, A):
     if J < A.stage:
         return A.contains(reference_ascend(tower, J, level, N, d, A.stage)[0])
     return tower.lift(A, J).contains(level)
+
+
+def inverse_count(inverse):
+    """u -> its Poisson count, from the (table, grow) pair of
+    _poisson_inverse, read as _draw_points reads it: bisect_left while u is
+    at most the table's top, else grow(u)."""
+    cum, grow = inverse
+    return lambda u: bisect.bisect_left(cum, u) if u <= cum[-1] else grow(u)
+
+
+# The Fraction layout and pointwise action of the dissipative map, which
+# DissipativeMap keeps only as ints over L, rebuilt from s_schedule and
+# stage_new_ranges alone: the references of its set action, and the
+# Monte-Carlo oracles that move points by S.
+
+
+class ReferenceMap:
+    """Per stage b: its new-block level ranges, sub-block count c and width
+    w, first block K, and where its even blocks start (pos) and minus where
+    its odd blocks end (neg) on the coordinate axis.  Block o of a stage is
+    its o-th new level, and even or odd by its global index K + o.  P
+    translates by delta, the width w of stage 1."""
+
+    def __init__(self, tower, depth=None):
+        self.tower = tower
+        parts, _ = s_schedule(tower, depth)
+        self.depth = len(parts)
+        self.stages = {}
+        K, pos, neg = 0, Fraction(0), Fraction(0)
+        for b, c in parts.items():
+            ranges = stage_new_ranges(tower, b)
+            cum = list(itertools.accumulate((e - a for a, e in ranges), initial=0))
+            n = cum.pop()
+            w = tower.stage(b).base_measure / c
+            n_even = (n + 1 - K % 2) // 2  # blocks i < n with K + i even
+            self.stages[b] = SimpleNamespace(b=b, ranges=ranges, cum=cum, n=n, c=c, w=w, K=K,
+                                             pos=pos, neg=neg, n_even=n_even, n_odd=n - n_even)
+            K, pos, neg = K + n, pos + n_even * w, neg + (n - n_even) * w
+        self.delta = self.stages[1].w
+        self.M_pos, self.M_neg = pos, neg
+        sis = list(self.stages.values())
+        self.bands = ([(-(si.neg + si.n_odd * si.w), -si.neg, si.b)  # (lo, hi, stage)
+                       for si in reversed(sis) if si.n_odd]
+                      + [(si.pos, si.pos + si.n_even * si.w, si.b) for si in sis if si.n_even])
+
+    def start(self, si, o):
+        """Where block o of stage si starts its first sub-block on the axis."""
+        if (si.K + o) % 2 == 0:
+            return si.pos + o // 2 * si.w
+        return -(si.neg + (o // 2 + 1) * si.w)
+
+    def locate(self, x):
+        """(stage, block, offset in its first sub-block) of the coordinate x."""
+        b = next((b for lo, hi, b in self.bands if lo <= x < hi), None)
+        if b is None:
+            raise NeedsMoreBlocks(f"coordinate {x} outside the enumerated range "
+                                  f"[{-self.M_neg}, {self.M_pos})")
+        si = self.stages[b]
+        if x >= 0:
+            j, off = divmod(x - si.pos, si.w)
+            return si, si.K % 2 + 2 * int(j), off
+        j, off = divmod(x + si.neg, si.w)
+        return si, 1 - si.K % 2 + 2 * (-int(j) - 1), off
+
+    def apply(self, p, inverse=False):
+        """S, or its inverse, of the point p: the rotation of p's sub-block
+        within its block, or P from the last sub-block into the first one
+        of the block delta further on the axis, and back."""
+        p = self.tower.normalize_point(p)
+        if p.stage > self.depth:
+            raise NeedsMoreBlocks(f"point born at stage {p.stage} beyond depth {self.depth}")
+        si = self.stages[p.stage]
+        i, uo = divmod(p.offset, si.w)
+        i = int(i) + (-1 if inverse else 1)
+        if 0 <= i < si.c:
+            return PointState(p.stage, p.level, i * si.w + uo)
+        r = bisect.bisect_right([a for a, _ in si.ranges], p.level) - 1
+        o = si.cum[r] + p.level - si.ranges[r][0]
+        x = self.start(si, o) + uo + (-self.delta if inverse else self.delta)
+        si2, o2, off = self.locate(x)
+        r = bisect.bisect_right(si2.cum, o2) - 1
+        level = si2.ranges[r][0] + o2 - si2.cum[r]
+        return PointState(si2.b, level, (si2.c - 1) * si2.w + off if inverse else off)
 
 
 def outcome(fn, *args):

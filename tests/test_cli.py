@@ -181,6 +181,23 @@ class TestErrors:
         assert err["code"] == 2 and "JSON" in err["message"]
         assert not (out / "stages.csv").exists()
 
+    # Configs that json.loads refuses with other errors than JSONDecodeError
+    @pytest.mark.parametrize("raw, words", [
+        (b"\xff\xff{}", "utf-8"),
+        (b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
+        (b'{"construction": ' + b"7" * 4301 + b"}", "4300"),
+    ], ids=["not-utf8", "deep-nesting", "long-integer"])
+    def test_malformed_config_exit2(self, tmp_path, capsys, raw, words):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(raw)
+        out = tmp_path / "o"
+        assert run_cli(["build", "--config", str(cfg), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["code"] == 2 and err["message"].startswith("malformed JSON: ")
+        assert words in err["message"]
+        assert not out.exists()
+
     def test_unknown_keys_rejected(self, tmp_path, capsys):
         d = {"construction": RUNNING_SPEC.to_dict()}
         d["construction"]["bogus"] = 1

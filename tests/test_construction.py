@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from sidonlab import (
     ConstructionSpec,
-    DissipativeMap,
     LevelSet,
     NeedsMoreBlocks,
     NeedsMoreStages,
@@ -25,8 +24,8 @@ from sidonlab import (
 from sidonlab import construction, correlation
 from sidonlab.construction import GRID
 from sidonlab.poisson import _poisson_inverse
-from conftest import (RUNNING_SPEC, count_on_lifted, deep_spec, few_levels, huge_spec,
-                      reference_advance, reference_in_set)
+from conftest import (RUNNING_SPEC, ReferenceMap, count_on_lifted, deep_spec, few_levels,
+                      huge_spec, inverse_count, reference_advance, reference_in_set)
 
 
 def reference_sample_uniform(tower, A, rng):
@@ -543,10 +542,14 @@ class TestDrawPoints:
     def test_streams(self, monkeypatch, most, total, cells):
         # the plain stream of mc_correlation and the Poisson-count streams of
         # mc_joint, whose counts are read inline from the table
-        for count in (None, *map(_poisson_inverse, (0.1, 3.0, 40.0))):
+        for mean in (None, 0.1, 3.0, 40.0):
             for seed in range(10):
-                args = (seed, 150, total, cells, most, count)
-                assert self._draws(monkeypatch, *args) == self._reference(*args)
+                args = (seed, 150, total, cells, most)
+                if mean is None:
+                    assert self._draws(monkeypatch, *args) == self._reference(*args)
+                else:
+                    assert self._draws(monkeypatch, *args, _poisson_inverse(mean)) == \
+                        self._reference(*args, inverse_count(_poisson_inverse(mean)))
 
 
 class TestIntegerPointsAgainstReference:
@@ -554,7 +557,7 @@ class TestIntegerPointsAgainstReference:
     Fraction walks they replaced, at every stage of the demo tower."""
 
     def _points(self, tower, rng):
-        dmap = DissipativeMap(tower)
+        ref = ReferenceMap(tower)
         for j in range(1, tower.depth + 1):
             A = tower.full_tower(j)
             base = tower.stage(j).base_measure
@@ -564,7 +567,7 @@ class TestIntegerPointsAgainstReference:
                 den = rng.choice([3, 7, 1024 * 3, 10**9 + 7, rng.randrange(1, 5000)])
                 yield PointState(j, level, base * Fraction(rng.randrange(den), den))
                 try:  # sub-block offsets, denominator c
-                    yield dmap.apply(tower.sample_uniform(A, rng), rng.random() < 0.5)
+                    yield ref.apply(tower.sample_uniform(A, rng), rng.random() < 0.5)
                 except NeedsMoreBlocks:
                     pass
 

@@ -30,7 +30,7 @@ from sidonlab import (
 )
 from sidonlab import correlation
 from sidonlab.homoclinic import PHI_CATALOG, _flow_draws, _sweep_pairs, stage_new_ranges
-from tests.conftest import deep_spec, huge_spec, outcome
+from tests.conftest import ReferenceMap, deep_spec, huge_spec, outcome
 
 
 def reference_flow_defect(tower, params, n, samples, seed):
@@ -64,62 +64,53 @@ def reference_flow_defect(tower, params, n, samples, seed):
     return defect, stderr
 
 
-def reference_bands(dmap):
-    """The map's coordinate bands (lo, hi, stage) as Fractions, from its
-    Fraction stage bases."""
-    sis = [dmap.stages[b] for b in range(1, dmap.depth + 1)]
-    return ([(-(si.neg_base + si.n_odd * si.w), -si.neg_base, si.b)
-             for si in reversed(sis) if si.n_odd]
-            + [(si.pos_base, si.pos_base + si.n_even * si.w, si.b) for si in sis if si.n_even])
-
-
-def reference_step_pieces(dmap, pieces, inverse=False):
+def reference_step_pieces(ref, pieces, inverse=False):
     """The Fraction set action that step_pieces replaced, on pieces
-    (stage, coord lo, coord hi, phase) with Fraction coordinates."""
-    bands = reference_bands(dmap)
-    los = [lo for lo, _, _ in bands]
+    (stage, coord lo, coord hi, phase) with Fraction coordinates, over the
+    bands of a ReferenceMap."""
+    los = [lo for lo, _, _ in ref.bands]
 
     def split(lo, hi):
         out = []
         x = lo
         while x < hi:
             i = bisect.bisect_right(los, x) - 1
-            if i < 0 or x >= bands[i][1]:
+            if i < 0 or x >= ref.bands[i][1]:
                 raise NeedsMoreBlocks(f"coordinate {x} outside the enumerated range "
-                                      f"[{-dmap.M_neg}, {dmap.M_pos})")
-            e = min(hi, bands[i][1])
-            out.append((bands[i][2], x, e))
+                                      f"[{-ref.M_neg}, {ref.M_pos})")
+            e = min(hi, ref.bands[i][1])
+            out.append((ref.bands[i][2], x, e))
             x = e
         return out
 
     out = []
     for b, lo, hi, phase in pieces:
-        c = dmap.stages[b].c
+        c = ref.stages[b].c
         if not inverse:
             if phase < c - 1:
                 out.append((b, lo, hi, phase + 1))
             else:
-                for b2, l2, h2 in split(lo + dmap.delta, hi + dmap.delta):
+                for b2, l2, h2 in split(lo + ref.delta, hi + ref.delta):
                     out.append((b2, l2, h2, 0))
         else:
             if phase > 0:
                 out.append((b, lo, hi, phase - 1))
             else:
-                for b2, l2, h2 in split(lo - dmap.delta, hi - dmap.delta):
-                    out.append((b2, l2, h2, dmap.stages[b2].c - 1))
+                for b2, l2, h2 in split(lo - ref.delta, hi - ref.delta):
+                    out.append((b2, l2, h2, ref.stages[b2].c - 1))
     return out
 
 
-def reference_wandering_check(dmap, zmax):
+def reference_wandering_check(ref, zmax):
     """The Fraction wandering check that wandering_check replaced."""
-    start = [(1, Fraction(0), dmap.delta, 0)]
+    start = [(1, Fraction(0), ref.delta, 0)]
     layers = {0: start}
     fwd = start
     back = start
     for z in range(1, zmax + 1):
-        fwd = reference_step_pieces(dmap, fwd)
+        fwd = reference_step_pieces(ref, fwd)
         layers[z] = fwd
-        back = reference_step_pieces(dmap, back, inverse=True)
+        back = reference_step_pieces(ref, back, inverse=True)
         layers[-z] = back
     tagged = []
     for z, pieces in layers.items():
@@ -135,8 +126,8 @@ def reference_wandering_check(dmap, zmax):
             break
     covered = sum(hi - lo for pieces in layers.values() for _, lo, hi, _ in pieces)
     total = sum(
-        dmap.stages[b].n * dmap.tower.stage(b).base_measure
-        for b in range(1, dmap.depth + 1)
+        ref.stages[b].n * ref.tower.stage(b).base_measure
+        for b in range(1, ref.depth + 1)
     )
     return {
         "passed": disjoint,
@@ -148,15 +139,15 @@ def reference_wandering_check(dmap, zmax):
     }
 
 
-def reference_retention_audit(dmap, piece_samples_per_stage=3):
+def reference_retention_audit(ref, piece_samples_per_stage=3):
     """The Fraction retention audit that retention_audit replaced."""
     rows = []
-    for b in range(1, dmap.depth + 1):
-        si = dmap.stages[b]
+    for b in range(1, ref.depth + 1):
+        si = ref.stages[b]
         if si.n == 0:
             continue
-        mu = dmap.tower.stage(b).base_measure
-        retained = (si.c - 1) * si.w + max(Fraction(0), si.w - dmap.delta)
+        mu = ref.tower.stage(b).base_measure
+        retained = (si.c - 1) * si.w + max(Fraction(0), si.w - ref.delta)
         row = {
             "stage": b,
             "blocks": si.n,
@@ -166,11 +157,11 @@ def reference_retention_audit(dmap, piece_samples_per_stage=3):
             "ok": retained / mu >= 1 - Fraction(1, si.c),
             "piece_verified": 0,
         }
-        for k in range(si.K, min(si.K + piece_samples_per_stage, si.K + si.n)):
-            lo = dmap.b1_start(k)
+        for o in range(min(piece_samples_per_stage, si.n)):
+            lo = ref.start(si, o)
             pieces = [(b, lo, lo + si.w, i) for i in range(si.c)]
             try:
-                img = reference_step_pieces(dmap, pieces)
+                img = reference_step_pieces(ref, pieces)
             except NeedsMoreBlocks:
                 continue
             back_in = sum(
@@ -311,9 +302,10 @@ def plain(results):
     return [(enc, {**info, "image": info["image"].tolist()}) for enc, info in results]
 
 
-def mc_defect(tower, dmap, j, k, n, samples, seed):
+def mc_defect(tower, j, k, n, samples, seed):
     """Monte-Carlo oracle: frequency of points of T^{n+k} E_j whose S-image
     leaves the resolved part of the set."""
+    ref = ReferenceMap(tower)
     enc, info = lemma61_defect(tower, j, k, n)
     E = LevelSet.from_ranges(j, [(0, 1)])
     rng = random.Random(seed)
@@ -323,7 +315,7 @@ def mc_defect(tower, dmap, j, k, n, samples, seed):
         p = tower.sample_uniform(E, rng)
         q = tower.iterate(p, n + k)
         try:
-            q2 = dmap.apply(q)
+            q2 = ref.apply(q)
         except NeedsMoreBlocks:
             skipped += 1
             continue
@@ -370,40 +362,45 @@ class TestBlocks:
         sums = [r["partial_sum"] for r in rows]
         assert all(a < b for a, b in zip(sums, sums[1:]))
 
-    def test_block_level_roundtrip(self, running_dmap):
-        for blk in enumerate_new_blocks(running_dmap.tower):
-            k = running_dmap.block_of(blk.birth_stage, blk.level)
-            assert k == blk.k
-            assert running_dmap.block_level(k) == (blk.birth_stage, blk.level)
+    def test_block_stage_matches_enumeration(self, running_dmap, dmap):
+        for m in (running_dmap, dmap):
+            blocks = enumerate_new_blocks(m.tower)
+            assert m.total_blocks == len(blocks)
+            for blk in blocks:
+                assert m.block_stage(blk.k).b == blk.birth_stage
+            with pytest.raises(NeedsMoreBlocks):
+                m.block_stage(len(blocks))
 
 
 class TestDissipativeMap:
-    def test_apply_inverse_roundtrip(self, demo_tower, dmap):
+    def test_step_pieces_inverse_roundtrip(self, dmap):
+        # S^-1 S and S S^-1 give back every piece, merged where it was split
         rng = random.Random(31)
-        checked = 0
-        sets = [
-            LevelSet.from_ranges(2, [(0, 7)]),
-            LevelSet.from_ranges(3, [(0, 77)]),
-            LevelSet.from_ranges(4, [(0, 300)]),
-        ]
-        while checked < 1000:
-            A = sets[checked % len(sets)]
-            p = demo_tower.sample_uniform(A, rng)
-            try:
-                q = dmap.apply(p)
-                assert dmap.apply(q, inverse=True) == demo_tower.normalize_point(p)
-                r = dmap.apply(p, inverse=True)
-                assert dmap.apply(r) == demo_tower.normalize_point(p)
-            except NeedsMoreBlocks:
-                pass
-            checked += 1
 
-    def test_locate_inverts_b1_start(self, running_dmap):
-        for k in range(running_dmap.total_blocks):
-            x = running_dmap.b1_start(k)
-            si = running_dmap.block_stage(k)
-            k2, off = running_dmap.locate(x + si.w / 7)
-            assert k2 == k and off == si.w / 7
+        def merged(pieces):
+            out = []
+            for b, lo, hi, ph in sorted(pieces, key=lambda p: (p[3], p[1])):
+                if out and out[-1][0] == b and out[-1][3] == ph and out[-1][2] == lo:
+                    out[-1] = (out[-1][0], out[-1][1], hi, ph)
+                else:
+                    out.append((b, lo, hi, ph))
+            return out
+
+        checked = 0
+        for _ in range(1000):
+            si = dmap.block_stage(rng.randrange(dmap.total_blocks))
+            start = dmap._start(si.K + rng.randrange(si.n))
+            lo = rng.randrange(si.W)
+            piece = [(si.b, start + lo, start + rng.randint(lo + 1, si.W),
+                      rng.choice([0, si.c - 1, rng.randrange(si.c)]))]
+            for inverse in (False, True):
+                try:
+                    image = dmap.step_pieces(piece, inverse)
+                except NeedsMoreBlocks:
+                    continue
+                assert merged(dmap.step_pieces(image, not inverse)) == piece
+                checked += 1
+        assert checked > 1000
 
     def test_total_coordinate_mass(self, running_dmap):
         parts, _ = s_schedule(running_dmap.tower)
@@ -411,7 +408,8 @@ class TestDissipativeMap:
             blk.measure / parts[blk.birth_stage]
             for blk in enumerate_new_blocks(running_dmap.tower)
         )
-        assert running_dmap.M_pos + running_dmap.M_neg == expect
+        assert Fraction(sum(hi - lo for lo, hi, _ in running_dmap.bands),
+                        running_dmap.L) == expect
 
 
 class TestWandering:
@@ -423,7 +421,7 @@ class TestWandering:
         rep = wandering_check(dmap, 50)
         assert rep["passed"]
         assert rep["clash"] is None
-        assert rep["covered_mass"] == 101 * dmap.delta
+        assert rep["covered_mass"] == 101 * ReferenceMap(dmap.tower).delta
 
     def test_covered_grows(self, dmap):
         r10 = wandering_check(dmap, 10)
@@ -452,10 +450,11 @@ class TestRetention:
         spec = huge_spec(random.Random(0))
         dmap = DissipativeMap(Tower(spec, len(spec.stages) + 1))
         assert max(dmap.parts.values()) > 10**18
+        ref = ReferenceMap(dmap.tower)
         want = []
-        for b, si in dmap.stages.items():
-            mu = dmap.tower.stage(b).base_measure
-            retained = (si.c - 1) * si.w + max(Fraction(0), si.w - dmap.delta)
+        for b, si in ref.stages.items():
+            mu = ref.tower.stage(b).base_measure
+            retained = (si.c - 1) * si.w + max(Fraction(0), si.w - ref.delta)
             want.append({"stage": b, "blocks": si.n, "parts": si.c, "retention": retained / mu,
                          "bound": 1 - Fraction(1, si.c), "ok": True, "piece_verified": 3})
         assert retention_audit(dmap) == want
@@ -503,15 +502,14 @@ class TestIntegerPiecesAgainstReference:
             tower = Tower(spec, len(spec.stages) + 1)
         else:
             tower = demo_tower if kind == "demo" else running_tower
-        dmap = DissipativeMap(tower)
+        dmap, ref = DissipativeMap(tower), ReferenceMap(tower)
         L = dmap.L
-        assert [(Fraction(lo, L), Fraction(hi, L), b)
-                for lo, hi, b in dmap.bands] == reference_bands(dmap)
+        assert [(Fraction(lo, L), Fraction(hi, L), b) for lo, hi, b in dmap.bands] == ref.bands
         assert result_or_error(wandering_check, dmap, zmax) == result_or_error(
-            reference_wandering_check, dmap, zmax)
+            reference_wandering_check, ref, zmax)
         # the reference audit pushes all c sub-blocks of a block: huge towers have c > 2^60
         if max(dmap.parts.values()) <= 1000:
-            assert retention_audit(dmap) == reference_retention_audit(dmap)
+            assert retention_audit(dmap) == reference_retention_audit(ref)
         # pieces in random blocks and phases, the last phase most often
         pieces = []
         for _ in range(rng.randint(1, 6)):
@@ -526,7 +524,7 @@ class TestIntegerPiecesAgainstReference:
             got = result_or_error(dmap.step_pieces, pieces, inverse)
             if isinstance(got, list):
                 got = as_fractions(got)
-            assert got == result_or_error(reference_step_pieces, dmap,
+            assert got == result_or_error(reference_step_pieces, ref,
                                           as_fractions(pieces), inverse)
 
 
@@ -591,9 +589,9 @@ class TestDefect:
         )
         assert info["full_defect"] <= info["full_blocks"] * max_per
 
-    def test_mc_within_4_sigma(self, demo_tower, dmap):
+    def test_mc_within_4_sigma(self, demo_tower):
         for i, (j, k, n) in enumerate([(2, 0, 77), (2, 3, 50), (3, 10, 200)]):
-            f, err, enc, skipped = mc_defect(demo_tower, dmap, j, k, n, 400, 600 + i)
+            f, err, enc, skipped = mc_defect(demo_tower, j, k, n, 400, 600 + i)
             err = max(err, 1e-9)
             assert f <= float(enc.hi) + 4 * err
             assert skipped < 400

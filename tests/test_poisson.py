@@ -5,6 +5,7 @@ from itertools import combinations, product
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -19,20 +20,21 @@ from sidonlab import (
     mixing_report,
     normalization_check,
     pair_enclosure,
-    sample_configuration,
     triple_enclosure,
     triple_mixing_report,
 )
 from sidonlab import construction, correlation
 from sidonlab.enclosure import MeasureEnclosure
 from sidonlab import poisson
-from sidonlab.poisson import (ProbEnclosure, _atom_law, _poisson_inverse, overlap_enclosures,
-                              poisson_pmf, sample_poisson_count, shifted_level_set)
-from tests.conftest import deep_spec, few_levels, huge_spec, outcome, reference_draw
+from sidonlab.construction import GRID
+from sidonlab.poisson import (ProbEnclosure, _atom_law, _poisson_inverse, _shift_stage,
+                              overlap_enclosures, poisson_pmf)
+from tests.conftest import (deep_spec, few_levels, huge_spec, inverse_count, outcome,
+                            reference_draw)
 
 
 def reference_poisson_count(mean, rng):
-    """The per-call inversion loop that sample_poisson_count replaced."""
+    """The per-call inversion loop that the inversion table replaced."""
     u = rng.random()
     k = 0
     acc = poisson_pmf(mean, 0)
@@ -136,7 +138,9 @@ def mc_joint_reference(events, samples, seed, tower):
     shifted sets, then per sample a Poisson count and per point a draw and
     LevelSet.contains for each event."""
     base = min(e.shift for e in events)
-    shifted = [shifted_level_set(e.set, e.shift - base, tower) for e in events]
+    # T^n A at the first stage where no level escapes the top, by _shift_stage's rule
+    shifted = [tower.lift(e.set, _shift_stage(e.set, e.shift - base, tower)).shift(e.shift - base)
+               for e in events]
     top = max(s.stage for s in shifted)
     shifted = [tower.lift(s, top) for s in shifted]
     region = shifted[0]
@@ -408,18 +412,26 @@ class TestMonteCarloOracle:
             mc_joint([], 10, 0, demo_tower)
 
 
-class TopRandom:
-    """An rng whose random() is its largest value, 1 - 2^-53."""
-
-    def random(self):
-        return 1 - 2**-53
+def mc_joint_draws(tower, region, samples, seed):
+    """mc_joint's draws of Poisson configurations on a region: the points
+    per sample and their levels."""
+    starts, ends = tower.range_arrays(region, region.stage)
+    cum = np.concatenate(([0], np.cumsum(ends - starts)))
+    inverse = _poisson_inverse(float(tower.set_measure(region)))
+    sizes, levels = [], []
+    for picks, _, chunk in construction._draw_points(
+            seed, samples, int(cum[-1]), GRID * tower.units[region.stage], correlation.CHUNK,
+            inverse):
+        sizes += chunk
+        levels += construction._pick_levels(starts, cum, np.array(picks)).tolist()
+    return sizes, levels
 
 
 class TestSampling:
     @pytest.mark.parametrize("mean", [-1.0, math.nan, math.inf])
     def test_bad_mean_rejected(self, mean):
         with pytest.raises(ValueError, match="Poisson mean"):
-            sample_poisson_count(mean, random.Random(0))
+            _poisson_inverse(mean)
 
     # The float sums of the pmf stop short of 1 - 2^-53; such a u once ran
     # the inversion to 10^7.  Now it gets the last count whose term still
@@ -431,19 +443,22 @@ class TestSampling:
             if acc + poisson_pmf(mean, k) != acc:
                 acc, last = acc + poisson_pmf(mean, k), k
         assert acc < 1 - 2**-53
-        assert sample_poisson_count(mean, TopRandom()) == last
+        _, grow = _poisson_inverse(mean)
+        assert grow(1 - 2**-53) == last
 
     def test_counts_vs_reference_loop(self):
         for i, mean in enumerate((0.0, 1e-3, 0.1, 1.5, 7.0, 40.0, 800.0)):
             rng, ref = random.Random(i), random.Random(i)
-            got = [sample_poisson_count(mean, rng) for _ in range(300)]
+            count = inverse_count(_poisson_inverse(mean))
+            got = [count(rng.random()) for _ in range(300)]
             assert got == [reference_poisson_count(mean, ref) for _ in range(300)]
 
     def test_poisson_count_mean(self):
         rng = random.Random(17)
         mean = 2.5
         n = 4000
-        counts = [sample_poisson_count(mean, rng) for _ in range(n)]
+        count = inverse_count(_poisson_inverse(mean))
+        counts = [count(rng.random()) for _ in range(n)]
         avg = sum(counts) / n
         assert abs(avg - mean) < 4 * math.sqrt(mean / n)
 
@@ -451,7 +466,8 @@ class TestSampling:
         rng = random.Random(23)
         mean = 1.5
         n = 5000
-        counts = [sample_poisson_count(mean, rng) for _ in range(n)]
+        count = inverse_count(_poisson_inverse(mean))
+        counts = [count(rng.random()) for _ in range(n)]
         kmax = 7
         obs = [0] * (kmax + 2)
         for c in counts:
@@ -465,35 +481,25 @@ class TestSampling:
     def test_configuration_mean(self, running_tower):
         region = LevelSet.from_ranges(2, [(0, 3)])
         mu = 1.5
-        rng = random.Random(3)
         n = 2000
-        total = sum(len(sample_configuration(region, running_tower, rng)) for _ in range(n))
-        assert abs(total / n - mu) < 4 * math.sqrt(mu / n)
-
-    def test_empty_region(self, running_tower):
-        assert sample_configuration(
-            LevelSet.from_ranges(2, []), running_tower, random.Random(0)
-        ) == []
+        sizes, _ = mc_joint_draws(running_tower, region, n, 3)
+        assert abs(sum(sizes) / n - mu) < 4 * math.sqrt(mu / n)
 
     def test_points_land_in_region(self, running_tower):
-        region = LevelSet.from_ranges(2, [(1, 3)])
-        rng = random.Random(12)
-        for _ in range(50):
-            for p in sample_configuration(region, running_tower, rng):
-                assert running_tower.membership(p, region)
+        region = LevelSet.from_ranges(3, [(1, 3), (7, 12)])
+        sizes, levels = mc_joint_draws(running_tower, region, 50, 12)
+        assert len(levels) == sum(sizes) > 0
+        assert set(levels) <= set(region.levels())
 
 
 class TestShiftedLevelSet:
     def test_exact_shift(self, running_tower):
         a = LevelSet.from_levels(2, [0])
-        s = shifted_level_set(a, 3, running_tower)
+        assert _shift_stage(a, 3, running_tower) == 3
+        s = running_tower.lift(a, 3).shift(3)
         # lift of level 0 to stage 3 is {0,3,12}; shift by 3 -> {3,6,15}
-        assert s.stage == 3 and tuple(s.levels()) == (3, 6, 15)
+        assert tuple(s.levels()) == (3, 6, 15)
         assert running_tower.set_measure(s) == Fraction(1, 2)
-
-    def test_negative_rejected(self, running_tower):
-        with pytest.raises(ValueError):
-            shifted_level_set(LevelSet.from_levels(2, [0]), -1, running_tower)
 
 
 class TestMixing:
@@ -652,8 +658,8 @@ class ScriptedRandom(random.Random):
 
 
 class TestInlineCount:
-    """The count read inline from the table (a bisection while u is below
-    its top, grown as _poisson_inverse grew it otherwise) equals the
+    """The count read inline from the table of _poisson_inverse (a
+    bisection while u is at most its top, grow(u) otherwise) equals the
     closure that grew the table on every call.  At mean 800, pmf(0)
     underflows to 0.0, so the table starts with zeros."""
 
@@ -675,9 +681,10 @@ class TestInlineCount:
         us = self.us(mean)
         assert mean != 800.0 or poisson_pmf(mean, 0) == 0.0
         for order in (us, random.Random(mean).sample(us, len(us))):
-            count, (ref, cum) = _poisson_inverse(mean), reference_inverse(mean)
+            inverse, (ref, cum) = _poisson_inverse(mean), reference_inverse(mean)
+            count = inverse_count(inverse)
             assert [count(u) for u in order] == [ref(u) for u in order]
-            assert count.cum == cum
+            assert inverse[0] == cum
 
     # _draw_points reads the same table inline; each u draws its count of
     # points, so the large means take every 40th u
